@@ -14,6 +14,13 @@ Conventions used throughout (see also permcore):
 * The d-family is computed four independent ways (recurrence, explicit
   double sum, egf coefficients, Riordan row sums) so the tests can compare.
 
+The recurrences are evaluated row by row into one table per parameter set,
+kept for the life of the process and extended in place when a query reaches
+past its last row.  Their long inner sums are carried from one row to the
+next as running sums, so a cell costs O(1) (O(m) for the windowed families)
+big-integer operations, and nothing recurses.  The point functions
+(``triangle_ge2_rec(n, k, r)`` and friends) read one cell of a table.
+
 Everything returns exact ints (or Fraction where the contract says so).
 """
 
@@ -22,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .fps import FormalPowerSeries
 from .numeric import binomial, falling_factorial, rising_factorial
@@ -99,6 +106,62 @@ def par_ge(a: int, b: int, c: int) -> int:
     return comb(shift - 1, b - 1)
 
 
+# -- row tables ------------------------------------------------------------------
+
+
+class _Rows:
+    """Rows 0, 1, ... of one recurrence, kept and appended in place.
+
+    ``_next(n)`` returns row n.  It reads the rows before it, the running
+    sums its subclass carries for the last row only, and ``lower.rows``: the
+    table of the same recurrence with one special element fewer, which
+    ``row`` extends to row n first.  A query walks that chain from the
+    bottom up, so no row is ever computed by recursion.
+    """
+
+    lower: _Rows | None = None
+
+    def __init__(self, r: int = 0):
+        self.r = r  # special elements; 0 for the recurrences without them
+        self.rows: list = []
+
+    def row(self, n: int):
+        if n >= len(self.rows):
+            chain = [self]
+            while chain[-1].lower is not None:
+                chain.append(chain[-1].lower)
+            for table in reversed(chain):
+                rows = table.rows
+                while len(rows) <= n:
+                    rows.append(table._next(len(rows)))
+        return self.rows[n]
+
+    def _next(self, n: int):
+        raise NotImplementedError
+
+
+_TABLES: dict[tuple, _Rows] = {}
+
+
+def _table(cls, *params) -> _Rows:
+    """The table of ``cls`` for one parameter set, made on first use."""
+    table = _TABLES.get((cls, *params))
+    if table is None:
+        table = _TABLES[(cls, *params)] = cls(*params)
+    return table
+
+
+def _r_table(cls, r: int, *params) -> _Rows:
+    """``_table`` for a recurrence in r specials that reads its r-1 table;
+    the tables for 0..r are made and linked from the bottom up."""
+    table = _TABLES.get((cls, r, *params))
+    if table is None:
+        for s in range(r + 1):
+            lower, table = table, _table(cls, s, *params)
+            table.lower = lower
+    return table
+
+
 # -- the ord >= 2 triangle (signed derangement cycle counts) -------------------
 
 
@@ -115,7 +178,40 @@ def _ge2_column0(n: int, r: int) -> int:
     return 2**n * factorial(n) * total
 
 
-@cache
+class _Ge2Rows(_Rows):
+    """The remove-the-largest-element recurrence of ``triangle_ge2_rec`` for
+    one r.  With p = n-1, ff(p, j) = p!/(p-j)! and T' the table for r-1,
+
+        T(n, k) = T(p, k-1) + 4p B(p-1, k-1) + 4r D(p, k)    (k >= 1)
+        B(p, k) = sum_j 2^j ff(p, j) T(p-j, k)           = T(p, k) + 2p B(p-1, k)
+        A(p, k) = sum_j 2^j ff(p, j) T'(p-j, k)          = T'(p, k) + 2p A(p-1, k)
+        D(p, k) = sum_j (j+1) 2^j ff(p, j) T'(p-j, k)    = A(p, k) + 2p D(p-1, k)
+
+    and column 0 from its closed form.  ``b``, ``a`` and ``d`` hold B, A and
+    D at p-1 for the last row p, padded with a zero to the row's length.
+    """
+
+    def __init__(self, r: int):
+        super().__init__(r)
+        self.b, self.a, self.d = [0], [0], [0]
+
+    def _next(self, n: int) -> list[int]:
+        if n == 0:
+            return [1]
+        p, r = n - 1, self.r
+        prev, b, two_p = self.rows[p], self.b, 2 * p
+        row = [_ge2_column0(n, r)]
+        row += [prev[k] + 2 * two_p * b[k] for k in range(n)]
+        if r:
+            a = [x + two_p * y for x, y in zip(self.lower.rows[p], self.a)]
+            d = [x + two_p * y for x, y in zip(a, self.d)]
+            for k in range(1, n):  # D(p, n) = 0
+                row[k] += 4 * r * d[k]
+            self.a, self.d = a + [0], d + [0]
+        self.b = [x + two_p * y for x, y in zip(prev, b)] + [0]
+        return row
+
+
 def triangle_ge2_rec(n: int, k: int, r: int) -> int:
     """Signed permutations of [n+r], k+r cycles, specials 1..r in distinct
     cycles, every cycle of order >= 2 or all-barred.  Computed from the
@@ -125,46 +221,32 @@ def triangle_ge2_rec(n: int, k: int, r: int) -> int:
         raise ValueError("r must be >= 0")
     if n < 0 or k < 0 or k > n:
         return 0
-    if k == 0:
-        return _ge2_column0(n, r)
-    p = n - 1
-    fp = factorial(p)
-    total = triangle_ge2_rec(p, k - 1, r)
-    for j in range(1, p + 1):
-        total += 2 * fp * 2**j // factorial(p - j) * triangle_ge2_rec(p - j, k - 1, r)
-    if r:
-        for j in range(p + 1):
-            total += (
-                4 * r * fp * (j + 1) * 2**j // factorial(p - j)
-                * triangle_ge2_rec(p - j, k, r - 1)
-            )
-    return total
+    return _r_table(_Ge2Rows, r).row(n)[k]
 
 
-@cache
+class _Ge2AltRows(_Rows):
+    def _next(self, n: int) -> list[int]:
+        if n == 0:
+            return [1]
+        p = n - 1
+        prev = self.rows[p]
+        prev2 = self.rows[p - 1] if p else []
+        return [
+            2 * p * (a + b) + c
+            for a, b, c in zip(prev + [0], [0] + prev2 + [0], [0] + prev)
+        ]
+
+
 def triangle_ge2_alt_rec(n: int, k: int) -> int:
     """The r = 0 case again, via the independent three-term recurrence
     t(n+1, k) = 2n t(n, k) + 2n t(n-1, k-1) + t(n, k-1).  Test cross-check.
     """
-    if n == 0 and k == 0:
-        return 1
-    if n <= 0 or k < 0 or k > n:
+    if n < 0 or k < 0 or k > n:
         return 0
-    p = n - 1
-    return (
-        2 * p * triangle_ge2_alt_rec(p, k)
-        + 2 * p * triangle_ge2_alt_rec(p - 1, k - 1)
-        + triangle_ge2_alt_rec(p, k - 1)
-    )
+    return _table(_Ge2AltRows).row(n)[k]
 
 
 # -- the general ord >= m triangle ---------------------------------------------
-
-
-def _tau(m: int, n: int, j: int) -> int:
-    """Sign weight of a cycle built from j inserted elements: free signs
-    (2^(j+1)) once the window reaches m, otherwise forced all-barred (1)."""
-    return 2 ** (j + 1) if m - 1 <= j <= n else 1
 
 
 def _gem_column0(n: int, r: int, m: int) -> int:
@@ -188,25 +270,73 @@ def _gem_column0(n: int, r: int, m: int) -> int:
     return factorial(n) * total
 
 
-@cache
+class _GemRows(_Rows):
+    """The removal recurrence of the ord >= m triangle for one (r, m).  With
+    p = n-1, ff(p, j) = p!/(p-j)!, c = max(m-1, 0), c2 = max(m-2, 0) and G'
+    the table for r-1, a cycle of j+1 elements takes free signs once it
+    reaches the window and is all-barred below it:
+
+        G(n, k) = sum_{j<c} ff(p, j) G(p-j, k-1) + 2 H(p, k-1)
+                  + r (sum_{j<c2} (j+1) ff(p, j) G'(p-j, k) + 4 D(p, k))
+        H(p, k) = sum_{j>=c} 2^j ff(p, j) G(p-j, k)
+                = 2^c ff(p, c) G(p-c, k) + 2p H(p-1, k)
+        A(p, k) = sum_{j>=c2} 2^j ff(p, j) G'(p-j, k)
+                = y(p, k) + 2p A(p-1, k),    y(p, k) = 2^c2 ff(p, c2) G'(p-c2, k)
+        D(p, k) = sum_{j>=c2} (j+1) 2^j ff(p, j) G'(p-j, k)
+                = (c2+1) y(p, k) + 2p (D(p-1, k) + A(p-1, k))
+
+    for k >= 1, and column 0 from its closed form.  The heads keep their
+    explicit terms over the last c rows; ``h``, ``a`` and ``d`` hold H, A and
+    D at p-1 for the last row p.
+    """
+
+    def __init__(self, r: int, m: int):
+        super().__init__(r)
+        self.m = m
+        self.h, self.a, self.d = [], [], []
+
+    def _next(self, n: int) -> list[int]:
+        r, m = self.r, self.m
+        if n == 0:
+            return [_gem_column0(0, r, m)]
+        p, rows, two_p = n - 1, self.rows, 2 * (n - 1)
+        c, c2 = max(m - 1, 0), max(m - 2, 0)
+        ff = [perm(p, j) for j in range(c + 1)]
+
+        h = [two_p * v for v in self.h] + [0]
+        if p >= c:
+            w = 2**c * ff[c]
+            for k, v in enumerate(rows[p - c]):
+                h[k] += w * v
+        self.h = h
+        row = [_gem_column0(n, r, m)] + [2 * v for v in h]
+        for j in range(min(c, n)):
+            for k, v in enumerate(rows[p - j]):
+                row[k + 1] += ff[j] * v
+
+        if r:
+            low = self.lower.rows
+            a = [two_p * v for v in self.a] + [0]
+            d = [two_p * (x + y) for x, y in zip(self.d, self.a)] + [0]
+            if p >= c2:
+                w = 2**c2 * ff[c2]
+                for k, v in enumerate(low[p - c2]):
+                    a[k] += w * v
+                    d[k] += (c2 + 1) * w * v
+            self.a, self.d = a, d
+            for k in range(1, n):  # D(p, n) = 0
+                row[k] += 4 * r * d[k]
+            for j in range(min(c2, n)):
+                w = r * (j + 1) * ff[j]
+                for k, v in enumerate(low[p - j][1:], 1):
+                    row[k] += w * v
+        return row
+
+
 def _gem(n: int, k: int, r: int, m: int) -> int:
     if n < 0 or k < 0 or k > n:
         return 0
-    if k == 0:
-        return _gem_column0(n, r, m)
-    p = n - 1
-    total = 0
-    for j in range(p + 1):
-        total += (
-            factorial(j) * _tau(m, p, j) * comb(p, j) * _gem(p - j, k - 1, r, m)
-        )
-    if r:
-        for j in range(p + 1):
-            total += (
-                r * factorial(j + 1) * _tau(m, p + 1, j + 1) * comb(p, j)
-                * _gem(p - j, k, r - 1, m)
-            )
-    return total
+    return _r_table(_GemRows, r, m).row(n)[k]
 
 
 def triangle_gem_rec(n: int, k: int, r: int, m: int) -> int:
@@ -237,46 +367,74 @@ def triangle_gem_rec(n: int, k: int, r: int, m: int) -> int:
 # -- type A restricted/associated Stirling numbers of the first kind ----------
 
 
-@cache
+class _StirlingARows(_Rows):
+    """The removal recurrence of ``stirlingA`` for one (mode, m), p = n-1:
+
+        restr:  S(n, k) = sum_{i<=min(m-1, p)} ff(p, i) S(p-i, k-1)
+        assoc:  S(n, k) = E(p, k-1),  E(p, k) = sum_{i>=c} ff(p, i) S(p-i, k)
+                                              = ff(p, c) S(p-c, k) + p E(p-1, k)
+
+    with ff(p, i) = p!/(p-i)! and c = max(m-1, 0); ``e`` holds E at p-1
+    for the last row p.
+    """
+
+    def __init__(self, mode: str, m: int):
+        super().__init__()
+        self.mode, self.m = mode, m
+        self.e = []
+
+    def _next(self, n: int) -> list[int]:
+        if n == 0:
+            return [1]
+        p, rows = n - 1, self.rows
+        if self.mode == "restr":
+            row = [0] * (n + 1)
+            for i in range(min(self.m - 1, p) + 1):
+                w = perm(p, i)
+                for k, v in enumerate(rows[p - i]):
+                    row[k + 1] += w * v
+            return row
+        c = max(self.m - 1, 0)
+        e = [p * v for v in self.e] + [0]
+        if p >= c:
+            w = perm(p, c)
+            for k, v in enumerate(rows[p - c]):
+                e[k] += w * v
+        self.e = e
+        return [0] + e
+
+
 def stirlingA(n: int, k: int, mode: str, m: int) -> int:
     """Permutations of [n] with k cycles, all cycle sizes <= m ("restr") or
     >= m ("assoc").  No signs and no exemption here."""
     if mode not in ("restr", "assoc"):
         raise ValueError("mode must be 'restr' or 'assoc', got %r" % (mode,))
-    if n == 0 and k == 0:
-        return 1
-    if n <= 0 or k <= 0 or k > n:
+    if n < 0 or k < 0 or k > n:
         return 0
-    p = n - 1
-    if mode == "restr":
-        i_range = range(0, min(m - 1, p) + 1)
-    else:
-        i_range = range(max(m - 1, 0), p + 1)
-    total = 0
-    for i in i_range:
-        total += factorial(p) // factorial(p - i) * stirlingA(p - i, k - 1, mode, m)
-    return total
+    return _table(_StirlingARows, mode, m).row(n)[k]
 
 
-@cache
+class _RStirling1Rows(_Rows):
+    """R(n, k) = R(n-1, k-1) + (n-1+r) R(n-1, k) for one r."""
+
+    def _next(self, n: int) -> list[int]:
+        if n == 0:
+            return [1]
+        prev, w = self.rows[n - 1], n - 1 + self.r
+        return [a + w * b for a, b in zip([0] + prev, prev + [0])]
+
+
 def stirling1(n: int, k: int) -> int:
     """Unsigned Stirling numbers of the first kind (cycle counts)."""
-    if n == 0 and k == 0:
-        return 1
-    if n <= 0 or k <= 0 or k > n:
-        return 0
-    return stirling1(n - 1, k - 1) + (n - 1) * stirling1(n - 1, k)
+    return rstirling1(n, k, 0)
 
 
-@cache
 def rstirling1(n: int, k: int, r: int) -> int:
     """Permutations of [n+r] with k+r cycles, the elements 1..r in distinct
     cycles (classical r-Stirling numbers of the first kind)."""
     if k < 0 or k > n:
         return 0
-    if n == 0:
-        return 1
-    return rstirling1(n - 1, k - 1, r) + (n + r - 1) * rstirling1(n - 1, k, r)
+    return _table(_RStirling1Rows, r).row(n)[k]
 
 
 def incomplete_factorial(n: int, mode: str, m: int) -> int:
@@ -312,26 +470,27 @@ def typeB_factorial_conv(n: int, mode: str, m: int) -> int:
 # -- the d-family (no-unbarred-fixed-point counts with specials) ----------------
 
 
-def _d_alternating(n: int) -> int:
-    """n! sum_k (-1)^k 2^(n-k) / k!: signed permutations of [n] with no
-    unbarred fixed point (inclusion-exclusion over fixed points)."""
-    return sum(
-        (-1) ** k * 2 ** (n - k) * (factorial(n) // factorial(k))
-        for k in range(n + 1)
-    )
+class _DRows(_Rows):
+    """d(r, n) for one r as a list over n: d(0, n) = 2n d(0, n-1) + (-1)^n
+    (inclusion-exclusion over unbarred fixed points, summed as it grows),
+    and for r >= 1 the three-term recurrence over the r-1 list."""
+
+    def _next(self, n: int) -> int:
+        if n == 0:
+            return 1
+        prev = self.rows[n - 1]
+        if not self.r:
+            return 2 * n * prev + (-1) ** n
+        low = self.lower.rows
+        return low[n] + 2 * n * (prev + low[n - 1])
 
 
-@cache
 def d_rec(r: int, n: int) -> int:
     """d(r, n): signed permutations of [n+r] without unbarred fixed points
     and with 1..r in distinct cycles.  Three-term recurrence in (r, n)."""
     if r < 0 or n < 0:
         raise ValueError("r and n must be >= 0")
-    if n == 0:
-        return 1
-    if r == 0:
-        return _d_alternating(n)
-    return d_rec(r - 1, n) + 2 * n * d_rec(r, n - 1) + 2 * n * d_rec(r - 1, n - 1)
+    return _r_table(_DRows, r).row(n)
 
 
 def d_explicit(r: int, n: int) -> int:
@@ -490,7 +649,30 @@ def diagonals_delta(n: int, r: int, m: int) -> tuple[int, int]:
     return int(first), int(second)
 
 
-@cache
+class _InverseRows(_Rows):
+    """The one-row-back recurrence of ``inverse_triangle_rec`` for one r.
+    With p = n-1 and the suffix sums over row p
+
+        P(k) = sum_{i>=k} (i!/k!) 2^(i-k) T(p, i)          = T(p, k) + 2(k+1) P(k+1)
+        Q(k) = sum_{i>=k} (i-k+1) (i!/k!) 2^(i-k) T(p, i)  = P(k) + 2(k+1) Q(k+1)
+
+    the rule reads T(n, k) = T(p, k-1) + 4 (r Q(k) + k P(k)).
+    """
+
+    def _next(self, n: int) -> list[int]:
+        if n == 0:
+            return [1]
+        prev, r = self.rows[n - 1], self.r
+        row = prev[-1:]  # T(n, n) = T(p, p): both suffix sums are empty
+        sp = sq = 0
+        for k in range(n - 1, -1, -1):
+            sp = prev[k] + 2 * (k + 1) * sp
+            sq = sp + 2 * (k + 1) * sq
+            row.append((prev[k - 1] if k else 0) + 4 * (r * sq + k * sp))
+        row.reverse()
+        return row
+
+
 def inverse_triangle_rec(n: int, k: int, r: int) -> int:
     """Entries of the unsigned inverse of the ord >= 2 triangle's Riordan
     array, by the one-row-back recurrence
@@ -504,19 +686,7 @@ def inverse_triangle_rec(n: int, k: int, r: int) -> int:
     """
     if n < 0 or k < 0 or k > n:
         return 0
-    if n == 0:
-        return 1
-    p = n - 1
-    total = inverse_triangle_rec(p, k - 1, r) if k >= 1 else 0
-    fk = factorial(k)
-    for i in range(k, p + 1):
-        total += (
-            factorial(i) // fk
-            * 2 ** (i - k + 2)
-            * ((i - k + 1) * r + k)
-            * inverse_triangle_rec(p, i, r)
-        )
-    return total
+    return _table(_InverseRows, r).row(n)[k]
 
 
 @cache

@@ -1,5 +1,7 @@
 import itertools
+import sys
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 import pytest
@@ -8,6 +10,9 @@ from stirlingb.permcore import oracle_triangle
 from stirlingb.riordan import make_triangle_B, unsigned_conjugate
 from stirlingb.sequences import (
     HOWARD_VARIANTS,
+    _ge2_column0,
+    _gem,
+    _gem_column0,
     RPolynomial,
     d_asym,
     d_egf,
@@ -409,3 +414,148 @@ def test_howard_validation():
         howard_check(2, 1, variant="type-c")
     with pytest.raises(ValueError):
         howard_check(2, 1, m=1, variant="type-b")
+
+
+# -- the row tables against the per-cell recurrences --------------------------------
+#
+# The recurrences as single cells, each term summed from scratch: the reference
+# the running sums of the row tables must reproduce.  Only the base columns are
+# shared with the library.
+
+
+@cache
+def _ref_ge2(n, k, r):
+    if n < 0 or k < 0 or k > n:
+        return 0
+    if k == 0:
+        return _ge2_column0(n, r)
+    p = n - 1
+    fp = factorial(p)
+    total = _ref_ge2(p, k - 1, r)
+    for j in range(1, p + 1):
+        total += 2 * fp * 2**j // factorial(p - j) * _ref_ge2(p - j, k - 1, r)
+    if r:
+        for j in range(p + 1):
+            total += (
+                4 * r * fp * (j + 1) * 2**j // factorial(p - j)
+                * _ref_ge2(p - j, k, r - 1)
+            )
+    return total
+
+
+def _ref_tau(m, n, j):
+    return 2 ** (j + 1) if m - 1 <= j <= n else 1
+
+
+@cache
+def _ref_gem(n, k, r, m):
+    if n < 0 or k < 0 or k > n:
+        return 0
+    if k == 0:
+        return _gem_column0(n, r, m)
+    p = n - 1
+    total = 0
+    for j in range(p + 1):
+        total += (
+            factorial(j) * _ref_tau(m, p, j) * comb(p, j) * _ref_gem(p - j, k - 1, r, m)
+        )
+    if r:
+        for j in range(p + 1):
+            total += (
+                r * factorial(j + 1) * _ref_tau(m, p + 1, j + 1) * comb(p, j)
+                * _ref_gem(p - j, k, r - 1, m)
+            )
+    return total
+
+
+@cache
+def _ref_stirlingA(n, k, mode, m):
+    if n == 0 and k == 0:
+        return 1
+    if n <= 0 or k <= 0 or k > n:
+        return 0
+    p = n - 1
+    if mode == "restr":
+        i_range = range(0, min(m - 1, p) + 1)
+    else:
+        i_range = range(max(m - 1, 0), p + 1)
+    return sum(
+        factorial(p) // factorial(p - i) * _ref_stirlingA(p - i, k - 1, mode, m)
+        for i in i_range
+    )
+
+
+@cache
+def _ref_inverse(n, k, r):
+    if n < 0 or k < 0 or k > n:
+        return 0
+    if n == 0:
+        return 1
+    p = n - 1
+    total = _ref_inverse(p, k - 1, r) if k >= 1 else 0
+    for i in range(k, p + 1):
+        total += (
+            factorial(i) // factorial(k)
+            * 2 ** (i - k + 2)
+            * ((i - k + 1) * r + k)
+            * _ref_inverse(p, i, r)
+        )
+    return total
+
+
+@cache
+def _ref_d(r, n):
+    if n == 0:
+        return 1
+    if r == 0:
+        return sum(
+            (-1) ** k * 2 ** (n - k) * (factorial(n) // factorial(k))
+            for k in range(n + 1)
+        )
+    return _ref_d(r - 1, n) + 2 * n * _ref_d(r, n - 1) + 2 * n * _ref_d(r - 1, n - 1)
+
+
+def test_row_tables_match_per_cell_recurrences():
+    for n in range(21):
+        for r in range(4):
+            assert d_rec(r, n) == _ref_d(r, n), (r, n)
+            for k in range(n + 1):
+                assert triangle_ge2_rec(n, k, r) == _ref_ge2(n, k, r), (n, k, r)
+                assert inverse_triangle_rec(n, k, r) == _ref_inverse(n, k, r), (n, k, r)
+                for m in (0, 1, 2, 3, 4, 5, 7):
+                    assert _gem(n, k, r, m) == _ref_gem(n, k, r, m), (n, k, r, m)
+        for m in (0, 1, 2, 3, 4, 5, 7):
+            for mode in ("restr", "assoc"):
+                for k in range(n + 1):
+                    want = _ref_stirlingA(n, k, mode, m)
+                    assert stirlingA(n, k, mode, m) == want, (n, k, mode, m)
+
+
+def test_stirling1_matches_sympy():
+    sympy_numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
+    for n in range(61):
+        for k in range(n + 1):
+            assert stirling1(n, k) == sympy_numbers.stirling(n, k, kind=1), (n, k)
+
+
+def test_gem_m2_matches_ge2_recurrence():
+    # triangle_gem_rec sends m = 2 to triangle_ge2_rec, so compare directly
+    for r in range(5):
+        for n in range(14):
+            for k in range(n + 1):
+                assert _gem(n, k, r, 2) == triangle_ge2_rec(n, k, r), (n, k, r)
+
+
+def test_cold_deep_queries_do_not_recurse():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        assert stirlingA(400, 390, "restr", 7) > 0
+        assert stirling1(400, 350) > 0
+        assert sum(stirling1(400, k) for k in range(401)) == factorial(400)
+        assert rstirling1(300, 150, 2) > 0
+        assert sum(rstirling1(300, k, 2) for k in range(301)) == factorial(302) // 2
+        assert triangle_gem_rec(250, 120, 1, 6) > 0
+        assert d_rec(2, 400) == d_explicit(2, 400)
+    finally:
+        sys.setrecursionlimit(limit)
