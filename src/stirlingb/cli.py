@@ -126,6 +126,11 @@ def _cmd_table(args) -> str:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
+    for name, low in (("max_n", 0), ("max_r", 0), ("samples", 0), ("precision", 1)):
+        value = getattr(args, name)
+        if value is not None and value < low:
+            flag = "--" + name.replace("_", "-")
+            raise UsageError("%s must be >= %d, got %d" % (flag, low, value))
     report = verify.run_scope(
         args.scope,
         max_n=args.max_n,
@@ -211,10 +216,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             print(_cmd_oracle(args))
             return 0
-    except EnumerationLimitError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (UsageError, ValueError) as exc:
+    except (EnumerationLimitError, UsageError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     raise AssertionError("unreachable command %r" % (args.command,))

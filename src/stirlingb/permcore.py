@@ -11,12 +11,16 @@ one-line notation, e.g.
 where "b" marks a barred value.  A cycle is *all-barred* when every value in
 it is barred; a singleton (v) unbarred is a true fixed point, (vb) is not.
 
-The counting oracle enumerates signed permutations exhaustively.  It counts,
-for the first r elements "special", the permutations whose every cycle
-either has window length inside the mode's range (order >= m for "assoc",
-order <= m for "restr") or is all-barred, with the special elements in
-distinct cycles.  It is the ground truth the closed forms, recurrences and
-Riordan constructions are tested against, and shares no code with them.
+The counting oracle counts, for the first r elements "special", the signed
+permutations whose every cycle either has window length inside the mode's
+range (order >= m for "assoc", order <= m for "restr") or is all-barred,
+with the special elements in distinct cycles.  Bars do not move the cycles,
+so it enumerates every permutation and credits it 2^(values outside forced
+cycles) sign choices: a cycle outside the window is forced all-barred, any
+other bar is free, so that is the number of sign masks an exhaustive count
+over all 2^n of them would accept.  It is the ground truth the closed forms,
+recurrences and Riordan constructions are tested against, and shares no
+code with them.
 """
 
 from __future__ import annotations
@@ -185,44 +189,37 @@ def _validate_mode(mode: str, m: int) -> None:
 def _census(n: int, r: int, mode: str, m: int) -> tuple[int, ...]:
     """counts[k] = signed permutations of [n+r] with k+r cycles such that
     every cycle is inside the mode/m window or all-barred and the special
-    values 1..r lie in distinct cycles.  Exhaustive enumeration.
+    values 1..r lie in distinct cycles.  Each permutation (0-based, specials
+    0..r-1) is credited 2^free, free = values outside window-breaking cycles:
+    their bars are forced and the rest are free, which is exactly how many of
+    the 2^(n+r) sign masks the exhaustive count would accept.
     """
     size = n + r
     counts = [0] * (n + 1)
-    n_signs = 1 << size
-    for perm in itertools.permutations(range(1, size + 1)):
-        seen = 0
-        bad = False
-        forced = 0  # union of bitmasks of cycles that must be all-barred
+    inside = [_window_ok(length, mode, m) for length in range(size + 1)]
+    for perm in itertools.permutations(range(size)):
+        seen = bytearray(size)
+        free = size
         n_cycles = 0
-        for start in range(1, size + 1):
-            if (seen >> (start - 1)) & 1:
+        for start in range(size):
+            if seen[start]:
                 continue
-            mask = 0
             length = 0
             specials = 0
             v = start
-            while not (seen >> (v - 1)) & 1:
-                seen |= 1 << (v - 1)
-                mask |= 1 << (v - 1)
+            while not seen[v]:
+                seen[v] = 1
                 length += 1
-                if v <= r:
+                if v < r:
                     specials += 1
-                v = perm[v - 1]
+                v = perm[v]
             if specials > 1:
-                bad = True
                 break
             n_cycles += 1
-            if not _window_ok(length, mode, m):
-                forced |= mask  # exemption: the whole cycle barred
-        if bad:
-            continue
-        k = n_cycles - r
-        hits = 0
-        for signs in range(n_signs):  # bit v-1 set = value v barred
-            if (signs & forced) == forced:
-                hits += 1
-        counts[k] += hits
+            if not inside[length]:
+                free -= length
+        else:
+            counts[n_cycles - r] += 1 << free
     return tuple(counts)
 
 

@@ -218,16 +218,17 @@ def test_criterion_02_oracle_grid_matches_recurrence():
                     bad.append((n, r, k))
                 checked += 1
     elapsed6 = time.perf_counter() - start
-    for r in range(4):
-        n = 7 - r
-        for k in range(n + 1):
-            if oracle_triangle(n, r, k, "assoc", 2) != triangle_ge2_rec(n, k, r):
-                bad.append((n, r, k))
-            checked += 1
+    for size in (7, 8):
+        for r in range(4):
+            n = size - r
+            for k in range(n + 1):
+                if oracle_triangle(n, r, k, "assoc", 2) != triangle_ge2_rec(n, k, r):
+                    bad.append((n, r, k))
+                checked += 1
     ok = not bad and elapsed6 < 10.0
     _report(
         2,
-        "exhaustive oracle vs recurrence, n+r <= 7, r <= 3",
+        "exhaustive oracle vs recurrence, n+r <= 8, r <= 3",
         ok,
         "%d cells, n+r <= 6 subset in %.2fs" % (checked, elapsed6),
     )

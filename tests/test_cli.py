@@ -129,6 +129,18 @@ def test_verify_trivial_grid_passes(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize(
+    "flag, value, low",
+    [("--max-n", -1, 0), ("--max-r", -1, 0), ("--samples", -1, 0), ("--precision", 0, 1)],
+)
+def test_verify_rejects_out_of_range_flags(capsys, flag, value, low):
+    # an empty grid would otherwise report a vacuous PASS
+    code, out, err = _run(capsys, ["verify", "oracle", flag, str(value)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s must be >= %d, got %d\n" % (flag, low, value)
+
+
 def test_verify_scope_passes(capsys):
     code, out, _ = _run(
         capsys, ["verify", "riordan", "--max-n", "4", "--max-r", "2"]

@@ -1,3 +1,4 @@
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -85,37 +86,45 @@ def test_derangement_counts():
         assert got == want
 
 
-def _naive_triangle(n, r, k, mode, m):
-    """Same count as oracle_triangle via the object-level decomposition."""
-    size = n + r
-    total = 0
+NAIVE_MODES = ("assoc", "restr")
+NAIVE_MS = (0, 1, 2, 3, 4)
+
+
+def _naive_census(size):
+    """Counter of (r, mode, m, k) over every signed permutation of [size],
+    r <= size, mode in NAIVE_MODES and m in NAIVE_MS: the oracle's count via
+    the object-level decomposition, each permutation decomposed once."""
+    tally = Counter()
     for sigma in enumerate_signed(size):
-        dec = cycle_decompose(sigma)
-        if sum(1 for c in dec.cycles if c.contains_special(r)) != r:
-            continue
-        if any(sum(1 for v in c.entries if abs(v) <= r) > 1 for c in dec.cycles):
-            continue
-        ok = True
-        for c in dec.cycles:
-            inside = c.order >= m if mode == "assoc" else c.order <= m
-            if not (inside or c.all_barred):
-                ok = False
-                break
-        if ok and len(dec.cycles) - r == k:
-            total += 1
-    return total
+        cycles = cycle_decompose(sigma).cycles
+        for r in range(size + 1):
+            if sum(1 for c in cycles if c.contains_special(r)) != r:
+                continue
+            if any(sum(1 for v in c.entries if abs(v) <= r) > 1 for c in cycles):
+                continue
+            k = len(cycles) - r
+            for mode in NAIVE_MODES:
+                for m in NAIVE_MS:
+                    if all(
+                        (c.order >= m if mode == "assoc" else c.order <= m)
+                        or c.all_barred
+                        for c in cycles
+                    ):
+                        tally[r, mode, m, k] += 1
+    return tally
 
 
 def test_oracle_against_naive_enumeration():
-    for mode in ("assoc", "restr"):
-        for m in (1, 2, 3):
-            for size in range(5):
-                for r in range(size + 1):
-                    n = size - r
+    for size in range(6):
+        naive = _naive_census(size)
+        for r in range(size + 1):
+            n = size - r
+            for mode in NAIVE_MODES:
+                for m in NAIVE_MS:
                     for k in range(n + 1):
-                        assert oracle_triangle(n, r, k, mode, m) == _naive_triangle(
-                            n, r, k, mode, m
-                        ), (n, r, k, mode, m)
+                        assert oracle_triangle(n, r, k, mode, m) == naive[
+                            r, mode, m, k
+                        ], (n, r, k, mode, m)
 
 
 def test_oracle_known_values():
@@ -132,8 +141,18 @@ def test_oracle_total_everything_allowed():
     assert oracle_total(0, 0, "assoc", 1) == 1
 
 
+def test_oracle_sign_count_identities():
+    # r = 0: with every cycle forced all-barred (restr m=0, assoc m=n+1) each
+    # permutation has one admissible signing; with none forced (assoc m=1),
+    # all 2^n of them
+    for n in range(9):
+        assert oracle_total(n, 0, "restr", 0) == factorial(n)
+        assert oracle_total(n, 0, "assoc", n + 1) == factorial(n)
+        assert oracle_total(n, 0, "assoc", 1) == 2**n * factorial(n)
+
+
 def test_oracle_free_sign_reduction():
-    for size in range(5):
+    for size in range(8):
         for r in range(size + 1):
             n = size - r
             for k in range(n + 1):
