@@ -24,7 +24,6 @@ from .permcore import (
 from .riordan import (
     DEFAULT_ORDER,
     ExpRiordanArray,
-    TriangleTable,
     make_triangle_B,
     production_rebuild,
     unsigned_conjugate,
@@ -68,7 +67,6 @@ __all__ = [
     "FormalPowerSeries",
     "RPolynomial",
     "SignedPermutation",
-    "TriangleTable",
     "binomial",
     "cycle_decompose",
     "d_asym",

@@ -29,12 +29,13 @@ class UsageError(Exception):
 
 
 def _triangle_rows(family: str, rows: int, m: int, r: int, mode: str):
+    """(rows, provenance, the parameters the family reports)."""
     if family == "stirling-b":
         vals = [
             [sequences.triangle_gem_rec(n, k, r, m) for k in range(n + 1)]
             for n in range(rows)
         ]
-        return vals, "recurrence"
+        return vals, "recurrence", {"m": m, "r": r}
     if family == "inverse":
         if m != 2:
             raise UsageError("family 'inverse' supports --m 2 only")
@@ -48,31 +49,32 @@ def _triangle_rows(family: str, rows: int, m: int, r: int, mode: str):
                     raise UsageError("non-integer inverse entry at (%d, %d)" % (n, k))
                 row.append(int(v))
             vals.append(row)
-        return vals, "riordan"
+        return vals, "riordan", {"m": m, "r": r}
     if family == "stirling-a":
         vals = [
             [sequences.stirlingA(n, k, mode, m) for k in range(n + 1)]
             for n in range(rows)
         ]
-        return vals, "recurrence"
+        return vals, "recurrence", {"m": m, "r": r, "mode": mode}
     raise UsageError("unknown triangle family %r" % (family,))
 
 
 def _sequence_terms(family: str, terms: int, m: int, r: int, mode: str):
+    """(terms, provenance, the parameters the family reports)."""
     if family == "d":
-        return [sequences.d_rec(r, n) for n in range(terms)], "recurrence"
+        return [sequences.d_rec(r, n) for n in range(terms)], "recurrence", {"r": r}
     if family == "lattice":
-        return [sequences.lattice_S(r, n) for n in range(terms)], "explicit"
+        return [sequences.lattice_S(r, n) for n in range(terms)], "explicit", {"r": r}
     if family == "tree":
-        return [sequences.tree_count(n) for n in range(terms)], "riordan"
+        return [sequences.tree_count(n) for n in range(terms)], "riordan", {}
     if family == "incomplete":
         return [
             sequences.incomplete_factorial(n, mode, m) for n in range(terms)
-        ], "recurrence"
+        ], "recurrence", {"m": m, "mode": mode}
     if family == "typeb-factorial":
         return [
             sequences.typeB_factorial_conv(n, mode, m) for n in range(terms)
-        ], "explicit"
+        ], "explicit", {"m": m, "mode": mode}
     raise UsageError("unknown sequence family %r" % (family,))
 
 
@@ -95,34 +97,30 @@ def _render_terms(terms, fmt, payload):
     return json.dumps(payload, sort_keys=True)
 
 
+def _size(first, second, flag: str) -> int:
+    size = next((v for v in (first, second) if v is not None), DEFAULT_SIZE)
+    if size < 1:
+        raise UsageError("%s must be >= 1" % flag)
+    return size
+
+
 def _cmd_table(args) -> str:
-    family = args.family
     m = args.m if args.m is not None else 2
     r = args.r if args.r is not None else 0
     if m < 0 or r < 0:
         raise UsageError("--m and --r must be >= 0")
-    payload = {
-        "family": family,
-        "m": m if family in ("stirling-b", "inverse", "stirling-a", "incomplete", "typeb-factorial") else None,
-        "r": r if family in ("stirling-b", "inverse", "stirling-a", "d", "lattice") else None,
-    }
-    if family in ("stirling-a", "incomplete", "typeb-factorial"):
-        payload["mode"] = args.mode
-    if family in TRIANGLE_FAMILIES:
-        size = args.rows if args.rows is not None else args.terms
-        size = size if size is not None else DEFAULT_SIZE
-        if size < 1:
-            raise UsageError("--rows must be >= 1")
-        rows, provenance = _triangle_rows(family, size, m, r, args.mode)
-        payload["provenance"] = provenance
-        return _render_rows(rows, args.format, payload)
-    size = args.terms if args.terms is not None else args.rows
-    size = size if size is not None else DEFAULT_SIZE
-    if size < 1:
-        raise UsageError("--terms must be >= 1")
-    terms, provenance = _sequence_terms(family, size, m, r, args.mode)
-    payload["provenance"] = provenance
-    return _render_terms(terms, args.format, payload)
+    if args.family in TRIANGLE_FAMILIES:
+        size = _size(args.rows, args.terms, "--rows")
+        values, provenance, params = _triangle_rows(args.family, size, m, r, args.mode)
+        render = _render_rows
+    else:
+        size = _size(args.terms, args.rows, "--terms")
+        values, provenance, params = _sequence_terms(args.family, size, m, r, args.mode)
+        render = _render_terms
+    # m and r are always keys, null for a family that does not take them
+    payload = {"family": args.family, "m": None, "r": None, "provenance": provenance}
+    payload.update(params)
+    return render(values, args.format, payload)
 
 
 def _cmd_verify(args) -> tuple[str, int]:

@@ -8,8 +8,7 @@ g(0) != 0, f(0) = 0, f'(0) != 0.  Its entries are
 lower triangular with l(n, n) = g(0) * f'(0)**n.  The group operations
 (multiply, invert), the fundamental theorem (apply_fte), production sequences
 and the sign-conjugated companion array live here, together with the concrete
-triangle constructor for the signed-permutation cycle statistics and a small
-integer-matrix container used by the CLI.
+triangle constructor for the signed-permutation cycle statistics.
 """
 
 from __future__ import annotations
@@ -23,18 +22,13 @@ from .fps import FormalPowerSeries
 
 __all__ = [
     "DEFAULT_ORDER",
-    "PROVENANCES",
     "ExpRiordanArray",
-    "TriangleTable",
     "make_triangle_B",
     "production_rebuild",
     "unsigned_conjugate",
 ]
 
 DEFAULT_ORDER = 16
-
-# How an integer table was produced (kept on TriangleTable for reporting).
-PROVENANCES = ("riordan", "recurrence", "oracle", "explicit")
 
 
 @dataclass(frozen=True)
@@ -183,65 +177,3 @@ def make_triangle_B(m: int, r: int, order: int = DEFAULT_ORDER) -> ExpRiordanArr
     g = (head + tail) ** r
     return ExpRiordanArray(g, f)
 
-
-@dataclass(frozen=True)
-class TriangleTable:
-    """A materialized lower-triangular integer matrix plus its provenance."""
-
-    rows: tuple[tuple[int, ...], ...]  # square; zeros above the diagonal
-    provenance: str
-
-    def __post_init__(self):
-        if self.provenance not in PROVENANCES:
-            raise ValueError("unknown provenance %r" % (self.provenance,))
-        size = len(self.rows)
-        for row in self.rows:
-            if len(row) != size:
-                raise ValueError("TriangleTable rows must form a square matrix")
-        for n, row in enumerate(self.rows):
-            for k in range(n + 1, size):
-                if row[k] != 0:
-                    raise ValueError("nonzero entry above the diagonal")
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def entry(self, n: int, k: int) -> int:
-        return self.rows[n][k]
-
-    @classmethod
-    def from_riordan(
-        cls, array: ExpRiordanArray, size: int, provenance: str = "riordan"
-    ) -> "TriangleTable":
-        if size - 1 > array.order:
-            raise ValueError("array order too small for %d rows" % size)
-        rows = []
-        for n in range(size):
-            row = []
-            for k in range(size):
-                v = array.entry(n, k) if k <= n else Fraction(0)
-                if v.denominator != 1:
-                    raise ValueError(
-                        "non-integer entry %s at (%d, %d)" % (v, n, k)
-                    )
-                row.append(int(v))
-            rows.append(tuple(row))
-        return cls(tuple(rows), provenance)
-
-    @classmethod
-    def from_function(cls, fn, size: int, provenance: str) -> "TriangleTable":
-        rows = []
-        for n in range(size):
-            row = []
-            for k in range(size):
-                v = fn(n, k) if k <= n else 0
-                if isinstance(v, Fraction):
-                    if v.denominator != 1:
-                        raise ValueError(
-                            "non-integer entry %s at (%d, %d)" % (v, n, k)
-                        )
-                    v = int(v)
-                row.append(v)
-            rows.append(tuple(row))
-        return cls(tuple(rows), provenance)

@@ -4,6 +4,12 @@ Every quantity the package can compute more than one way is compared here on
 bounded grids.  A scope runs its checks in a fixed order and stops at the
 first failing check; the report carries the first mismatching cell with both
 values and both provenances.
+
+`SCOPE_TABLE` lists the scopes with their default grid sizes (max_n, max_r):
+riordan (8, 3), oracle (4, 2), howard (5, 2), asymptotic (30, 2); the
+asymptotic scope checks r <= 2 only and says so when asked for more.
+`run_scope` runs one of them, or "all" of them in that order up to the first
+failing scope.
 """
 
 from __future__ import annotations
@@ -26,10 +32,10 @@ from .riordan import (
 
 __all__ = [
     "SCOPES",
+    "SCOPE_TABLE",
     "CheckResult",
     "Mismatch",
     "VerificationReport",
-    "check_all",
     "check_asymptotic",
     "check_howard",
     "check_oracle",
@@ -37,8 +43,6 @@ __all__ = [
     "inv_sqrt_e",
     "run_scope",
 ]
-
-SCOPES = ("all", "riordan", "oracle", "howard", "asymptotic")
 
 DEFAULT_SEED = 20240801
 
@@ -111,24 +115,20 @@ class VerificationReport:
         return out
 
 
-def _run(name: str, cells) -> CheckResult:
-    """Consume (coordinates, (label, value), (label, value)) triples until the
-    first mismatch."""
-    res = CheckResult(name)
-    for coords, left, right in cells:
-        res.comparisons += 1
-        if left[1] != right[1]:
-            res.mismatch = Mismatch(name, tuple(coords), left, right)
-            break
-    return res
-
-
-def _collect(report: VerificationReport, checks) -> VerificationReport:
-    for factory in checks:
-        res = factory()
+def _collect(scope: str, checks) -> VerificationReport:
+    """Run (name, cells) checks in order, each until its first mismatch, and
+    stop after the first failing check.  `cells` yields (coordinates,
+    (label, value), (label, value)) triples; a generator is not started
+    before its turn, so checks after a failure cost nothing."""
+    report = VerificationReport(scope)
+    for name, cells in checks:
+        res = CheckResult(name)
         report.results.append(res)
-        if not res.ok:
-            break
+        for coords, left, right in cells:
+            res.comparisons += 1
+            if left[1] != right[1]:
+                res.mismatch = Mismatch(name, tuple(coords), left, right)
+                return report
     return report
 
 
@@ -149,137 +149,114 @@ def _random_array(rng: random.Random, order: int) -> ExpRiordanArray:
 
 
 def check_riordan(
-    max_n: int = 8,
-    max_r: int = 3,
-    seed: int = DEFAULT_SEED,
-    samples: int = 12,
+    max_n: int, max_r: int, *, seed: int, samples: int, **_
 ) -> VerificationReport:
-    report = VerificationReport("riordan")
     order = max(max_n, 1)
 
     def triangle_vs_riordan(m):
-        def cells():
-            for r in range(max_r + 1):
-                arr = make_triangle_B(m, r, order=order)
-                for n in range(max_n + 1):
-                    row = arr.row(n)
-                    for k in range(n + 1):
-                        if m == 2:
-                            rec = sequences.triangle_ge2_rec(n, k, r)
-                        else:
-                            rec = sequences.triangle_gem_rec(n, k, r, m)
-                        yield (
-                            (("m", m), ("r", r), ("n", n), ("k", k)),
-                            ("recurrence", rec),
-                            ("riordan", row[k]),
-                        )
-
-        return _run("triangle-recurrence-vs-riordan[m=%d]" % m, cells())
+        for r in range(max_r + 1):
+            arr = make_triangle_B(m, r, order=order)
+            for n in range(max_n + 1):
+                row = arr.row(n)
+                for k in range(n + 1):
+                    yield (
+                        (("m", m), ("r", r), ("n", n), ("k", k)),
+                        ("recurrence", sequences.triangle_gem_rec(n, k, r, m)),
+                        ("riordan", row[k]),
+                    )
 
     def inverse_identity():
-        def cells():
-            inv_order = min(order, 10)
-            for r in range(max_r + 1):
-                arr = make_triangle_B(2, r, order=inv_order)
-                prod = arr.multiply(arr.invert())
-                prod2 = arr.invert().multiply(arr)
-                ident = ExpRiordanArray.identity(inv_order)
-                for n in range(inv_order + 1):
-                    for k in range(n + 1):
-                        want = ident.entry(n, k)
-                        yield (
-                            (("r", r), ("n", n), ("k", k), ("side", "right")),
-                            ("riordan", prod.entry(n, k)),
-                            ("riordan", want),
-                        )
-                        yield (
-                            (("r", r), ("n", n), ("k", k), ("side", "left")),
-                            ("riordan", prod2.entry(n, k)),
-                            ("riordan", want),
-                        )
-
-        return _run("group-inverse-two-sided", cells())
+        inv_order = min(order, 10)
+        for r in range(max_r + 1):
+            arr = make_triangle_B(2, r, order=inv_order)
+            prod = arr.multiply(arr.invert())
+            prod2 = arr.invert().multiply(arr)
+            ident = ExpRiordanArray.identity(inv_order)
+            for n in range(inv_order + 1):
+                for k in range(n + 1):
+                    want = ident.entry(n, k)
+                    yield (
+                        (("r", r), ("n", n), ("k", k), ("side", "right")),
+                        ("riordan", prod.entry(n, k)),
+                        ("riordan", want),
+                    )
+                    yield (
+                        (("r", r), ("n", n), ("k", k), ("side", "left")),
+                        ("riordan", prod2.entry(n, k)),
+                        ("riordan", want),
+                    )
 
     def inverse_recurrence():
-        def cells():
-            for r in range(max_r + 1):
-                conj = unsigned_conjugate(make_triangle_B(2, r, order=order).invert())
-                for n in range(max_n + 1):
-                    for k in range(n + 1):
-                        yield (
-                            (("r", r), ("n", n), ("k", k)),
-                            ("recurrence", Fraction(sequences.inverse_triangle_rec(n, k, r))),
-                            ("riordan", conj.entry(n, k)),
-                        )
-
-        return _run("inverse-recurrence-vs-conjugate", cells())
+        for r in range(max_r + 1):
+            conj = unsigned_conjugate(make_triangle_B(2, r, order=order).invert())
+            for n in range(max_n + 1):
+                for k in range(n + 1):
+                    yield (
+                        (("r", r), ("n", n), ("k", k)),
+                        ("recurrence", Fraction(sequences.inverse_triangle_rec(n, k, r))),
+                        ("riordan", conj.entry(n, k)),
+                    )
 
     def production():
-        def cells():
-            for r in range(max_r + 1):
-                arr = make_triangle_B(2, r, order=order)
-                rebuilt = production_rebuild(arr)
-                for n in range(arr.order + 1):
-                    row = arr.row(n)
-                    for k in range(n + 1):
-                        yield (
-                            (("r", r), ("n", n), ("k", k)),
-                            ("riordan", rebuilt[n][k]),
-                            ("riordan", row[k]),
-                        )
-
-        return _run("production-matrix-rebuild", cells())
+        for r in range(max_r + 1):
+            arr = make_triangle_B(2, r, order=order)
+            rebuilt = production_rebuild(arr)
+            for n in range(arr.order + 1):
+                row = arr.row(n)
+                for k in range(n + 1):
+                    yield (
+                        (("r", r), ("n", n), ("k", k)),
+                        ("riordan", rebuilt[n][k]),
+                        ("riordan", row[k]),
+                    )
 
     def random_laws():
-        def cells():
-            rng = random.Random(seed)
-            count = samples if max_n > 0 else 0
-            law_order = min(max(max_n, 2), 8)
-            ident = ExpRiordanArray.identity(law_order)
-            for idx in range(count):
-                a = _random_array(rng, law_order)
-                b = _random_array(rng, law_order)
-                c = _random_array(rng, law_order)
-                unit = a.multiply(ident)
-                inv = a.multiply(a.invert())
-                left = a.multiply(b).multiply(c)
-                right = a.multiply(b.multiply(c))
-                rebuilt = production_rebuild(a)
-                for n in range(law_order + 1):
-                    for k in range(n + 1):
-                        base = (("sample", idx), ("n", n), ("k", k))
-                        yield (
-                            base + (("law", "unit"),),
-                            ("riordan", unit.entry(n, k)),
-                            ("riordan", a.entry(n, k)),
-                        )
-                        yield (
-                            base + (("law", "inverse"),),
-                            ("riordan", inv.entry(n, k)),
-                            ("riordan", ident.entry(n, k)),
-                        )
-                        yield (
-                            base + (("law", "associativity"),),
-                            ("riordan", left.entry(n, k)),
-                            ("riordan", right.entry(n, k)),
-                        )
-                        yield (
-                            base + (("law", "production"),),
-                            ("riordan", rebuilt[n][k]),
-                            ("riordan", a.entry(n, k)),
-                        )
-
-        return _run("random-group-laws", cells())
+        rng = random.Random(seed)
+        count = samples if max_n > 0 else 0
+        law_order = min(max(max_n, 2), 8)
+        ident = ExpRiordanArray.identity(law_order)
+        for idx in range(count):
+            a = _random_array(rng, law_order)
+            b = _random_array(rng, law_order)
+            c = _random_array(rng, law_order)
+            unit = a.multiply(ident)
+            inv = a.multiply(a.invert())
+            left = a.multiply(b).multiply(c)
+            right = a.multiply(b.multiply(c))
+            rebuilt = production_rebuild(a)
+            for n in range(law_order + 1):
+                for k in range(n + 1):
+                    base = (("sample", idx), ("n", n), ("k", k))
+                    yield (
+                        base + (("law", "unit"),),
+                        ("riordan", unit.entry(n, k)),
+                        ("riordan", a.entry(n, k)),
+                    )
+                    yield (
+                        base + (("law", "inverse"),),
+                        ("riordan", inv.entry(n, k)),
+                        ("riordan", ident.entry(n, k)),
+                    )
+                    yield (
+                        base + (("law", "associativity"),),
+                        ("riordan", left.entry(n, k)),
+                        ("riordan", right.entry(n, k)),
+                    )
+                    yield (
+                        base + (("law", "production"),),
+                        ("riordan", rebuilt[n][k]),
+                        ("riordan", a.entry(n, k)),
+                    )
 
     return _collect(
-        report,
+        "riordan",
         [
-            lambda: triangle_vs_riordan(2),
-            lambda: triangle_vs_riordan(3),
-            inverse_identity,
-            inverse_recurrence,
-            production,
-            random_laws,
+            ("triangle-recurrence-vs-riordan[m=2]", triangle_vs_riordan(2)),
+            ("triangle-recurrence-vs-riordan[m=3]", triangle_vs_riordan(3)),
+            ("group-inverse-two-sided", inverse_identity()),
+            ("inverse-recurrence-vs-conjugate", inverse_recurrence()),
+            ("production-matrix-rebuild", production()),
+            ("random-group-laws", random_laws()),
         ],
     )
 
@@ -288,74 +265,53 @@ def check_riordan(
 
 
 def check_oracle(
-    max_n: int = 4, max_r: int = 2, bound: int | None = None
+    max_n: int, max_r: int, *, bound: int | None, **_
 ) -> VerificationReport:
-    report = VerificationReport("oracle")
-
     def triangle_vs_oracle(m):
-        def cells():
-            for r in range(max_r + 1):
-                for n in range(max_n + 1):
-                    for k in range(n + 1):
-                        if m == 2:
-                            rec = sequences.triangle_ge2_rec(n, k, r)
-                        else:
-                            rec = sequences.triangle_gem_rec(n, k, r, m)
-                        yield (
-                            (("m", m), ("r", r), ("n", n), ("k", k)),
-                            ("recurrence", rec),
-                            ("oracle", oracle_triangle(n, r, k, "assoc", m, bound=bound)),
-                        )
-
-        return _run("triangle-vs-oracle[m=%d]" % m, cells())
+        for r in range(max_r + 1):
+            for n in range(max_n + 1):
+                for k in range(n + 1):
+                    yield (
+                        (("m", m), ("r", r), ("n", n), ("k", k)),
+                        ("recurrence", sequences.triangle_gem_rec(n, k, r, m)),
+                        ("oracle", oracle_triangle(n, r, k, "assoc", m, bound=bound)),
+                    )
 
     def totals_vs_convolution():
-        def cells():
-            for m in (2, 3):
-                for mode in ("assoc", "restr"):
-                    for n in range(max_n + 1):
-                        yield (
-                            (("m", m), ("mode", mode), ("n", n)),
-                            ("explicit", sequences.typeB_factorial_conv(n, mode, m)),
-                            ("oracle", oracle_total(n, 0, mode, m, bound=bound)),
-                        )
-
-        return _run("window-totals-vs-convolution", cells())
+        for m in (2, 3):
+            for mode in ("assoc", "restr"):
+                for n in range(max_n + 1):
+                    yield (
+                        (("m", m), ("mode", mode), ("n", n)),
+                        ("explicit", sequences.typeB_factorial_conv(n, mode, m)),
+                        ("oracle", oracle_total(n, 0, mode, m, bound=bound)),
+                    )
 
     def diagonals_vs_oracle():
-        def cells():
-            for m in (1, 2, 3):
-                for r in range(max_r + 1):
-                    for n in range(max_n + 1):
-                        first, second = sequences.diagonals_delta(n, r, m)
-                        if n + 1 <= max_n:
-                            yield (
-                                (("m", m), ("r", r), ("entry", "(n+1,n)"), ("n", n)),
-                                ("explicit", first),
-                                (
-                                    "oracle",
-                                    oracle_triangle(n + 1, r, n, "assoc", m, bound=bound),
-                                ),
-                            )
-                        if n + 2 <= max_n:
-                            yield (
-                                (("m", m), ("r", r), ("entry", "(n+2,n)"), ("n", n)),
-                                ("explicit", second),
-                                (
-                                    "oracle",
-                                    oracle_triangle(n + 2, r, n, "assoc", m, bound=bound),
-                                ),
-                            )
-
-        return _run("subdiagonal-closed-forms-vs-oracle", cells())
+        for m in (1, 2, 3):
+            for r in range(max_r + 1):
+                for n in range(max_n + 1):
+                    first, second = sequences.diagonals_delta(n, r, m)
+                    if n + 1 <= max_n:
+                        yield (
+                            (("m", m), ("r", r), ("entry", "(n+1,n)"), ("n", n)),
+                            ("explicit", first),
+                            ("oracle", oracle_triangle(n + 1, r, n, "assoc", m, bound=bound)),
+                        )
+                    if n + 2 <= max_n:
+                        yield (
+                            (("m", m), ("r", r), ("entry", "(n+2,n)"), ("n", n)),
+                            ("explicit", second),
+                            ("oracle", oracle_triangle(n + 2, r, n, "assoc", m, bound=bound)),
+                        )
 
     return _collect(
-        report,
+        "oracle",
         [
-            lambda: triangle_vs_oracle(2),
-            lambda: triangle_vs_oracle(3),
-            totals_vs_convolution,
-            diagonals_vs_oracle,
+            ("triangle-vs-oracle[m=2]", triangle_vs_oracle(2)),
+            ("triangle-vs-oracle[m=3]", triangle_vs_oracle(3)),
+            ("window-totals-vs-convolution", totals_vs_convolution()),
+            ("subdiagonal-closed-forms-vs-oracle", diagonals_vs_oracle()),
         ],
     )
 
@@ -363,52 +319,44 @@ def check_oracle(
 # -- howard scope ----------------------------------------------------------------
 
 
-def check_howard(max_n: int = 5, max_r: int = 2) -> VerificationReport:
-    report = VerificationReport("howard")
-
+def check_howard(max_n: int, max_r: int, **_) -> VerificationReport:
     def type_a():
-        def cells():
-            for n in range(max_n + 1):
-                for k in range(n + 1):
-                    lhs, rhs = sequences.howard_check(n, k, variant="type-a")
-                    yield (
-                        (("n", n), ("k", k)),
-                        ("recurrence", lhs),
-                        ("explicit", rhs),
-                    )
-
-        return _run("howard-type-a", cells())
+        for n in range(max_n + 1):
+            for k in range(n + 1):
+                lhs, rhs = sequences.howard_check(n, k, variant="type-a")
+                yield ((("n", n), ("k", k)), ("recurrence", lhs), ("explicit", rhs))
 
     def type_b():
-        def cells():
-            for m in (2, 3):
-                for r in range(max_r + 1):
-                    for n in range(max_n + 1):
-                        for k in range(n + 1):
-                            lhs, rhs = sequences.howard_check(n, k, r, m, "type-b")
-                            yield (
-                                (("m", m), ("r", r), ("n", n), ("k", k)),
-                                ("recurrence", lhs),
-                                ("explicit", rhs),
-                            )
-
-        return _run("howard-type-b", cells())
-
-    def howard1():
-        def cells():
+        for m in (2, 3):
             for r in range(max_r + 1):
                 for n in range(max_n + 1):
                     for k in range(n + 1):
-                        lhs, rhs = sequences.howard_check(n, k, r, 2, "howard1")
+                        lhs, rhs = sequences.howard_check(n, k, r, m, "type-b")
                         yield (
-                            (("r", r), ("n", n), ("k", k)),
+                            (("m", m), ("r", r), ("n", n), ("k", k)),
                             ("recurrence", lhs),
                             ("explicit", rhs),
                         )
 
-        return _run("howard-free-sign-reduction", cells())
+    def howard1():
+        for r in range(max_r + 1):
+            for n in range(max_n + 1):
+                for k in range(n + 1):
+                    lhs, rhs = sequences.howard_check(n, k, r, 2, "howard1")
+                    yield (
+                        (("r", r), ("n", n), ("k", k)),
+                        ("recurrence", lhs),
+                        ("explicit", rhs),
+                    )
 
-    return _collect(report, [type_a, type_b, howard1])
+    return _collect(
+        "howard",
+        [
+            ("howard-type-a", type_a()),
+            ("howard-type-b", type_b()),
+            ("howard-free-sign-reduction", howard1()),
+        ],
+    )
 
 
 # -- asymptotic scope --------------------------------------------------------------
@@ -427,101 +375,82 @@ def _format_fraction(value: Fraction, precision: int) -> str:
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
+# d_asym keeps two terms of the expansion: its error at n=30 is 1e-2 for
+# r=3 and above the 0.05 threshold from r=4 on, so larger r are not checked.
+_ASYMPTOTIC_MAX_R = 2
+
+
 def check_asymptotic(
-    max_n: int = 30, max_r: int = 2, precision: int = 30
+    max_n: int, max_r: int, *, precision: int, **_
 ) -> VerificationReport:
-    report = VerificationReport("asymptotic")
     target = inv_sqrt_e()
     grid = [n for n in (10, 20, 30) if n <= max_n]
+    checked_r = range(min(max_r, _ASYMPTOTIC_MAX_R) + 1)
 
     def ratio_error(r, n):
         ratio = Fraction(sequences.d_rec(r, n), factorial(n)) / sequences.d_asym(r, n)
         return abs(ratio / target - 1)
 
     def decreasing():
-        def cells():
-            for r in range(min(max_r, 2) + 1):
-                errors = [ratio_error(r, n) for n in grid]
-                for a, b, na, nb in zip(errors, errors[1:], grid, grid[1:]):
-                    yield (
-                        (("r", r), ("from_n", na), ("to_n", nb)),
-                        ("recurrence", a > b),
-                        ("explicit", True),
-                    )
-                if grid and grid[-1] == 30:
-                    yield (
-                        (("r", r), ("n", 30), ("threshold", "0.05")),
-                        ("recurrence", errors[-1] < Fraction(1, 20)),
-                        ("explicit", True),
-                    )
-
-        res = _run("ratio-error-decreasing", cells())
-        if res.ok and grid:
-            notes = []
-            for r in range(min(max_r, 2) + 1):
-                notes.append(
-                    "r=%d error at n=%d: %s"
-                    % (r, grid[-1], _format_fraction(ratio_error(r, grid[-1]), precision))
-                )
-            res.notes = tuple(notes)
-        return res
-
-    def plain_limit():
-        def cells():
-            if max_n >= 25:
-                n = 25
-                ratio = Fraction(sequences.d_rec(0, n), factorial(n) * 2**n)
+        for r in checked_r:
+            errors = [ratio_error(r, n) for n in grid]
+            for a, b, na, nb in zip(errors, errors[1:], grid, grid[1:]):
                 yield (
-                    (("n", n), ("threshold", "0.01")),
-                    ("recurrence", abs(ratio - target) < Fraction(1, 100)),
+                    (("r", r), ("from_n", na), ("to_n", nb)),
+                    ("recurrence", a > b),
+                    ("explicit", True),
+                )
+            if grid and grid[-1] == 30:
+                yield (
+                    (("r", r), ("n", 30), ("threshold", "0.05")),
+                    ("recurrence", errors[-1] < Fraction(1, 20)),
                     ("explicit", True),
                 )
 
-        return _run("plain-ratio-near-limit", cells())
+    def plain_limit():
+        if max_n >= 25:
+            n = 25
+            ratio = Fraction(sequences.d_rec(0, n), factorial(n) * 2**n)
+            yield (
+                (("n", n), ("threshold", "0.01")),
+                ("recurrence", abs(ratio - target) < Fraction(1, 100)),
+                ("explicit", True),
+            )
 
-    return _collect(report, [decreasing, plain_limit])
-
-
-# -- composition --------------------------------------------------------------------
-
-
-def check_all(
-    max_n: int | None = None,
-    max_r: int | None = None,
-    seed: int = DEFAULT_SEED,
-    samples: int = 12,
-    bound: int | None = None,
-    precision: int = 30,
-) -> VerificationReport:
-    report = VerificationReport("all")
-    scoped = [
-        lambda: check_riordan(
-            max_n if max_n is not None else 8,
-            max_r if max_r is not None else 3,
-            seed,
-            samples,
-        ),
-        lambda: check_oracle(
-            max_n if max_n is not None else 4,
-            max_r if max_r is not None else 2,
-            bound,
-        ),
-        lambda: check_howard(
-            max_n if max_n is not None else 5,
-            max_r if max_r is not None else 2,
-        ),
-        lambda: check_asymptotic(
-            max_n if max_n is not None else 30,
-            max_r if max_r is not None else 2,
-            precision,
-        ),
-    ]
-    for factory in scoped:
-        sub = factory()
-        report.results.extend(sub.results)
-        if not sub.ok:
-            break
+    report = _collect(
+        "asymptotic",
+        [("ratio-error-decreasing", decreasing()), ("plain-ratio-near-limit", plain_limit())],
+    )
+    first = report.results[0]
+    notes = []
+    if first.ok and grid:
+        for r in checked_r:
+            notes.append(
+                "r=%d error at n=%d: %s"
+                % (r, grid[-1], _format_fraction(ratio_error(r, grid[-1]), precision))
+            )
+    if max_r > _ASYMPTOTIC_MAX_R:
+        notes.append(
+            "r=%d..%d not checked: d_asym keeps two terms, too few for r > %d"
+            % (_ASYMPTOTIC_MAX_R + 1, max_r, _ASYMPTOTIC_MAX_R)
+        )
+    first.notes = tuple(notes)
     return report
+
+
+# -- scope table --------------------------------------------------------------------
+
+# scope -> (check, default max_n, default max_r), in the order `all` runs them.
+# run_scope hands every check all of seed, samples, bound and precision; each
+# takes the ones it uses.
+SCOPE_TABLE = {
+    "riordan": (check_riordan, 8, 3),
+    "oracle": (check_oracle, 4, 2),
+    "howard": (check_howard, 5, 2),
+    "asymptotic": (check_asymptotic, 30, 2),
+}
+
+SCOPES = ("all",) + tuple(SCOPE_TABLE)
 
 
 def run_scope(
@@ -533,30 +462,22 @@ def run_scope(
     bound: int | None = None,
     precision: int = 30,
 ) -> VerificationReport:
-    if scope == "riordan":
-        return check_riordan(
-            max_n if max_n is not None else 8,
-            max_r if max_r is not None else 3,
-            seed,
-            samples,
-        )
-    if scope == "oracle":
-        return check_oracle(
-            max_n if max_n is not None else 4,
-            max_r if max_r is not None else 2,
-            bound,
-        )
-    if scope == "howard":
-        return check_howard(
-            max_n if max_n is not None else 5,
-            max_r if max_r is not None else 2,
-        )
-    if scope == "asymptotic":
-        return check_asymptotic(
-            max_n if max_n is not None else 30,
-            max_r if max_r is not None else 2,
-            precision,
-        )
+    """Run one scope with its defaults for any size left as None, or, for
+    "all", every scope in table order until the first failing one."""
+    options = dict(seed=seed, samples=samples, bound=bound, precision=precision)
     if scope == "all":
-        return check_all(max_n, max_r, seed, samples, bound, precision)
-    raise ValueError("scope must be one of %s, got %r" % (SCOPES, scope))
+        report = VerificationReport("all")
+        for name in SCOPE_TABLE:
+            sub = run_scope(name, max_n, max_r, **options)
+            report.results.extend(sub.results)
+            if not sub.ok:
+                break
+        return report
+    if scope not in SCOPE_TABLE:
+        raise ValueError("scope must be one of %s, got %r" % (SCOPES, scope))
+    check, default_n, default_r = SCOPE_TABLE[scope]
+    return check(
+        default_n if max_n is None else max_n,
+        default_r if max_r is None else max_r,
+        **options,
+    )

@@ -174,4 +174,79 @@ def test_verify_failure_reports_cell(capsys, monkeypatch):
     line = fail_lines[0]
     assert "n=2" in line and "k=1" in line and "r=1" in line
     assert "recurrence" in line and "riordan" in line
-    assert "scope riordan: FAIL" in out
+    # no check runs after the failing one, and "all" runs no scope after it
+    assert out.splitlines()[-1] == "scope riordan: FAIL (1 checks, 15 comparisons)"
+    code, out, _ = _run(
+        capsys, ["verify", "all", "--max-n", "3", "--max-r", "1", "--samples", "0"]
+    )
+    assert code == 1
+    assert out.splitlines()[-1] == "scope all: FAIL (1 checks, 15 comparisons)"
+
+
+# family -> (command, m, r, mode or None when the key is absent, provenance),
+# for --m 3 --r 1 --mode restr (--m 2 for inverse, which takes m = 2 only)
+FAMILY_PAYLOADS = {
+    "stirling-b": ("table", 3, 1, None, "recurrence"),
+    "inverse": ("table", 2, 1, None, "riordan"),
+    "stirling-a": ("table", 3, 1, "restr", "recurrence"),
+    "d": ("seq", None, 1, None, "recurrence"),
+    "lattice": ("seq", None, 1, None, "explicit"),
+    "tree": ("seq", None, None, None, "riordan"),
+    "incomplete": ("seq", 3, None, "restr", "recurrence"),
+    "typeb-factorial": ("seq", 3, None, "restr", "explicit"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_PAYLOADS))
+def test_family_json_payload_keys(capsys, family):
+    command, m, r, mode, provenance = FAMILY_PAYLOADS[family]
+    flag_m = "2" if family == "inverse" else "3"
+    code, out, err = _run(
+        capsys,
+        [command, family, "--m", flag_m, "--r", "1", "--mode", "restr",
+         "--rows", "3", "--format", "json"],
+    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["m"] == m and payload["r"] == r
+    assert payload["provenance"] == provenance
+    assert payload.get("mode") == mode
+    data_keys = {"rows"} if command == "table" else {"rows", "terms"}
+    assert set(payload) == {"family", "m", "r", "provenance"} | data_keys | (
+        {"mode"} if mode is not None else set()
+    )
+
+
+def test_verify_all_defaults_pass(capsys):
+    code, out, _ = _run(capsys, ["verify", "all"])
+    assert code == 0
+    assert out.endswith("scope all: PASS (15 checks, 3633 comparisons)\n")
+
+
+def test_verify_all_is_the_scopes_in_order():
+    from stirlingb.verify import SCOPES, run_scope
+
+    assert SCOPES == ("all", "riordan", "oracle", "howard", "asymptotic")
+    kwargs = dict(max_n=3, max_r=1, samples=2)
+    combined = run_scope("all", **kwargs)
+    parts = [run_scope(scope, **kwargs) for scope in SCOPES[1:]]
+    assert combined.scope == "all" and combined.ok
+    assert [(res.name, res.comparisons) for res in combined.results] == [
+        (res.name, res.comparisons) for part in parts for res in part.results
+    ]
+    with pytest.raises(ValueError, match="scope must be one of"):
+        run_scope("nonsense")
+
+
+def test_verify_asymptotic_reports_r_cap(capsys):
+    code, out, _ = _run(capsys, ["verify", "asymptotic", "--max-r", "5"])
+    assert code == 0
+    lines = out.splitlines()
+    head = lines.index("ok   ratio-error-decreasing (9 comparisons)")
+    assert lines[head + 4] == (
+        "     r=3..5 not checked: d_asym keeps two terms, too few for r > 2"
+    )
+    assert lines[-1] == "scope asymptotic: PASS (2 checks, 10 comparisons)"
+    # at the default max_r = 2 there is nothing to report
+    _, out, _ = _run(capsys, ["verify", "asymptotic"])
+    assert "not checked" not in out

@@ -1,5 +1,3 @@
-import json
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -7,7 +5,6 @@ import pytest
 from stirlingb.fps import FormalPowerSeries as FPS
 from stirlingb.riordan import (
     ExpRiordanArray,
-    TriangleTable,
     make_triangle_B,
     production_rebuild,
     unsigned_conjugate,
@@ -188,28 +185,3 @@ def test_inverse_table_r3():
             assert conj.entry(n, k) == INVERSE_R3[n][k], (n, k)
             assert inverse_triangle_rec(n, k, 3) == INVERSE_R3[n][k]
 
-
-def test_triangle_table_from_riordan():
-    table = TriangleTable.from_riordan(make_triangle_B(2, 3, order=8), 7, "riordan")
-    assert table.size == 7
-    assert table.entry(3, 1) == 592
-    assert table.entry(6, 0) == 6727680
-    assert table.entry(2, 5) == 0
-    # rows serialize cleanly
-    assert json.loads(json.dumps(table.rows)) == [list(r) for r in table.rows]
-
-
-def test_triangle_table_validation():
-    with pytest.raises(ValueError):
-        TriangleTable(((1,), (1, 1)), "nonsense")
-    with pytest.raises(ValueError):
-        TriangleTable(((1, 5), (1, 1)), "oracle")  # nonzero above diagonal
-
-
-def test_triangle_table_from_function():
-    table = TriangleTable.from_function(
-        lambda n, k: triangle_ge2_rec(n, k, 3), 5, "recurrence"
-    )
-    assert table.entry(4, 1) == 11616
-    with pytest.raises(ValueError, match="non-integer"):
-        TriangleTable.from_function(lambda n, k: Fraction(1, 2), 2, "explicit")
