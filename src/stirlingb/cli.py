@@ -55,7 +55,7 @@ def _triangle_rows(family: str, rows: int, m: int, r: int, mode: str):
             [sequences.stirlingA(n, k, mode, m) for k in range(n + 1)]
             for n in range(rows)
         ]
-        return vals, "recurrence", {"m": m, "r": r, "mode": mode}
+        return vals, "recurrence", {"m": m, "mode": mode}
     raise UsageError("unknown triangle family %r" % (family,))
 
 
@@ -124,20 +124,18 @@ def _cmd_table(args) -> str:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
+    # options left unset take run_scope's defaults, the only ones there are
+    options = {
+        name: getattr(args, name)
+        for name in ("max_n", "max_r", "seed", "samples", "precision")
+        if getattr(args, name) is not None
+    }
     for name, low in (("max_n", 0), ("max_r", 0), ("samples", 0), ("precision", 1)):
-        value = getattr(args, name)
-        if value is not None and value < low:
+        value = options.get(name, low)
+        if value < low:
             flag = "--" + name.replace("_", "-")
             raise UsageError("%s must be >= %d, got %d" % (flag, low, value))
-    report = verify.run_scope(
-        args.scope,
-        max_n=args.max_n,
-        max_r=args.max_r,
-        seed=args.seed,
-        samples=args.samples,
-        bound=args.max_enum,
-        precision=args.precision,
-    )
+    report = verify.run_scope(args.scope, bound=args.max_enum, **options)
     return "\n".join(report.lines()), 0 if report.ok else 1
 
 
@@ -171,13 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("scope", choices=verify.SCOPES)
     ver.add_argument("--max-n", dest="max_n", type=int, default=None)
     ver.add_argument("--max-r", dest="max_r", type=int, default=None)
-    ver.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    ver.add_argument("--samples", type=int, default=12)
+    ver.add_argument("--seed", type=int, default=None)
+    ver.add_argument("--samples", type=int, default=None)
     ver.add_argument("--max-enum", dest="max_enum", type=int, default=None)
     ver.add_argument(
         "--precision",
         type=int,
-        default=30,
+        default=None,
         help="decimal digits when reporting asymptotic ratios",
     )
 

@@ -7,6 +7,9 @@ coefficient beyond the order raises.
 
 Exponential generating function conventions: a sequence a_n with egf A(z)
 has a_n = n! * [z^n] A(z), see ``egf_coeff``.
+
+``compose`` evaluates by Horner's rule; ``revert`` solves the triangular
+system z = sum_k fbar_k f^k directly and never composes.
 """
 
 from __future__ import annotations
@@ -193,26 +196,35 @@ class FormalPowerSeries:
         return result
 
     def revert(self) -> "FormalPowerSeries":
-        """Compositional inverse fbar with self(fbar) = z.
+        """Compositional inverse fbar with self(fbar) = z = fbar(self).
 
-        Requires constant term 0 and a unit linear coefficient (nonzero).
-        Solved coefficient by coefficient: once fbar is known below order m,
-        the z^m coefficient of self(fbar) is linear in fbar_m with slope
-        self_1, so each residual determines the next coefficient.
+        Requires constant term 0 and a nonzero linear coefficient f_1.
+        Solves z = sum_k fbar_k * self^k as a triangular system: self^k
+        starts at z^k with coefficient f_1^k, so once fbar is known below k,
+        the z^k coefficient of the residual z - sum_{j<k} fbar_j * self^j
+        divided by f_1^k is fbar_k.  One running power of self and one
+        residual are kept, which makes the solve O(order^3).
         """
         if self.order < 1:
             raise ValueError("reversion needs order >= 1")
         if self.coeffs[0] != 0:
             raise ValueError("reversion requires constant term 0")
-        f1 = self.coeffs[1]
-        if f1 == 0:
+        if self.coeffs[1] == 0:
             raise ValueError("reversion requires nonzero linear coefficient")
-        inv = [Fraction(0), 1 / f1]
-        for m in range(2, self.order + 1):
-            cand = FormalPowerSeries.from_coeffs(inv, m)
-            resid = self.truncate(m).compose(cand).coeff(m)
-            inv.append(-resid / f1)
-        return FormalPowerSeries.from_coeffs(inv, self.order)
+        n, f = self.order, self.coeffs
+        inv = [Fraction(0)] * (n + 1)
+        resid = [Fraction(0)] * (n + 1)
+        resid[1] = Fraction(1)
+        power = f  # self^k: coefficients below k are zero
+        for k in range(1, n + 1):
+            inv[k] = c = resid[k] / power[k]
+            for i in range(k + 1, n + 1):
+                resid[i] -= c * power[i]
+            power = [Fraction(0)] * (k + 1) + [
+                sum(power[j] * f[i - j] for j in range(k, i))
+                for i in range(k + 1, n + 1)
+            ]
+        return FormalPowerSeries(tuple(inv))
 
     # -- transcendental (exact, termwise) -------------------------------------
 

@@ -26,27 +26,24 @@ code with them.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
     "DEFAULT_MAX_ENUM",
-    "ENV_MAX_ENUM",
     "EnumerationLimitError",
     "Cycle",
     "CycleDecomposition",
     "SignedPermutation",
+    "check_bound",
     "cycle_decompose",
     "enumerate_signed",
-    "enumeration_bound",
     "is_derangement_B",
     "oracle_triangle",
     "oracle_total",
 ]
 
 DEFAULT_MAX_ENUM = 8
-ENV_MAX_ENUM = "STIRLINGB_MAX_ENUM"
 
 MODES = ("assoc", "restr")
 
@@ -55,24 +52,14 @@ class EnumerationLimitError(RuntimeError):
     """Raised when an exhaustive enumeration would exceed the size bound."""
 
 
-def enumeration_bound() -> int:
-    raw = os.environ.get(ENV_MAX_ENUM)
-    if raw is None:
-        return DEFAULT_MAX_ENUM
-    try:
-        return int(raw)
-    except ValueError:
-        raise EnumerationLimitError(
-            "%s must be an integer, got %r" % (ENV_MAX_ENUM, raw)
-        ) from None
-
-
-def _check_bound(size: int, bound: int | None = None) -> None:
-    limit = enumeration_bound() if bound is None else bound
+def check_bound(size: int, bound: int | None = None) -> None:
+    """Raise EnumerationLimitError if enumerating `size` elements would
+    exceed `bound` (DEFAULT_MAX_ENUM when None)."""
+    limit = DEFAULT_MAX_ENUM if bound is None else bound
     if size > limit:
         raise EnumerationLimitError(
             "enumeration over %d elements exceeds the bound %d "
-            "(override with %s or --max-enum)" % (size, limit, ENV_MAX_ENUM)
+            "(override with --max-enum)" % (size, limit)
         )
 
 
@@ -136,7 +123,7 @@ def enumerate_signed(n: int, *, bound: int | None = None):
     """Yield all 2^n n! signed permutations of [n], deterministically."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    _check_bound(n, bound)
+    check_bound(n, bound)
     for perm in itertools.permutations(range(1, n + 1)):
         for signs in itertools.product((1, -1), repeat=n):
             yield SignedPermutation(tuple(p * s for p, s in zip(perm, signs)))
@@ -233,7 +220,7 @@ def oracle_triangle(
     if n < 0 or r < 0:
         raise ValueError("n and r must be >= 0")
     _validate_mode(mode, m)
-    _check_bound(n + r, bound)
+    check_bound(n + r, bound)
     if k < 0 or k > n:
         return 0
     return _census(n, r, mode, m)[k]
@@ -244,5 +231,5 @@ def oracle_total(n: int, r: int, mode: str, m: int, *, bound: int | None = None)
     if n < 0 or r < 0:
         raise ValueError("n and r must be >= 0")
     _validate_mode(mode, m)
-    _check_bound(n + r, bound)
+    check_bound(n + r, bound)
     return sum(_census(n, r, mode, m))

@@ -8,7 +8,9 @@ g(0) != 0, f(0) = 0, f'(0) != 0.  Its entries are
 lower triangular with l(n, n) = g(0) * f'(0)**n.  The group operations
 (multiply, invert), the fundamental theorem (apply_fte), production sequences
 and the sign-conjugated companion array live here, together with the concrete
-triangle constructor for the signed-permutation cycle statistics.
+triangle constructor for the signed-permutation cycle statistics.  An array
+reverts f at most once: `fbar` is cached on it and shared by `invert` and
+`production_sequences`.
 """
 
 from __future__ import annotations
@@ -87,9 +89,15 @@ class ExpRiordanArray:
             self.g * other.g.compose(self.f), other.f.compose(self.f)
         )
 
+    @cached_property
+    def fbar(self) -> FormalPowerSeries:
+        """The compositional inverse of f, reverted once per array and read
+        by both `invert` and `production_sequences`."""
+        return self.f.revert()
+
     def invert(self) -> "ExpRiordanArray":
         """Group inverse (1 / g(fbar), fbar) with fbar the reversion of f."""
-        fbar = self.f.revert()
+        fbar = self.fbar
         return ExpRiordanArray(self.g.compose(fbar).reciprocal(), fbar)
 
     def apply_fte(self, h: FormalPowerSeries) -> FormalPowerSeries:
@@ -101,7 +109,7 @@ class ExpRiordanArray:
 
         Both are truncated at order one less than the array's order.
         """
-        fbar = self.f.revert()
+        fbar = self.fbar
         a = self.f.derivative().compose(fbar)
         z = self.g.derivative().compose(fbar) * self.g.compose(fbar).reciprocal()
         return a.coeffs, z.coeffs

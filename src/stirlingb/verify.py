@@ -18,11 +18,12 @@ import random
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from . import sequences
 from .fps import FormalPowerSeries
-from .permcore import oracle_total, oracle_triangle
+from .permcore import check_bound, oracle_total, oracle_triangle
 from .riordan import (
     ExpRiordanArray,
     make_triangle_B,
@@ -43,8 +44,6 @@ __all__ = [
     "inv_sqrt_e",
     "run_scope",
 ]
-
-DEFAULT_SEED = 20240801
 
 
 @dataclass(frozen=True)
@@ -152,10 +151,12 @@ def check_riordan(
     max_n: int, max_r: int, *, seed: int, samples: int, **_
 ) -> VerificationReport:
     order = max(max_n, 1)
+    # each array is built once per run, and with it its table and its fbar
+    triangle = cache(make_triangle_B)
 
     def triangle_vs_riordan(m):
         for r in range(max_r + 1):
-            arr = make_triangle_B(m, r, order=order)
+            arr = triangle(m, r, order)
             for n in range(max_n + 1):
                 row = arr.row(n)
                 for k in range(n + 1):
@@ -168,9 +169,10 @@ def check_riordan(
     def inverse_identity():
         inv_order = min(order, 10)
         for r in range(max_r + 1):
-            arr = make_triangle_B(2, r, order=inv_order)
-            prod = arr.multiply(arr.invert())
-            prod2 = arr.invert().multiply(arr)
+            arr = triangle(2, r, inv_order)
+            inv = arr.invert()
+            prod = arr.multiply(inv)
+            prod2 = inv.multiply(arr)
             ident = ExpRiordanArray.identity(inv_order)
             for n in range(inv_order + 1):
                 for k in range(n + 1):
@@ -188,7 +190,7 @@ def check_riordan(
 
     def inverse_recurrence():
         for r in range(max_r + 1):
-            conj = unsigned_conjugate(make_triangle_B(2, r, order=order).invert())
+            conj = unsigned_conjugate(triangle(2, r, order).invert())
             for n in range(max_n + 1):
                 for k in range(n + 1):
                     yield (
@@ -199,7 +201,7 @@ def check_riordan(
 
     def production():
         for r in range(max_r + 1):
-            arr = make_triangle_B(2, r, order=order)
+            arr = triangle(2, r, order)
             rebuilt = production_rebuild(arr)
             for n in range(arr.order + 1):
                 row = arr.row(n)
@@ -453,17 +455,38 @@ SCOPE_TABLE = {
 SCOPES = ("all",) + tuple(SCOPE_TABLE)
 
 
+def _grid(scope: str, max_n: int | None, max_r: int | None) -> tuple[int, int]:
+    """(max_n, max_r) for a scope, its defaults filling in any None."""
+    _, default_n, default_r = SCOPE_TABLE[scope]
+    return (
+        default_n if max_n is None else max_n,
+        default_r if max_r is None else max_r,
+    )
+
+
 def run_scope(
     scope: str,
     max_n: int | None = None,
     max_r: int | None = None,
-    seed: int = DEFAULT_SEED,
+    seed: int = 20240801,
     samples: int = 12,
     bound: int | None = None,
     precision: int = 30,
 ) -> VerificationReport:
     """Run one scope with its defaults for any size left as None, or, for
-    "all", every scope in table order until the first failing one."""
+    "all", every scope in table order until the first failing one.
+
+    These are the only defaults of seed, samples and precision; the CLI
+    passes only the options it is given.  When the oracle scope is among
+    those to run, its grid is checked against the enumeration bound before
+    any scope starts."""
+    if scope != "all" and scope not in SCOPE_TABLE:
+        raise ValueError("scope must be one of %s, got %r" % (SCOPES, scope))
+    if scope in ("all", "oracle"):
+        # the oracle grid reaches every size up to max_n + max_r in
+        # increasing order, so this raises at the size the scope would
+        for size in range(sum(_grid("oracle", max_n, max_r)) + 1):
+            check_bound(size, bound)
     options = dict(seed=seed, samples=samples, bound=bound, precision=precision)
     if scope == "all":
         report = VerificationReport("all")
@@ -473,11 +496,5 @@ def run_scope(
             if not sub.ok:
                 break
         return report
-    if scope not in SCOPE_TABLE:
-        raise ValueError("scope must be one of %s, got %r" % (SCOPES, scope))
-    check, default_n, default_r = SCOPE_TABLE[scope]
-    return check(
-        default_n if max_n is None else max_n,
-        default_r if max_r is None else max_r,
-        **options,
-    )
+    check = SCOPE_TABLE[scope][0]
+    return check(*_grid(scope, max_n, max_r), **options)

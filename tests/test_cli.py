@@ -102,7 +102,10 @@ def test_oracle_bound_exit(capsys):
     code, out, err = _run(capsys, ["oracle", "--n", "9"])
     assert code == 2
     assert out == ""
-    assert "exceeds the bound" in err and "STIRLINGB_MAX_ENUM" in err
+    assert err == (
+        "error: enumeration over 9 elements exceeds the bound 8 "
+        "(override with --max-enum)\n"
+    )
     # explicit override admits the size (kept tiny by counting k=0 only)
     code, out, err = _run(
         capsys, ["oracle", "--n", "5", "--r", "0", "--k", "0", "--max-enum", "5"]
@@ -184,11 +187,12 @@ def test_verify_failure_reports_cell(capsys, monkeypatch):
 
 
 # family -> (command, m, r, mode or None when the key is absent, provenance),
-# for --m 3 --r 1 --mode restr (--m 2 for inverse, which takes m = 2 only)
+# for --m 3 --r 1 --mode restr (--m 2 for inverse, which takes m = 2 only);
+# m and r are null for a family that does not take them
 FAMILY_PAYLOADS = {
     "stirling-b": ("table", 3, 1, None, "recurrence"),
     "inverse": ("table", 2, 1, None, "riordan"),
-    "stirling-a": ("table", 3, 1, "restr", "recurrence"),
+    "stirling-a": ("table", 3, None, "restr", "recurrence"),
     "d": ("seq", None, 1, None, "recurrence"),
     "lattice": ("seq", None, 1, None, "explicit"),
     "tree": ("seq", None, None, None, "riordan"),
@@ -236,6 +240,25 @@ def test_verify_all_is_the_scopes_in_order():
     ]
     with pytest.raises(ValueError, match="scope must be one of"):
         run_scope("nonsense")
+
+
+def test_verify_checks_the_bound_before_any_scope(capsys, monkeypatch):
+    from stirlingb import verify
+    from stirlingb.permcore import EnumerationLimitError
+
+    def riordan_must_not_run(*args, **kwargs):
+        raise AssertionError("riordan scope ran before the bound check")
+
+    monkeypatch.setitem(verify.SCOPE_TABLE, "riordan", (riordan_must_not_run, 8, 3))
+    # oracle defaults max_n = 4: 4 + 5 = 9 elements exceeds the bound 8
+    with pytest.raises(EnumerationLimitError, match="over 9 elements"):
+        verify.run_scope("all", max_r=5)
+    # the error names the first size the oracle grid would reach past the bound
+    with pytest.raises(EnumerationLimitError, match="over 4 elements .* bound 3"):
+        verify.run_scope("oracle", bound=3)
+    code, out, err = _run(capsys, ["verify", "all", "--max-r", "5"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: enumeration over 9 elements exceeds the bound 8")
 
 
 def test_verify_asymptotic_reports_r_cap(capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stirlingb.fps import FormalPowerSeries as FPS
 
@@ -89,6 +90,30 @@ def test_revert_requirements():
         FPS.from_coeffs([1, 1], 3).revert()
     with pytest.raises(ValueError):
         FPS.from_coeffs([0, 0, 1], 3).revert()
+    with pytest.raises(ValueError):
+        FPS.from_coeffs([0], 0).revert()
+
+
+SMALL_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def revertible(draw):
+    """A random rational series with f(0) = 0 and f'(0) != 0, order 1..16."""
+    order = draw(st.integers(1, 16))
+    linear = draw(SMALL_FRACTIONS.filter(bool))
+    rest = draw(st.lists(SMALL_FRACTIONS, min_size=order - 1, max_size=order - 1))
+    return FPS.from_coeffs([0, linear] + rest, order)
+
+
+@settings(max_examples=20, deadline=None)
+@given(revertible())
+def test_revert_is_a_two_sided_involution(f):
+    z = FPS.x(f.order)
+    fbar = f.revert()
+    assert f.compose(fbar) == z
+    assert fbar.compose(f) == z
+    assert fbar.revert() == f
 
 
 def test_log_exp_roundtrip():

@@ -9,7 +9,6 @@ from stirlingb.permcore import (
     SignedPermutation,
     cycle_decompose,
     enumerate_signed,
-    enumeration_bound,
     is_derangement_B,
     oracle_total,
     oracle_triangle,
@@ -182,14 +181,3 @@ def test_enumeration_bound_param():
     # the same sizes pass with an explicit roomier bound
     assert oracle_total(3, 2, "assoc", 2, bound=5) > 0
 
-
-def test_enumeration_bound_env(monkeypatch):
-    monkeypatch.setenv("STIRLINGB_MAX_ENUM", "3")
-    assert enumeration_bound() == 3
-    with pytest.raises(EnumerationLimitError, match="STIRLINGB_MAX_ENUM"):
-        list(enumerate_signed(4))
-    monkeypatch.setenv("STIRLINGB_MAX_ENUM", "four")
-    with pytest.raises(EnumerationLimitError, match="integer"):
-        enumeration_bound()
-    monkeypatch.delenv("STIRLINGB_MAX_ENUM")
-    assert enumeration_bound() == 8

@@ -15,6 +15,7 @@ from stirlingb.sequences import (
     triangle_ge2_alt_rec,
     triangle_ge2_rec,
 )
+from stirlingb.verify import run_scope
 
 # The r=3, ord>=2 triangle with the six misprinted source entries corrected.
 # The misprints and their evidence are recorded in R3_ERRATA in
@@ -92,6 +93,28 @@ def test_invert_roundtrip():
     assert arr.multiply(arr.invert())._table == ident._table
     assert arr.invert().invert()._table == arr._table
     assert ExpRiordanArray.identity(4).invert()._table == ExpRiordanArray.identity(4)._table
+
+
+def test_array_reverts_f_once(monkeypatch):
+    reverted = []
+    revert = FPS.revert
+
+    def counted(series):
+        reverted.append(series)
+        return revert(series)
+
+    monkeypatch.setattr(FPS, "revert", counted)
+    arr = make_triangle_B(2, 2, order=8)
+    inverse = arr.invert()
+    arr.production_sequences()
+    arr.invert()
+    assert reverted == [arr.f]
+    assert inverse.f is arr.fbar
+    # verify's riordan scope builds each triangle once, so it reverts each
+    # once: here the m = 2 arrays for r = 0 and r = 1
+    reverted.clear()
+    assert run_scope("riordan", max_n=3, max_r=1, samples=0).ok
+    assert len(reverted) == 2
 
 
 def test_production_sequences_identity():
