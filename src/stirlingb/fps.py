@@ -8,14 +8,15 @@ coefficient beyond the order raises.
 Exponential generating function conventions: a sequence a_n with egf A(z)
 has a_n = n! * [z^n] A(z), see ``egf_coeff``.
 
-``compose`` evaluates by Horner's rule; ``revert`` solves the triangular
-system z = sum_k fbar_k f^k directly and never composes.
+``_powers`` tables self^0..self^order once per series and is the one place
+powers are formed: ``compose``, ``revert`` and the Riordan columns read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import Iterable, Union
 
@@ -184,26 +185,32 @@ class FormalPowerSeries:
 
     # -- composition and reversion -------------------------------------------
 
-    def compose(self, inner: "FormalPowerSeries") -> "FormalPowerSeries":
-        """self(inner); requires inner(0) = 0."""
-        if inner.coeff(0) != 0:
+    @cached_property
+    def _powers(self) -> tuple[tuple[Fraction, ...], ...]:
+        """self^0..self^order as coefficient tuples; needs constant term 0, so
+        self^k starts at z^k and each product skips the zeros below it."""
+        if self.coeffs[0] != 0:
             raise ValueError("composition requires inner constant term 0")
-        n = min(self.order, inner.order)
-        result = FormalPowerSeries.constant(self.coeffs[min(n, self.order)], n)
-        # Horner evaluation from the top coefficient down
-        for k in range(n - 1, -1, -1):
-            result = result * inner.truncate(n) + self.coeffs[k]
-        return result
+        powers = [FormalPowerSeries.one(self.order)]
+        for _ in range(self.order):
+            powers.append(powers[-1] * self)
+        return tuple(p.coeffs for p in powers)
+
+    def compose(self, inner: "FormalPowerSeries") -> "FormalPowerSeries":
+        """self(inner) = sum_k c_k inner^k over inner's power table; needs
+        inner(0) = 0."""
+        powers, n = inner._powers, min(self.order, inner.order)
+        terms = [(c, powers[k]) for k, c in enumerate(self.coeffs[: n + 1]) if c]
+        out = (sum((c * p[i] for c, p in terms if p[i]), Fraction(0)) for i in range(n + 1))
+        return FormalPowerSeries(tuple(out))
 
     def revert(self) -> "FormalPowerSeries":
         """Compositional inverse fbar with self(fbar) = z = fbar(self).
 
         Requires constant term 0 and a nonzero linear coefficient f_1.
-        Solves z = sum_k fbar_k * self^k as a triangular system: self^k
-        starts at z^k with coefficient f_1^k, so once fbar is known below k,
-        the z^k coefficient of the residual z - sum_{j<k} fbar_j * self^j
-        divided by f_1^k is fbar_k.  One running power of self and one
-        residual are kept, which makes the solve O(order^3).
+        Solves z = sum_k fbar_k * self^k as a triangular system: self^k starts
+        at z^k with coefficient f_1^k, so fbar_k is the z^k coefficient of the
+        residual z - sum_{j<k} fbar_j * self^j divided by f_1^k.
         """
         if self.order < 1:
             raise ValueError("reversion needs order >= 1")
@@ -211,19 +218,14 @@ class FormalPowerSeries:
             raise ValueError("reversion requires constant term 0")
         if self.coeffs[1] == 0:
             raise ValueError("reversion requires nonzero linear coefficient")
-        n, f = self.order, self.coeffs
+        n = self.order
         inv = [Fraction(0)] * (n + 1)
         resid = [Fraction(0)] * (n + 1)
         resid[1] = Fraction(1)
-        power = f  # self^k: coefficients below k are zero
-        for k in range(1, n + 1):
+        for k, power in enumerate(self._powers[1:], 1):
             inv[k] = c = resid[k] / power[k]
             for i in range(k + 1, n + 1):
                 resid[i] -= c * power[i]
-            power = [Fraction(0)] * (k + 1) + [
-                sum(power[j] * f[i - j] for j in range(k, i))
-                for i in range(k + 1, n + 1)
-            ]
         return FormalPowerSeries(tuple(inv))
 
     # -- transcendental (exact, termwise) -------------------------------------

@@ -8,9 +8,9 @@ g(0) != 0, f(0) = 0, f'(0) != 0.  Its entries are
 lower triangular with l(n, n) = g(0) * f'(0)**n.  The group operations
 (multiply, invert), the fundamental theorem (apply_fte), production sequences
 and the sign-conjugated companion array live here, together with the concrete
-triangle constructor for the signed-permutation cycle statistics.  An array
-reverts f at most once: `fbar` is cached on it and shared by `invert` and
-`production_sequences`.
+triangle constructor for the signed-permutation cycle statistics.  Column k
+is g * f^k over f's cached powers; the inverse (1 / g(fbar), fbar) is cached,
+so an array reverts f and composes g with fbar at most once.
 """
 
 from __future__ import annotations
@@ -57,14 +57,9 @@ class ExpRiordanArray:
     @cached_property
     def _table(self) -> tuple[tuple[Fraction, ...], ...]:
         n = self.order
-        cols = []
-        power = self.g.truncate(n)
-        for k in range(n + 1):
-            cols.append([power.coeff(i) for i in range(n + 1)])
-            if k < n:
-                power = power * self.f
+        cols = [(FormalPowerSeries(p) * self.g).coeffs for p in self.f._powers[: n + 1]]
         return tuple(
-            tuple(factorial(i) * cols[k][i] / factorial(k) for k in range(n + 1))
+            tuple(cols[k][i] * (factorial(i) // factorial(k)) for k in range(n + 1))
             for i in range(n + 1)
         )
 
@@ -90,15 +85,13 @@ class ExpRiordanArray:
         )
 
     @cached_property
-    def fbar(self) -> FormalPowerSeries:
-        """The compositional inverse of f, reverted once per array and read
-        by both `invert` and `production_sequences`."""
-        return self.f.revert()
+    def _inverse(self) -> "ExpRiordanArray":
+        fbar = self.f.revert()
+        return ExpRiordanArray(self.g.compose(fbar).reciprocal(), fbar)
 
     def invert(self) -> "ExpRiordanArray":
-        """Group inverse (1 / g(fbar), fbar) with fbar the reversion of f."""
-        fbar = self.fbar
-        return ExpRiordanArray(self.g.compose(fbar).reciprocal(), fbar)
+        """Group inverse (1 / g(fbar), fbar), formed once per array."""
+        return self._inverse
 
     def apply_fte(self, h: FormalPowerSeries) -> FormalPowerSeries:
         """Fundamental theorem: the array applied to a column egf h."""
@@ -109,9 +102,9 @@ class ExpRiordanArray:
 
         Both are truncated at order one less than the array's order.
         """
-        fbar = self.fbar
-        a = self.f.derivative().compose(fbar)
-        z = self.g.derivative().compose(fbar) * self.g.compose(fbar).reciprocal()
+        inv = self._inverse
+        a = self.f.derivative().compose(inv.f)
+        z = self.g.derivative().compose(inv.f) * inv.g
         return a.coeffs, z.coeffs
 
 

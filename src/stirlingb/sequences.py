@@ -432,6 +432,8 @@ def stirling1(n: int, k: int) -> int:
 def rstirling1(n: int, k: int, r: int) -> int:
     """Permutations of [n+r] with k+r cycles, the elements 1..r in distinct
     cycles (classical r-Stirling numbers of the first kind)."""
+    if r < 0:
+        raise ValueError("r must be >= 0")
     if k < 0 or k > n:
         return 0
     return _table(_RStirling1Rows, r).row(n)[k]
@@ -684,6 +686,8 @@ def inverse_triangle_rec(n: int, k: int, r: int) -> int:
     k = 0 instance of the same rule (the printed standalone base case
     contradicts the array; see the verification tests).
     """
+    if r < 0:
+        raise ValueError("r must be >= 0")
     if n < 0 or k < 0 or k > n:
         return 0
     return _table(_InverseRows, r).row(n)[k]

@@ -151,7 +151,7 @@ def check_riordan(
     max_n: int, max_r: int, *, seed: int, samples: int, **_
 ) -> VerificationReport:
     order = max(max_n, 1)
-    # each array is built once per run, and with it its table and its fbar
+    # each array is built once per run, and with it its table and its inverse
     triangle = cache(make_triangle_B)
 
     def triangle_vs_riordan(m):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -48,6 +49,22 @@ def test_table_inverse_family(capsys):
     code, _, err = _run(capsys, ["table", "inverse", "--m", "3", "--rows", "3"])
     assert code == 2
     assert "supports --m 2 only" in err
+
+
+# sha256 of stdout for Riordan-route sizes no other test reaches
+RIORDAN_GOLDEN = {
+    "table inverse --rows 31 --r 3 --format csv":
+        "1ba2667166b369aba33e431650ee6b0f297182c7535c90955ec5eccd814cc04a",
+    "seq tree --terms 30":
+        "7a6cfe9b052d439ff088fd5219dc76d4fc9631b24736e7b0b6b5b127cc7287e7",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(RIORDAN_GOLDEN))
+def test_riordan_route_golden(capsys, argv):
+    code, out, err = _run(capsys, argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == RIORDAN_GOLDEN[argv]
 
 
 def test_table_defaults_to_eight_rows(capsys):

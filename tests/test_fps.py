@@ -116,6 +116,61 @@ def test_revert_is_a_two_sided_involution(f):
     assert fbar.revert() == f
 
 
+def horner_compose(outer, inner):
+    """Reference composition by Horner's rule, from the top coefficient down."""
+    n = min(outer.order, inner.order)
+    result = FPS.constant(outer.coeffs[n], n)
+    for k in range(n - 1, -1, -1):
+        result = result * inner.truncate(n) + outer.coeffs[k]
+    return result
+
+
+@st.composite
+def series(draw, constant=SMALL_FRACTIONS):
+    """A random rational series of order 0..16 with the given constant term."""
+    order = draw(st.integers(0, 16))
+    rest = draw(st.lists(SMALL_FRACTIONS, min_size=order, max_size=order))
+    return FPS.from_coeffs([draw(constant)] + rest, order)
+
+
+ZERO = st.just(Fraction(0))
+
+
+@st.composite
+def inners(draw):
+    """A series with constant term 0; its linear coefficient is often 0 too."""
+    inner = draw(series(ZERO))
+    if inner.order and draw(st.booleans()):
+        inner = FPS.from_coeffs((0, 0) + inner.coeffs[2:], inner.order)
+    return inner
+
+
+@settings(max_examples=30, deadline=None)
+@given(series(), inners())
+def test_compose_matches_horner(outer, inner):
+    composed = outer.compose(inner)
+    assert composed.order == min(outer.order, inner.order)
+    assert composed == horner_compose(outer, inner)
+
+
+@settings(max_examples=15, deadline=None)
+@given(series(), inners(), inners())
+def test_compose_is_associative(a, b, c):
+    assert a.compose(b).compose(c) == a.compose(b.compose(c))
+
+
+@settings(max_examples=30, deadline=None)
+@given(series(SMALL_FRACTIONS.filter(bool)))
+def test_reciprocal_is_a_multiplicative_inverse(s):
+    assert s * s.reciprocal() == FPS.one(s.order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(series(ZERO))
+def test_log_inverts_exp(f):
+    assert f.exp().log() == f
+
+
 def test_log_exp_roundtrip():
     s = FPS.from_coeffs([1, 3, -2, 5], 8)
     assert s.log().exp().coeffs == s.coeffs

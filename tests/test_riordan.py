@@ -96,20 +96,27 @@ def test_invert_roundtrip():
 
 
 def test_array_reverts_f_once(monkeypatch):
-    reverted = []
-    revert = FPS.revert
+    reverted, composed = [], []
+    revert, compose = FPS.revert, FPS.compose
 
-    def counted(series):
+    def counted_revert(series):
         reverted.append(series)
         return revert(series)
 
-    monkeypatch.setattr(FPS, "revert", counted)
+    def counted_compose(outer, inner):
+        composed.append((outer, inner))
+        return compose(outer, inner)
+
+    monkeypatch.setattr(FPS, "revert", counted_revert)
+    monkeypatch.setattr(FPS, "compose", counted_compose)
     arr = make_triangle_B(2, 2, order=8)
     inverse = arr.invert()
+    assert arr.invert() is inverse
     arr.production_sequences()
-    arr.invert()
+    assert arr.invert() is inverse
     assert reverted == [arr.f]
-    assert inverse.f is arr.fbar
+    # g is composed with fbar once, for the inverse, and production reuses it
+    assert [inner for outer, inner in composed if outer is arr.g] == [inverse.f]
     # verify's riordan scope builds each triangle once, so it reverts each
     # once: here the m = 2 arrays for r = 0 and r = 1
     reverted.clear()

@@ -6,6 +6,7 @@ from math import comb, factorial
 
 import pytest
 
+from stirlingb import sequences
 from stirlingb.permcore import oracle_triangle
 from stirlingb.riordan import make_triangle_B, unsigned_conjugate
 from stirlingb.sequences import (
@@ -153,6 +154,21 @@ def test_triangle_ge2_validation():
         triangle_ge2_rec(2, 0, -1)
     assert triangle_ge2_rec(-1, 0, 2) == 0
     assert triangle_ge2_rec(2, 3, 1) == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rstirling1(3, 1, -1),
+        lambda: inverse_triangle_rec(3, 1, -1),
+        lambda: howard_check(3, 1, -1, 2, "howard1"),
+    ],
+    ids=["rstirling1", "inverse_triangle_rec", "howard1"],
+)
+def test_negative_r_is_rejected(call):
+    with pytest.raises(ValueError, match="r must be >= 0"):
+        call()
+    assert not [key for key in sequences._TABLES if key[1:2] == (-1,)]
 
 
 # -- the general ord >= m triangle -------------------------------------------------
