@@ -64,9 +64,9 @@ def _sequence_terms(family: str, terms: int, m: int, r: int, mode: str):
     if family == "d":
         return [sequences.d_rec(r, n) for n in range(terms)], "recurrence", {"r": r}
     if family == "lattice":
-        return [sequences.lattice_S(r, n) for n in range(terms)], "explicit", {"r": r}
+        return sequences.lattice_terms(r, terms), "explicit", {"r": r}
     if family == "tree":
-        return [sequences.tree_count(n) for n in range(terms)], "riordan", {}
+        return sequences.tree_terms(terms), "riordan", {}
     if family == "incomplete":
         return [
             sequences.incomplete_factorial(n, mode, m) for n in range(terms)

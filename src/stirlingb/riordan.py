@@ -117,33 +117,36 @@ def unsigned_conjugate(array: ExpRiordanArray) -> ExpRiordanArray:
     return ExpRiordanArray(array.g.scale_arg(-1), -(array.f.scale_arg(-1)))
 
 
-def production_rebuild(array: ExpRiordanArray, rows: int | None = None):
-    """Rebuild rows 0..rows from row 0 using the production sequences.
+def production_rebuild(array: ExpRiordanArray):
+    """Rebuild rows 0..order from row 0 using the production sequences.
 
-    Row n+1 comes from row n alone:
+    Row n+1 is row n times the production matrix P, built once:
 
-        l(n+1, 0) = sum_i i! * z_i * l(n, i)
-        l(n+1, k) = a_0 * l(n, k-1)
-                    + (1/k!) * sum_{i>=k} i! * (z_{i-k} + k * a_{i-k+1}) * l(n, i)
+        P[i][k] = (i!/k!) * (z_{i-k} + k * a_{i-k+1})    (k <= i)
+        P[i][i+1] = a_0
 
-    Returns a list of (rows+1) lists of Fractions, each of length rows+1.
+    Returns a list of order+1 lists of Fractions, each of length order+1.
     The caller compares against entry() to validate an array.
     """
-    n_rows = array.order if rows is None else rows
-    if n_rows > array.order:
-        raise ValueError("cannot rebuild beyond the truncation order")
+    order = array.order
     a, z = array.production_sequences()
-    width = n_rows + 1
-    out = [[array.entry(0, 0)] + [Fraction(0)] * (width - 1)]
-    for n in range(n_rows):
-        prev = out[-1]
-        new = [Fraction(0)] * width
-        new[0] = sum(factorial(i) * z[i] * prev[i] for i in range(n + 1))
-        for k in range(1, n + 2):
-            acc = Fraction(0)
-            for i in range(k, n + 1):
-                acc += factorial(i) * (z[i - k] + k * a[i - k + 1]) * prev[i]
-            new[k] = a[0] * prev[k - 1] + acc / factorial(k)
+    # column 0 is i! z_i: a_{i+1} has weight 0 there, and at i = order-1 it
+    # lies past a's truncation
+    prod = [
+        [factorial(i) * z[i]]
+        + [
+            factorial(i) // factorial(k) * (z[i - k] + k * a[i - k + 1])
+            for k in range(1, i + 1)
+        ]
+        + [a[0]]
+        for i in range(order)
+    ]
+    out = [[array.entry(0, 0)] + [Fraction(0)] * order]
+    for n in range(order):
+        prev, new = out[-1], [Fraction(0)] * (order + 1)
+        for i in range(n + 1):
+            for k, w in enumerate(prod[i]):
+                new[k] += w * prev[i]
         out.append(new)
     return out
 

@@ -21,14 +21,19 @@ next as running sums, so a cell costs O(1) (O(m) for the windowed families)
 big-integer operations, and nothing recurses.  The point functions
 (``triangle_ge2_rec(n, k, r)`` and friends) read one cell of a table.
 
-Everything returns exact ints (or Fraction where the contract says so).
+The series-backed families (``d_egf``, ``lattice_terms``, ``tree_terms``)
+take a term count and read every term from one series truncated at the
+order that count needs.
+
+Everything returns exact ints (or Fraction where the contract says so).  An
+exact rational published as an int goes through ``_int``, which raises
+``ArithmeticError`` naming the value if it is not one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import comb, factorial, perm
 
 from .fps import FormalPowerSeries
@@ -50,18 +55,33 @@ __all__ = [
     "incomplete_factorial",
     "inverse_triangle_rec",
     "lah",
-    "lattice_S",
+    "lattice_terms",
     "par_ge",
     "par_le",
     "rstirling1",
     "stirling1",
     "stirlingA",
-    "tree_count",
+    "tree_terms",
     "triangle_ge2_alt_rec",
     "triangle_ge2_rec",
     "triangle_gem_rec",
     "typeB_factorial_conv",
 ]
+
+
+def _int(value, name: str) -> int:
+    """``value`` (an int or Fraction) as an int; ``name`` says which value."""
+    if value.denominator != 1:
+        raise ArithmeticError("%s is not an integer: %s" % (name, value))
+    return int(value)
+
+
+def _series_order(count: int, shift: int = 0) -> int:
+    """The truncation order of a series whose terms 0..count-1 sit at z^0 ..
+    z^(count-1+shift); at least 1, which the series constructors need."""
+    if count < 0:
+        raise ValueError("count must be >= 0, got %d" % (count,))
+    return max(count - 1 + shift, 1)
 
 
 def lah(n: int, k: int) -> int:
@@ -450,23 +470,16 @@ def typeB_factorial_conv(n: int, mode: str, m: int) -> int:
     window cycles keep free signs (2^i), the rest sit in all-barred cycles
     on the other side of the window.
     """
-    if mode == "assoc":
-        return sum(
-            comb(n, i)
-            * 2**i
-            * incomplete_factorial(i, "assoc", m)
-            * incomplete_factorial(n - i, "restr", m - 1)
-            for i in range(n + 1)
-        )
-    if mode == "restr":
-        return sum(
-            comb(n, i)
-            * 2**i
-            * incomplete_factorial(i, "restr", m)
-            * incomplete_factorial(n - i, "assoc", m + 1)
-            for i in range(n + 1)
-        )
-    raise ValueError("mode must be 'restr' or 'assoc', got %r" % (mode,))
+    complement = {"assoc": ("restr", m - 1), "restr": ("assoc", m + 1)}.get(mode)
+    if complement is None:
+        raise ValueError("mode must be 'restr' or 'assoc', got %r" % (mode,))
+    return sum(
+        comb(n, i)
+        * 2**i
+        * incomplete_factorial(i, mode, m)
+        * incomplete_factorial(n - i, *complement)
+        for i in range(n + 1)
+    )
 
 
 # -- the d-family (no-unbarred-fixed-point counts with specials) ----------------
@@ -507,10 +520,7 @@ def d_explicit(r: int, n: int) -> int:
                 * rising_factorial(i + 1, n - i - k)
             )
         total += comb(r, i) * falling_factorial(n, i) * 2**i * inner
-    total *= 2**n
-    if total.denominator != 1:
-        raise ArithmeticError("d_explicit(%d, %d) is not an integer: %s" % (r, n, total))
-    return int(total)
+    return _int(2**n * total, "d_explicit(%d, %d)" % (r, n))
 
 
 def d_series(r: int, order: int = DEFAULT_ORDER) -> FormalPowerSeries:
@@ -523,16 +533,8 @@ def d_series(r: int, order: int = DEFAULT_ORDER) -> FormalPowerSeries:
 
 def d_egf(r: int, count: int) -> list[int]:
     """First `count` values of d(r, .) via egf coefficient extraction."""
-    if count < 1:
-        return []
-    series = d_series(r, count - 1 if count > 1 else 1)
-    out = []
-    for n in range(count):
-        v = series.egf_coeff(n)
-        if v.denominator != 1:
-            raise ArithmeticError("non-integer egf coefficient %s" % (v,))
-        out.append(int(v))
-    return out
+    series = d_series(r, _series_order(count))
+    return [_int(series.egf_coeff(n), "d_egf(%d)[%d]" % (r, n)) for n in range(count)]
 
 
 @dataclass(frozen=True)
@@ -569,12 +571,9 @@ def d_poly(n: int) -> RPolynomial:
         scale = Fraction(yi, denom)
         for idx, b in enumerate(basis):
             coef[idx] += scale * b
-    out = []
-    for c in coef:
-        if c.denominator != 1:
-            raise ArithmeticError("non-integer interpolation coefficient %s" % (c,))
-        out.append(int(c))
-    return RPolynomial(tuple(out))
+    return RPolynomial(
+        tuple(_int(c, "d_poly(%d) coefficient %d" % (n, i)) for i, c in enumerate(coef))
+    )
 
 
 def d_asym(r: int, n: int) -> Fraction:
@@ -596,18 +595,15 @@ def d_asym(r: int, n: int) -> Fraction:
 # -- lattice paths, diagonals, inverse triangle, trees ---------------------------
 
 
-def lattice_S(r: int, n: int) -> int:
-    """[x^n] ((1+x)/(1-x))^r: staircase lattice point counts."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    order = max(n, 1)
+def lattice_terms(r: int, count: int) -> list[int]:
+    """[x^n] ((1+x)/(1-x))^r for n < count: staircase lattice point counts,
+    all read from one series."""
+    order = _series_order(count)
     series = (
         FormalPowerSeries.from_coeffs([1, 1], order)
         * FormalPowerSeries.from_coeffs([1, -1], order).reciprocal()
     ) ** r
-    v = series.coeff(n)
-    assert v.denominator == 1
-    return int(v)
+    return [_int(series.coeff(n), "lattice_terms(%d)[%d]" % (r, n)) for n in range(count)]
 
 
 def diagonals(n: int, r: int, m: int = 2) -> tuple[int, int]:
@@ -621,8 +617,7 @@ def diagonals(n: int, r: int, m: int = 2) -> tuple[int, int]:
             * comb(n + 2, 2)
             * (3 * n * n + n + 12 * n * r + 12 * r * r)
         )
-        assert second.denominator == 1
-        return first, int(second)
+        return first, _int(second, "diagonals(%d, %d, 2)[1]" % (n, r))
     return diagonals_delta(n, r, m)
 
 
@@ -644,11 +639,8 @@ def diagonals_delta(n: int, r: int, m: int) -> tuple[int, int]:
             + 2 ** (3 * (d2 + d3) + 3) * (n + 3 * r)
         )
     )
-    if first.denominator != 1 or second.denominator != 1:
-        raise ArithmeticError(
-            "non-integer diagonal value at n=%d r=%d m=%d" % (n, r, m)
-        )
-    return int(first), int(second)
+    name = "diagonals_delta(%d, %d, %d)" % (n, r, m)
+    return _int(first, name + "[0]"), _int(second, name + "[1]")
 
 
 class _InverseRows(_Rows):
@@ -693,28 +685,18 @@ def inverse_triangle_rec(n: int, k: int, r: int) -> int:
     return _table(_InverseRows, r).row(n)[k]
 
 
-@cache
-def _tree_derivative_series(order: int) -> FormalPowerSeries:
+def tree_terms(count: int) -> list[int]:
+    """n! [z^n] F'(z) for n < count, where F is the sign-flipped reversion of
+    the m = 2 cycle series: counts of plane increasing trees with doubled
+    edge colors (1, 4, 32, 416, ...).  One series reversion, no special
+    functions.
+    """
+    order = _series_order(count, shift=1)
     base = -(FormalPowerSeries.from_coeffs([1, -2], order).log()) - FormalPowerSeries.x(
         order
     )
-    fbar = base.revert()
-    flipped = -(fbar.scale_arg(-1))
-    return flipped.derivative()
-
-
-def tree_count(n: int) -> int:
-    """n! [z^n] F'(z) where F is the sign-flipped reversion of the m = 2
-    cycle series: counts of plane increasing trees with doubled edge colors
-    (1, 4, 32, 416, ...). Computed by series reversion, no special functions.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    order = max(n + 1, DEFAULT_ORDER)
-    v = _tree_derivative_series(order).egf_coeff(n)
-    if v.denominator != 1:
-        raise ArithmeticError("non-integer tree count %s" % (v,))
-    return int(v)
+    series = (-(base.revert().scale_arg(-1))).derivative()
+    return [_int(series.egf_coeff(n), "tree_terms[%d]" % (n,)) for n in range(count)]
 
 
 # -- cross-window identities -----------------------------------------------------
@@ -764,8 +746,7 @@ def howard_check(
                     / (m**l * factorial(l))
                     * triangle_gem_rec(n - m * l - (m - 1) * p, k - l, r - p, m + 1)
                 )
-        assert rhs.denominator == 1
-        return lhs, int(rhs)
+        return lhs, _int(rhs, "howard_check(%d, %d, %d, %d) type-b rhs" % (n, k, r, m))
     if variant == "howard1":
         lhs = 2 ** (n + r) * rstirling1(n, k, r)
         rhs = 0

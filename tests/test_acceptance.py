@@ -33,8 +33,8 @@ from stirlingb.sequences import (
     diagonals,
     diagonals_delta,
     howard_check,
-    lattice_S,
-    tree_count,
+    lattice_terms,
+    tree_terms,
     triangle_ge2_rec,
     triangle_gem_rec,
     typeB_factorial_conv,
@@ -288,7 +288,7 @@ def test_criterion_05_inverse_matrix():
 
 
 def test_criterion_06_tree_counts():
-    got = [tree_count(n) for n in range(6)]
+    got = tree_terms(6)
     ok = got == TREE_COUNTS
     _report(6, "plane increasing tree counts n = 0..5", ok, "%s" % (got,))
     assert got == TREE_COUNTS
@@ -297,8 +297,8 @@ def test_criterion_06_tree_counts():
 def test_criterion_07_lattice_identity():
     bad = []
     for r in range(5):
-        for n in range(9):
-            if triangle_ge2_rec(n, 0, r) != 2**n * factorial(n) * lattice_S(r, n):
+        for n, s in enumerate(lattice_terms(r, 9)):
+            if triangle_ge2_rec(n, 0, r) != 2**n * factorial(n) * s:
                 bad.append((n, r))
     ok = not bad
     _report(7, "column 0 equals 2^n n! lattice counts, r <= 4, n <= 8", ok)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 
@@ -15,3 +16,13 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_assert_statements(name):
+    # python -O strips assert statements, so a library check must raise instead
+    path = importlib.import_module(name).__file__
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], "%s has assert statements at lines %s" % (path, lines)

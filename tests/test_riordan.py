@@ -145,12 +145,6 @@ def test_production_rebuild_matches_entries():
             assert rebuilt[n][k] == arr.entry(n, k)
 
 
-def test_production_rebuild_bounds():
-    arr = make_triangle_B(2, 0, order=4)
-    with pytest.raises(ValueError):
-        production_rebuild(arr, rows=5)
-
-
 def test_apply_fte_column_zero_and_identity():
     arr = make_triangle_B(2, 2, order=8)
     assert arr.apply_fte(FPS.one(8)).coeffs == arr.g.coeffs

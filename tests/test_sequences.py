@@ -27,13 +27,13 @@ from stirlingb.sequences import (
     incomplete_factorial,
     inverse_triangle_rec,
     lah,
-    lattice_S,
+    lattice_terms,
     par_ge,
     par_le,
     rstirling1,
     stirling1,
     stirlingA,
-    tree_count,
+    tree_terms,
     triangle_ge2_alt_rec,
     triangle_ge2_rec,
     triangle_gem_rec,
@@ -137,8 +137,8 @@ def test_triangle_ge2_column0_lah_identity():
 def test_triangle_ge2_column0_lattice_identity():
     # {n, 0}_r = 2^n n! [x^n] ((1+x)/(1-x))^r
     for r in range(5):
-        for n in range(9):
-            want = 2**n * factorial(n) * lattice_S(r, n)
+        for n, s in enumerate(lattice_terms(r, 9)):
+            want = 2**n * factorial(n) * s
             assert triangle_ge2_rec(n, 0, r) == want, (n, r)
 
 
@@ -344,11 +344,21 @@ def test_d_asym_values():
 
 
 def test_lattice_values():
-    assert [lattice_S(2, n) for n in range(4)] == [1, 4, 8, 12]
-    assert lattice_S(0, 0) == 1
-    assert lattice_S(0, 3) == 0
+    assert lattice_terms(2, 4) == [1, 4, 8, 12]
+    assert lattice_terms(0, 4) == [1, 0, 0, 0]
     with pytest.raises(ValueError):
-        lattice_S(2, -1)
+        lattice_terms(2, -1)
+
+
+def test_lattice_terms_match_closed_form():
+    for r in range(6):
+        want = [
+            sum(comb(r, j) * comb(n - j + r - 1, n - j) for j in range(min(r, n) + 1))
+            if r
+            else int(n == 0)
+            for n in range(60)
+        ]
+        assert lattice_terms(r, 60) == want, r
 
 
 def test_diagonals_match_triangle_m2():
@@ -392,9 +402,35 @@ def test_inverse_triangle_matches_riordan_route():
 
 
 def test_tree_counts():
-    assert [tree_count(n) for n in range(6)] == [1, 4, 32, 416, 7552, 176128]
+    assert tree_terms(6) == [1, 4, 32, 416, 7552, 176128]
     with pytest.raises(ValueError):
-        tree_count(-1)
+        tree_terms(-1)
+
+
+def test_tree_terms_match_integer_recurrence():
+    # y_0 = 0, y_(n+1) = [n=0] + 2 y_n + 2 sum_(k=1)^n C(n, k) y_k y_(n+1-k);
+    # tree term n is y_(n+1)
+    y = [0]
+    for n in range(40):
+        y.append(
+            int(n == 0)
+            + 2 * y[n]
+            + 2 * sum(comb(n, k) * y[k] * y[n + 1 - k] for k in range(1, n + 1))
+        )
+    assert tree_terms(40) == y[1:]
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [lambda c: d_egf(3, c), lambda c: lattice_terms(3, c), tree_terms],
+    ids=["d_egf", "lattice_terms", "tree_terms"],
+)
+def test_series_terms_prefix_and_edge_counts(terms):
+    assert terms(0) == []
+    assert terms(1) == [1]
+    assert terms(25)[:7] == terms(7)
+    with pytest.raises(ValueError):
+        terms(-1)
 
 
 # -- cross-window identities -----------------------------------------------------
