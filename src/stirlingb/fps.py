@@ -14,15 +14,12 @@ powers are formed: ``compose``, ``revert`` and the Riordan columns read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
-from typing import Iterable, Union
+from collections.abc import Iterable
 
 __all__ = ["FormalPowerSeries"]
-
-Scalar = Union[int, Fraction]
 
 
 def _frac(x) -> Fraction:
@@ -33,9 +30,15 @@ def _frac(x) -> Fraction:
     raise TypeError("exact coefficient expected (int or Fraction), got %r" % (x,))
 
 
-@dataclass(frozen=True)
 class FormalPowerSeries:
-    coeffs: tuple[Fraction, ...]  # coeffs[k] = [z^k]; len(coeffs) == order + 1
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        self.coeffs = coeffs  # coeffs[k] = [z^k]; len(coeffs) == order + 1
+
+    def __eq__(self, other):
+        return type(other) is FormalPowerSeries and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     # -- construction ------------------------------------------------------
 

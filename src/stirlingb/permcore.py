@@ -26,7 +26,6 @@ code with them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
@@ -63,16 +62,22 @@ def check_bound(size: int, bound: int | None = None) -> None:
         )
 
 
-@dataclass(frozen=True)
 class SignedPermutation:
     """One-line notation: image[i-1] = sigma(i), negative meaning barred."""
 
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.image)
-        if sorted(abs(v) for v in self.image) != list(range(1, n + 1)):
+    def __init__(self, image: tuple[int, ...]):
+        if sorted(abs(v) for v in image) != list(range(1, len(image) + 1)):
             raise ValueError("image must be a signing of a permutation of 1..n")
+        self.image = image
+
+    def __eq__(self, other):
+        return type(other) is SignedPermutation and self.image == other.image
+
+    def __hash__(self):
+        return hash(self.image)
+
+    def __repr__(self) -> str:
+        return "SignedPermutation(%r)" % (self.image,)
 
     @property
     def n(self) -> int:
@@ -85,11 +90,20 @@ class SignedPermutation:
         return -self.image[-i - 1]
 
 
-@dataclass(frozen=True)
 class Cycle:
     """One cycle, entries signed, starting at the minimal absolute value."""
 
-    entries: tuple[int, ...]
+    def __init__(self, entries: tuple[int, ...]):
+        self.entries = entries
+
+    def __eq__(self, other):
+        return type(other) is Cycle and self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return "Cycle(%r)" % (self.entries,)
 
     @property
     def order(self) -> int:
@@ -105,9 +119,18 @@ class Cycle:
         return any(abs(v) <= r for v in self.entries)
 
 
-@dataclass(frozen=True)
 class CycleDecomposition:
-    cycles: tuple[Cycle, ...]
+    def __init__(self, cycles: tuple[Cycle, ...]):
+        self.cycles = cycles
+
+    def __eq__(self, other):
+        return type(other) is CycleDecomposition and self.cycles == other.cycles
+
+    def __hash__(self):
+        return hash(self.cycles)
+
+    def __repr__(self) -> str:
+        return "CycleDecomposition(%r)" % (self.cycles,)
 
     def reconstruct(self) -> SignedPermutation:
         size = sum(c.order for c in self.cycles)

@@ -15,7 +15,6 @@ so an array reverts f and composes g with fbar at most once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
@@ -33,18 +32,24 @@ __all__ = [
 DEFAULT_ORDER = 16
 
 
-@dataclass(frozen=True)
 class ExpRiordanArray:
-    g: FormalPowerSeries
-    f: FormalPowerSeries
-
-    def __post_init__(self):
-        if self.g.coeff(0) == 0:
+    def __init__(self, g: FormalPowerSeries, f: FormalPowerSeries):
+        if g.coeff(0) == 0:
             raise ValueError("Riordan array needs g(0) != 0")
-        if self.f.order < 1 or self.f.coeff(0) != 0:
+        if f.order < 1 or f.coeff(0) != 0:
             raise ValueError("Riordan array needs f(0) = 0 and order >= 1")
-        if self.f.coeff(1) == 0:
+        if f.coeff(1) == 0:
             raise ValueError("Riordan array needs f'(0) != 0")
+        self.g, self.f = g, f
+
+    def __eq__(self, other):
+        return type(other) is ExpRiordanArray and (self.g, self.f) == (other.g, other.f)
+
+    def __hash__(self):
+        return hash((self.g, self.f))
+
+    def __repr__(self) -> str:
+        return "ExpRiordanArray(g=%r, f=%r)" % (self.g, self.f)
 
     @property
     def order(self) -> int:

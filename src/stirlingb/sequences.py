@@ -32,7 +32,6 @@ exact rational published as an int goes through ``_int``, which raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
 
@@ -537,11 +536,20 @@ def d_egf(r: int, count: int) -> list[int]:
     return [_int(series.egf_coeff(n), "d_egf(%d)[%d]" % (r, n)) for n in range(count)]
 
 
-@dataclass(frozen=True)
 class RPolynomial:
     """A polynomial in the special-element count r, ascending coefficients."""
 
-    coeffs: tuple[int, ...]
+    def __init__(self, coeffs: tuple[int, ...]):
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        return type(other) is RPolynomial and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return "RPolynomial(%r)" % (self.coeffs,)
 
     @property
     def degree(self) -> int:

@@ -15,7 +15,6 @@ failing scope.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
@@ -46,41 +45,63 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Mismatch:
-    check: str
-    coordinates: tuple[tuple[str, object], ...]
-    left: tuple[str, object]
-    right: tuple[str, object]
+    """The first disagreeing cell of a check: its coordinates as (name,
+    value) pairs and each side as (provenance, value)."""
+
+    def __init__(self, check: str, coordinates: tuple, left: tuple, right: tuple):
+        self.check, self.coordinates = check, coordinates
+        self.left, self.right = left, right
+
+    def _fields(self) -> tuple:
+        return self.check, self.coordinates, self.left, self.right
+
+    def __eq__(self, other):
+        return type(other) is Mismatch and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "Mismatch(%r, %r, %r, %r)" % self._fields()
 
     def describe(self) -> str:
         coords = ", ".join("%s=%s" % kv for kv in self.coordinates)
         return "%s at (%s): %s gives %s but %s gives %s" % (
-            self.check,
-            coords,
-            self.left[0],
-            self.left[1],
-            self.right[0],
-            self.right[1],
+            (self.check, coords, *self.left, *self.right)
         )
 
 
-@dataclass
 class CheckResult:
-    name: str
-    comparisons: int = 0
-    mismatch: Mismatch | None = None
-    notes: tuple[str, ...] = ()
+    """One check: its comparison count, its `Mismatch` or None, its notes."""
+
+    def __init__(self, name: str, comparisons: int = 0, mismatch=None, notes=()):
+        self.name, self.comparisons = name, comparisons
+        self.mismatch, self.notes = mismatch, notes
+
+    def _fields(self) -> tuple:
+        return self.name, self.comparisons, self.mismatch, self.notes
+
+    def __eq__(self, other):
+        return type(other) is CheckResult and self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "CheckResult(%r, %r, %r, %r)" % self._fields()
 
     @property
     def ok(self) -> bool:
         return self.mismatch is None
 
 
-@dataclass
 class VerificationReport:
-    scope: str
-    results: list[CheckResult] = field(default_factory=list)
+    def __init__(self, scope: str, results: list[CheckResult] | None = None):
+        self.scope, self.results = scope, [] if results is None else results
+
+    def __eq__(self, other):
+        return type(other) is VerificationReport and vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return "VerificationReport(%r, %r)" % (self.scope, self.results)
 
     @property
     def ok(self) -> bool:
@@ -176,17 +197,10 @@ def check_riordan(
             ident = ExpRiordanArray.identity(inv_order)
             for n in range(inv_order + 1):
                 for k in range(n + 1):
-                    want = ident.entry(n, k)
-                    yield (
-                        (("r", r), ("n", n), ("k", k), ("side", "right")),
-                        ("riordan", prod.entry(n, k)),
-                        ("riordan", want),
-                    )
-                    yield (
-                        (("r", r), ("n", n), ("k", k), ("side", "left")),
-                        ("riordan", prod2.entry(n, k)),
-                        ("riordan", want),
-                    )
+                    want = ("riordan", ident.entry(n, k))
+                    for side, got in (("right", prod), ("left", prod2)):
+                        coords = (("r", r), ("n", n), ("k", k), ("side", side))
+                        yield coords, ("riordan", got.entry(n, k)), want
 
     def inverse_recurrence():
         for r in range(max_r + 1):
@@ -229,26 +243,13 @@ def check_riordan(
             for n in range(law_order + 1):
                 for k in range(n + 1):
                     base = (("sample", idx), ("n", n), ("k", k))
-                    yield (
-                        base + (("law", "unit"),),
-                        ("riordan", unit.entry(n, k)),
-                        ("riordan", a.entry(n, k)),
-                    )
-                    yield (
-                        base + (("law", "inverse"),),
-                        ("riordan", inv.entry(n, k)),
-                        ("riordan", ident.entry(n, k)),
-                    )
-                    yield (
-                        base + (("law", "associativity"),),
-                        ("riordan", left.entry(n, k)),
-                        ("riordan", right.entry(n, k)),
-                    )
-                    yield (
-                        base + (("law", "production"),),
-                        ("riordan", rebuilt[n][k]),
-                        ("riordan", a.entry(n, k)),
-                    )
+                    for law, got, want in (
+                        ("unit", unit.entry(n, k), a.entry(n, k)),
+                        ("inverse", inv.entry(n, k), ident.entry(n, k)),
+                        ("associativity", left.entry(n, k), right.entry(n, k)),
+                        ("production", rebuilt[n][k], a.entry(n, k)),
+                    ):
+                        yield (*base, ("law", law)), ("riordan", got), ("riordan", want)
 
     return _collect(
         "riordan",
@@ -293,19 +294,13 @@ def check_oracle(
         for m in (1, 2, 3):
             for r in range(max_r + 1):
                 for n in range(max_n + 1):
-                    first, second = sequences.diagonals_delta(n, r, m)
-                    if n + 1 <= max_n:
-                        yield (
-                            (("m", m), ("r", r), ("entry", "(n+1,n)"), ("n", n)),
-                            ("explicit", first),
-                            ("oracle", oracle_triangle(n + 1, r, n, "assoc", m, bound=bound)),
-                        )
-                    if n + 2 <= max_n:
-                        yield (
-                            (("m", m), ("r", r), ("entry", "(n+2,n)"), ("n", n)),
-                            ("explicit", second),
-                            ("oracle", oracle_triangle(n + 2, r, n, "assoc", m, bound=bound)),
-                        )
+                    for d, value in enumerate(sequences.diagonals_delta(n, r, m), 1):
+                        if n + d <= max_n:
+                            yield (
+                                (("m", m), ("r", r), ("entry", "(n+%d,n)" % d), ("n", n)),
+                                ("explicit", value),
+                                ("oracle", oracle_triangle(n + d, r, n, "assoc", m, bound=bound)),
+                            )
 
     return _collect(
         "oracle",
@@ -393,9 +388,11 @@ def check_asymptotic(
         ratio = Fraction(sequences.d_rec(r, n), factorial(n)) / sequences.d_asym(r, n)
         return abs(ratio / target - 1)
 
+    # formed once per (r, n): the first check reads them all, the notes the last
+    errors_by_r = {r: [ratio_error(r, n) for n in grid] for r in checked_r}
+
     def decreasing():
-        for r in checked_r:
-            errors = [ratio_error(r, n) for n in grid]
+        for r, errors in errors_by_r.items():
             for a, b, na, nb in zip(errors, errors[1:], grid, grid[1:]):
                 yield (
                     (("r", r), ("from_n", na), ("to_n", nb)),
@@ -426,10 +423,10 @@ def check_asymptotic(
     first = report.results[0]
     notes = []
     if first.ok and grid:
-        for r in checked_r:
+        for r, errors in errors_by_r.items():
             notes.append(
                 "r=%d error at n=%d: %s"
-                % (r, grid[-1], _format_fraction(ratio_error(r, grid[-1]), precision))
+                % (r, grid[-1], _format_fraction(errors[-1], precision))
             )
     if max_r > _ASYMPTOTIC_MAX_R:
         notes.append(

@@ -1,10 +1,18 @@
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stirlingb import sequences
-from stirlingb.cli import main
+from stirlingb.cli import FAMILIES, main
+from stirlingb.verify import SCOPES
 
 
 def _run(capsys, argv):
@@ -290,3 +298,104 @@ def test_verify_asymptotic_reports_r_cap(capsys):
     # at the default max_r = 2 there is nothing to report
     _, out, _ = _run(capsys, ["verify", "asymptotic"])
     assert "not checked" not in out
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter, so modules other tests imported do not count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import stirlingb.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(proc.stdout.split())
+    assert "stirlingb.cli" in loaded
+    assert loaded & {"dataclasses", "inspect"} == set()
+
+
+def _ints(low, high):
+    return st.integers(low, high).map(str)
+
+
+# flag -> the values drawn for it, in range or not; fuzzed_argv adds malformed ones
+FUZZ_FLAGS = {
+    "table": {
+        "--m": _ints(-1, 4),
+        "--r": _ints(-1, 3),
+        "--rows": _ints(-1, 6),
+        "--terms": _ints(-1, 6),
+        "--mode": st.sampled_from(["assoc", "restr", "free"]),
+        "--format": st.sampled_from(["csv", "json", "pretty", "xml"]),
+    },
+    "verify": {
+        "--max-n": _ints(-1, 4),
+        "--max-r": _ints(-1, 2),
+        "--seed": _ints(-5, 5),
+        "--samples": _ints(-1, 2),
+        "--max-enum": _ints(-1, 5),
+        "--precision": _ints(-1, 40),
+    },
+    "oracle": {
+        "--n": _ints(-2, 5),
+        "--r": _ints(-2, 2),
+        "--k": _ints(-2, 6),
+        "--m": _ints(-1, 5),
+        "--mode": st.sampled_from(["assoc", "restr", "free"]),
+        "--max-enum": _ints(-1, 5),
+    },
+}
+FUZZ_FLAGS["seq"] = FUZZ_FLAGS["table"]
+FUZZ_POSITIONAL = {
+    "table": FAMILIES + ("bogus",),
+    "seq": FAMILIES,
+    "verify": SCOPES + ("bogus",),
+    "oracle": (),
+}
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """argv that parses about half the time; the rest carries a value that
+    is not an integer or a choice, an unknown flag or a missing one."""
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS) + ["bogus"]))
+    argv = [command]
+    if command == "bogus":
+        return argv
+    malformed = draw(st.booleans())
+    junk = st.sampled_from(["x", "1.5", ""]) if malformed else st.nothing()
+    if FUZZ_POSITIONAL[command]:
+        argv.append(draw(st.sampled_from(FUZZ_POSITIONAL[command])))
+    flags = FUZZ_FLAGS[command]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True))
+    if command == "oracle" and not malformed and "--n" not in chosen:
+        chosen.append("--n")
+    for flag in chosen:
+        argv += [flag, draw(flags[flag] | junk)]
+    # verify's default grids are large: keep the fuzzed ones small
+    if command == "verify":
+        argv += ["--max-n", draw(_ints(-1, 4)), "--max-r", draw(_ints(-1, 2))]
+    if malformed:
+        extra = st.sampled_from(["--help", "--bogus", "7", "--n"])
+        argv += draw(st.lists(extra, max_size=1))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzzed_argv())
+def test_fuzzed_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code in (0, 2), (argv, exc.code)
+            return
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

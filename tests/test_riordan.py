@@ -1,6 +1,8 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stirlingb.fps import FormalPowerSeries as FPS
 from stirlingb.riordan import (
@@ -209,3 +211,33 @@ def test_inverse_table_r3():
             assert conj.entry(n, k) == INVERSE_R3[n][k], (n, k)
             assert inverse_triangle_rec(n, k, 3) == INVERSE_R3[n][k]
 
+
+# small rationals n/d with |n| <= 2 and d <= 3, drawn as two integers
+SMALL_FRACTIONS = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+
+
+@st.composite
+def array_triples(draw):
+    """Three random rational arrays of one order 1..8: g(0) != 0 and
+    f = f_1 z + ... with f_1 != 0."""
+    order = draw(st.integers(1, 8))
+    arrays = []
+    for _ in range(3):
+        g = draw(st.lists(SMALL_FRACTIONS, min_size=order + 1, max_size=order + 1))
+        f = draw(st.lists(SMALL_FRACTIONS, min_size=order + 1, max_size=order + 1))
+        g[0], f[0] = g[0] or Fraction(1), Fraction(0)
+        f[1] = f[1] or Fraction(-1)
+        arrays.append(ExpRiordanArray(FPS.from_coeffs(g), FPS.from_coeffs(f)))
+    return arrays
+
+
+@settings(max_examples=40, deadline=None)
+@given(array_triples())
+def test_group_laws_on_random_arrays(triple):
+    a, b, c = triple
+    ident = ExpRiordanArray.identity(a.order)
+    assert a.multiply(b).multiply(c) == a.multiply(b.multiply(c))
+    assert a.multiply(a.invert()) == ident
+    assert a.invert().multiply(a) == ident
+    assert a.invert().invert() == a
+    assert a.multiply(ident) == a == ident.multiply(a)
