@@ -19,6 +19,8 @@ from functools import cached_property
 from math import factorial
 from collections.abc import Iterable
 
+from ._record import Record
+
 __all__ = ["FormalPowerSeries"]
 
 
@@ -30,15 +32,11 @@ def _frac(x) -> Fraction:
     raise TypeError("exact coefficient expected (int or Fraction), got %r" % (x,))
 
 
-class FormalPowerSeries:
+class FormalPowerSeries(Record):
+    _fields = ("coeffs",)
+
     def __init__(self, coeffs: tuple[Fraction, ...]):
         self.coeffs = coeffs  # coeffs[k] = [z^k]; len(coeffs) == order + 1
-
-    def __eq__(self, other):
-        return type(other) is FormalPowerSeries and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     # -- construction ------------------------------------------------------
 

@@ -20,13 +20,16 @@ cycles) sign choices: a cycle outside the window is forced all-barred, any
 other bar is free, so that is the number of sign masks an exhaustive count
 over all 2^n of them would accept.  It is the ground truth the closed forms,
 recurrences and Riordan constructions are tested against, and shares no
-code with them.
+counting code with them: it imports only the standard library and the
+record base.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+
+from ._record import Record
 
 __all__ = [
     "DEFAULT_MAX_ENUM",
@@ -62,22 +65,15 @@ def check_bound(size: int, bound: int | None = None) -> None:
         )
 
 
-class SignedPermutation:
+class SignedPermutation(Record):
     """One-line notation: image[i-1] = sigma(i), negative meaning barred."""
+
+    _fields = ("image",)
 
     def __init__(self, image: tuple[int, ...]):
         if sorted(abs(v) for v in image) != list(range(1, len(image) + 1)):
             raise ValueError("image must be a signing of a permutation of 1..n")
         self.image = image
-
-    def __eq__(self, other):
-        return type(other) is SignedPermutation and self.image == other.image
-
-    def __hash__(self):
-        return hash(self.image)
-
-    def __repr__(self) -> str:
-        return "SignedPermutation(%r)" % (self.image,)
 
     @property
     def n(self) -> int:
@@ -90,20 +86,13 @@ class SignedPermutation:
         return -self.image[-i - 1]
 
 
-class Cycle:
+class Cycle(Record):
     """One cycle, entries signed, starting at the minimal absolute value."""
+
+    _fields = ("entries",)
 
     def __init__(self, entries: tuple[int, ...]):
         self.entries = entries
-
-    def __eq__(self, other):
-        return type(other) is Cycle and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return "Cycle(%r)" % (self.entries,)
 
     @property
     def order(self) -> int:
@@ -119,18 +108,11 @@ class Cycle:
         return any(abs(v) <= r for v in self.entries)
 
 
-class CycleDecomposition:
+class CycleDecomposition(Record):
+    _fields = ("cycles",)
+
     def __init__(self, cycles: tuple[Cycle, ...]):
         self.cycles = cycles
-
-    def __eq__(self, other):
-        return type(other) is CycleDecomposition and self.cycles == other.cycles
-
-    def __hash__(self):
-        return hash(self.cycles)
-
-    def __repr__(self) -> str:
-        return "CycleDecomposition(%r)" % (self.cycles,)
 
     def reconstruct(self) -> SignedPermutation:
         size = sum(c.order for c in self.cycles)
@@ -188,11 +170,16 @@ def _window_ok(length: int, mode: str, m: int) -> bool:
     return length <= m
 
 
-def _validate_mode(mode: str, m: int) -> None:
+def _check_query(n: int, r: int, mode: str, m: int, bound: int | None) -> None:
+    """The argument checks of the oracle queries, in order: n and r, mode, m,
+    then the enumeration bound."""
+    if n < 0 or r < 0:
+        raise ValueError("n and r must be >= 0")
     if mode not in MODES:
         raise ValueError("mode must be one of %s, got %r" % (MODES, mode))
     if m < 0:
         raise ValueError("m must be >= 0")
+    check_bound(n + r, bound)
 
 
 @lru_cache(maxsize=None)
@@ -240,10 +227,7 @@ def oracle_triangle(
     special elements 1..r in distinct cycles, and every cycle either inside
     the mode/m window or all-barred.
     """
-    if n < 0 or r < 0:
-        raise ValueError("n and r must be >= 0")
-    _validate_mode(mode, m)
-    check_bound(n + r, bound)
+    _check_query(n, r, mode, m, bound)
     if k < 0 or k > n:
         return 0
     return _census(n, r, mode, m)[k]
@@ -251,8 +235,5 @@ def oracle_triangle(
 
 def oracle_total(n: int, r: int, mode: str, m: int, *, bound: int | None = None) -> int:
     """Sum of oracle_triangle over all k (0..n)."""
-    if n < 0 or r < 0:
-        raise ValueError("n and r must be >= 0")
-    _validate_mode(mode, m)
-    check_bound(n + r, bound)
+    _check_query(n, r, mode, m, bound)
     return sum(_census(n, r, mode, m))

@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial
 
+from ._record import Record
 from .fps import FormalPowerSeries
 
 __all__ = [
@@ -32,7 +33,9 @@ __all__ = [
 DEFAULT_ORDER = 16
 
 
-class ExpRiordanArray:
+class ExpRiordanArray(Record):
+    _fields = ("g", "f")
+
     def __init__(self, g: FormalPowerSeries, f: FormalPowerSeries):
         if g.coeff(0) == 0:
             raise ValueError("Riordan array needs g(0) != 0")
@@ -41,12 +44,6 @@ class ExpRiordanArray:
         if f.coeff(1) == 0:
             raise ValueError("Riordan array needs f'(0) != 0")
         self.g, self.f = g, f
-
-    def __eq__(self, other):
-        return type(other) is ExpRiordanArray and (self.g, self.f) == (other.g, other.f)
-
-    def __hash__(self):
-        return hash((self.g, self.f))
 
     def __repr__(self) -> str:
         return "ExpRiordanArray(g=%r, f=%r)" % (self.g, self.f)

@@ -35,6 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, perm
 
+from ._record import Record
 from .fps import FormalPowerSeries
 from .numeric import binomial, falling_factorial, rising_factorial
 from .riordan import DEFAULT_ORDER
@@ -155,6 +156,10 @@ class _Rows:
                     rows.append(table._next(len(rows)))
         return self.rows[n]
 
+    def cell(self, n: int, k: int):
+        """Entry k of row n of a triangle; 0 outside 0 <= k <= n."""
+        return self.row(n)[k] if 0 <= k <= n else 0
+
     def _next(self, n: int):
         raise NotImplementedError
 
@@ -238,9 +243,7 @@ def triangle_ge2_rec(n: int, k: int, r: int) -> int:
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return _r_table(_Ge2Rows, r).row(n)[k]
+    return _r_table(_Ge2Rows, r).cell(n, k)
 
 
 class _Ge2AltRows(_Rows):
@@ -260,9 +263,7 @@ def triangle_ge2_alt_rec(n: int, k: int) -> int:
     """The r = 0 case again, via the independent three-term recurrence
     t(n+1, k) = 2n t(n, k) + 2n t(n-1, k-1) + t(n, k-1).  Test cross-check.
     """
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return _table(_Ge2AltRows).row(n)[k]
+    return _table(_Ge2AltRows).cell(n, k)
 
 
 # -- the general ord >= m triangle ---------------------------------------------
@@ -353,9 +354,7 @@ class _GemRows(_Rows):
 
 
 def _gem(n: int, k: int, r: int, m: int) -> int:
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return _r_table(_GemRows, r, m).row(n)[k]
+    return _r_table(_GemRows, r, m).cell(n, k)
 
 
 def triangle_gem_rec(n: int, k: int, r: int, m: int) -> int:
@@ -428,9 +427,7 @@ def stirlingA(n: int, k: int, mode: str, m: int) -> int:
     >= m ("assoc").  No signs and no exemption here."""
     if mode not in ("restr", "assoc"):
         raise ValueError("mode must be 'restr' or 'assoc', got %r" % (mode,))
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return _table(_StirlingARows, mode, m).row(n)[k]
+    return _table(_StirlingARows, mode, m).cell(n, k)
 
 
 class _RStirling1Rows(_Rows):
@@ -453,9 +450,7 @@ def rstirling1(n: int, k: int, r: int) -> int:
     cycles (classical r-Stirling numbers of the first kind)."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    if k < 0 or k > n:
-        return 0
-    return _table(_RStirling1Rows, r).row(n)[k]
+    return _table(_RStirling1Rows, r).cell(n, k)
 
 
 def incomplete_factorial(n: int, mode: str, m: int) -> int:
@@ -536,20 +531,13 @@ def d_egf(r: int, count: int) -> list[int]:
     return [_int(series.egf_coeff(n), "d_egf(%d)[%d]" % (r, n)) for n in range(count)]
 
 
-class RPolynomial:
+class RPolynomial(Record):
     """A polynomial in the special-element count r, ascending coefficients."""
+
+    _fields = ("coeffs",)
 
     def __init__(self, coeffs: tuple[int, ...]):
         self.coeffs = coeffs
-
-    def __eq__(self, other):
-        return type(other) is RPolynomial and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return "RPolynomial(%r)" % (self.coeffs,)
 
     @property
     def degree(self) -> int:
@@ -688,9 +676,7 @@ def inverse_triangle_rec(n: int, k: int, r: int) -> int:
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return _table(_InverseRows, r).row(n)[k]
+    return _table(_InverseRows, r).cell(n, k)
 
 
 def tree_terms(count: int) -> list[int]:

@@ -21,6 +21,7 @@ from functools import cache
 from math import factorial
 
 from . import sequences
+from ._record import Record
 from .fps import FormalPowerSeries
 from .permcore import check_bound, oracle_total, oracle_triangle
 from .riordan import (
@@ -45,25 +46,15 @@ __all__ = [
 ]
 
 
-class Mismatch:
+class Mismatch(Record):
     """The first disagreeing cell of a check: its coordinates as (name,
     value) pairs and each side as (provenance, value)."""
+
+    _fields = ("check", "coordinates", "left", "right")
 
     def __init__(self, check: str, coordinates: tuple, left: tuple, right: tuple):
         self.check, self.coordinates = check, coordinates
         self.left, self.right = left, right
-
-    def _fields(self) -> tuple:
-        return self.check, self.coordinates, self.left, self.right
-
-    def __eq__(self, other):
-        return type(other) is Mismatch and self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return "Mismatch(%r, %r, %r, %r)" % self._fields()
 
     def describe(self) -> str:
         coords = ", ".join("%s=%s" % kv for kv in self.coordinates)
@@ -72,47 +63,31 @@ class Mismatch:
         )
 
 
-class CheckResult:
+class CheckResult(Record):
     """One check: its comparison count, its `Mismatch` or None, its notes."""
+
+    _fields = ("name", "comparisons", "mismatch", "notes")
+    __hash__ = None  # mutable: `_collect` counts into it
 
     def __init__(self, name: str, comparisons: int = 0, mismatch=None, notes=()):
         self.name, self.comparisons = name, comparisons
         self.mismatch, self.notes = mismatch, notes
-
-    def _fields(self) -> tuple:
-        return self.name, self.comparisons, self.mismatch, self.notes
-
-    def __eq__(self, other):
-        return type(other) is CheckResult and self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return "CheckResult(%r, %r, %r, %r)" % self._fields()
 
     @property
     def ok(self) -> bool:
         return self.mismatch is None
 
 
-class VerificationReport:
+class VerificationReport(Record):
+    _fields = ("scope", "results")
+    __hash__ = None  # mutable: its results list grows
+
     def __init__(self, scope: str, results: list[CheckResult] | None = None):
         self.scope, self.results = scope, [] if results is None else results
-
-    def __eq__(self, other):
-        return type(other) is VerificationReport and vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        return "VerificationReport(%r, %r)" % (self.scope, self.results)
 
     @property
     def ok(self) -> bool:
         return all(res.ok for res in self.results)
-
-    @property
-    def failure(self) -> Mismatch | None:
-        for res in self.results:
-            if res.mismatch is not None:
-                return res.mismatch
-        return None
 
     @property
     def comparisons(self) -> int:

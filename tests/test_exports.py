@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -26,3 +27,23 @@ def test_no_assert_statements(name):
         tree = ast.parse(handle.read(), path)
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], "%s has assert statements at lines %s" % (path, lines)
+
+
+def test_oracle_imports_only_stdlib_and_the_record_base():
+    # the oracle is the route every other one is checked against, so it may
+    # share the record base with them and nothing else
+    path = importlib.import_module("stirlingb.permcore").__file__
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    outside = [
+        name
+        for name in imported
+        if name != "._record" and name.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert "._record" in imported and outside == []

@@ -7,6 +7,7 @@ from stirlingb.permcore import (
     Cycle,
     EnumerationLimitError,
     SignedPermutation,
+    _census,
     cycle_decompose,
     enumerate_signed,
     is_derangement_B,
@@ -162,6 +163,31 @@ def test_oracle_free_sign_reduction():
 def test_oracle_out_of_range_k():
     assert oracle_triangle(2, 1, 5, "assoc", 2) == 0
     assert oracle_triangle(2, 1, -1, "assoc", 2) == 0
+
+
+@pytest.mark.parametrize("query", [oracle_triangle, oracle_total], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "n, mode, m, error, message",
+    [
+        (-1, "weird", -1, ValueError, "n and r must be >= 0"),
+        (1, "weird", -1, ValueError, "mode must be one of"),
+        (1, "assoc", -1, ValueError, "m must be >= 0"),
+        (1, "assoc", 2, EnumerationLimitError, "exceeds the bound 0"),
+    ],
+)
+def test_oracle_checks_run_in_order(query, n, mode, m, error, message):
+    # every argument is bad from the first on, so the first failing check shows
+    args = (n, 0, 5, mode, m) if query is oracle_triangle else (n, 0, mode, m)
+    with pytest.raises(error, match=message):
+        query(*args, bound=0)
+
+
+def test_oracle_out_of_range_k_runs_no_census():
+    before = _census.cache_info()
+    assert oracle_triangle(3, 1, 4, "assoc", 3) == 0
+    assert oracle_triangle(3, 1, -1, "restr", 3) == 0
+    after = _census.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_oracle_validation():

@@ -149,6 +149,41 @@ def test_triangle_ge2_row_sums_are_d():
             assert total == d_rec(r, n), (r, n)
 
 
+POINT_FUNCTIONS = {
+    "triangle_ge2_rec": lambda n, k: triangle_ge2_rec(n, k, 1),
+    "triangle_ge2_alt_rec": triangle_ge2_alt_rec,
+    "_gem": lambda n, k: _gem(n, k, 1, 3),
+    "stirlingA": lambda n, k: stirlingA(n, k, "assoc", 2),
+    "rstirling1": lambda n, k: rstirling1(n, k, 1),
+    "inverse_triangle_rec": lambda n, k: inverse_triangle_rec(n, k, 1),
+}
+
+
+@pytest.mark.parametrize("point", POINT_FUNCTIONS.values(), ids=list(POINT_FUNCTIONS))
+def test_point_functions_are_zero_off_the_triangle(point):
+    for n, k in [(-1, -1), (-1, 0), (0, 1), (3, -1), (3, 4), (40, 41)]:
+        assert point(n, k) == 0, (n, k)
+    assert any(point(4, k) for k in range(5))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: triangle_ge2_rec(-1, 5, -1),
+        lambda: triangle_gem_rec(-1, 5, -1, 3),
+        lambda: stirlingA(-1, 5, "weird", 2),
+        lambda: rstirling1(-1, 5, -1),
+        lambda: inverse_triangle_rec(-1, 5, -1),
+    ],
+    ids=["triangle_ge2_rec", "triangle_gem_rec", "stirlingA", "rstirling1", "inverse"],
+)
+def test_bad_r_or_mode_raises_before_a_table_is_made(call):
+    tables = set(sequences._TABLES)
+    with pytest.raises(ValueError):
+        call()
+    assert set(sequences._TABLES) == tables
+
+
 def test_triangle_ge2_validation():
     with pytest.raises(ValueError):
         triangle_ge2_rec(2, 0, -1)
