@@ -15,13 +15,18 @@ The counting oracle counts, for the first r elements "special", the signed
 permutations whose every cycle either has window length inside the mode's
 range (order >= m for "assoc", order <= m for "restr") or is all-barred,
 with the special elements in distinct cycles.  Bars do not move the cycles,
-so it enumerates every permutation and credits it 2^(values outside forced
-cycles) sign choices: a cycle outside the window is forced all-barred, any
-other bar is free, so that is the number of sign masks an exhaustive count
-over all 2^n of them would accept.  It is the ground truth the closed forms,
-recurrences and Riordan constructions are tested against, and shares no
-counting code with them: it imports only the standard library and the
-record base.
+so it credits each permutation 2^(values outside forced cycles) sign
+choices: a cycle outside the window is forced all-barred, any other bar is
+free, so that is the number of sign masks an exhaustive count over all 2^n
+of them would accept.  Whether a permutation qualifies, and for which k,
+depends only on its sorted cycle lengths and on how many leading elements
+lie in distinct cycles.  So one walk per size builds every permutation once,
+directly in cycle form, and tallies it by those two facts (`_tally`); every
+census of that size, for any r, mode and m, is read off the tally.  Both
+are cached: the tally per size, the census per query.  The oracle is the
+ground truth the closed forms, recurrences and Riordan constructions are
+tested against, and shares no counting code with them: it imports only the
+standard library and the record base.
 """
 
 from __future__ import annotations
@@ -183,40 +188,80 @@ def _check_query(n: int, r: int, mode: str, m: int, bound: int | None) -> None:
 
 
 @lru_cache(maxsize=None)
+def _tally(size: int) -> dict[tuple[tuple[int, ...], int], int]:
+    """(sorted cycle lengths, R) -> number of permutations of 0..size-1, R
+    the largest r with 0..r-1 in distinct cycles.  Callers share the dict.
+
+    The walk builds each permutation once, in cycle form: element j opens a
+    new cycle or goes right after one of 0..j-1, and each of those j+1
+    choices gives a distinct permutation.  Insertions never merge cycles, so
+    R is the first element that joins a cycle (size if none does).  A leaf's
+    key is R plus (size+1)^L summed over the cycles, L their lengths: digit
+    L in base size+1 counts cycles of length L, and digit 0 is R.
+    """
+    base = size + 1
+    grow = [base ** (length + 1) - base**length for length in range(size)]
+    owner = [0] * size  # the cycle of each placed element
+    lens = [0] * size  # the length of each open cycle
+    keys: dict[int, int] = {}
+    last = size - 1
+
+    def walk(j: int, cycles: int, key: int) -> None:
+        # elements 0..j-1 are placed in `cycles` cycles; while each of them
+        # opened its own (cycles == j), placing j in a cycle fixes R = j
+        leading = cycles == j
+        joined = key + j if leading else key
+        if j == last:
+            leaf = key + base + (size if leading else 0)
+            keys[leaf] = keys.get(leaf, 0) + 1
+            for c in owner[:j]:
+                leaf = joined + grow[lens[c]]
+                keys[leaf] = keys.get(leaf, 0) + 1
+            return
+        owner[j] = cycles
+        lens[cycles] = 1
+        walk(j + 1, cycles + 1, key + base)
+        for c in owner[:j]:
+            length = lens[c]
+            owner[j] = c
+            lens[c] = length + 1
+            walk(j + 1, cycles, joined + grow[length])
+            lens[c] = length
+
+    if size == 0:
+        keys[0] = 1
+    else:
+        walk(0, 0, 0)
+    tally = {}
+    for key, count in keys.items():
+        code, lead = divmod(key, base)
+        lengths: list[int] = []
+        length = 1
+        while code:
+            code, digit = divmod(code, base)
+            lengths += [length] * digit
+            length += 1
+        tally[tuple(lengths), lead] = count
+    return tally
+
+
+@lru_cache(maxsize=None)
 def _census(n: int, r: int, mode: str, m: int) -> tuple[int, ...]:
     """counts[k] = signed permutations of [n+r] with k+r cycles such that
     every cycle is inside the mode/m window or all-barred and the special
-    values 1..r lie in distinct cycles.  Each permutation (0-based, specials
-    0..r-1) is credited 2^free, free = values outside window-breaking cycles:
-    their bars are forced and the rest are free, which is exactly how many of
-    the 2^(n+r) sign masks the exhaustive count would accept.
+    values 1..r lie in distinct cycles, read off the tally of size n+r: a
+    key qualifies when R >= r (specials 0..r-1, 0-based), and each of its
+    permutations is credited 2^free, free = values outside window-breaking
+    cycles: their bars are forced and the rest are free, which is exactly
+    how many of the 2^(n+r) sign masks the exhaustive count would accept.
     """
     size = n + r
     counts = [0] * (n + 1)
     inside = [_window_ok(length, mode, m) for length in range(size + 1)]
-    for perm in itertools.permutations(range(size)):
-        seen = bytearray(size)
-        free = size
-        n_cycles = 0
-        for start in range(size):
-            if seen[start]:
-                continue
-            length = 0
-            specials = 0
-            v = start
-            while not seen[v]:
-                seen[v] = 1
-                length += 1
-                if v < r:
-                    specials += 1
-                v = perm[v]
-            if specials > 1:
-                break
-            n_cycles += 1
-            if not inside[length]:
-                free -= length
-        else:
-            counts[n_cycles - r] += 1 << free
+    for (lengths, lead), count in _tally(size).items():
+        if lead >= r:
+            free = size - sum(length for length in lengths if not inside[length])
+            counts[len(lengths) - r] += count << free
     return tuple(counts)
 
 

@@ -316,12 +316,12 @@ def test_criterion_08_diagonal_closed_forms():
                 hard_bad.append((n, r, "second"))
     soft_bad = []
     for m in (1, 2, 3):
-        for r in range(7):
-            for n in range(7 - r):
+        for r in range(8):
+            for n in range(8 - r):
                 first, second = diagonals_delta(n, r, m)
-                if first != oracle_triangle(n + 1, r, n, "assoc", m):
+                if first != oracle_triangle(n + 1, r, n, "assoc", m, bound=9):
                     soft_bad.append((m, n, r, "first"))
-                if second != oracle_triangle(n + 2, r, n, "assoc", m):
+                if second != oracle_triangle(n + 2, r, n, "assoc", m, bound=9):
                     soft_bad.append((m, n, r, "second"))
     m2_conflicts = [t for t in soft_bad if t[0] == 2]
     ok = not hard_bad and not m2_conflicts
@@ -336,16 +336,16 @@ def test_criterion_08_diagonal_closed_forms():
 def test_criterion_09_general_window_m3():
     bad = []
     for r in range(3):
-        arr = make_triangle_B(3, r, order=6)
-        for n in range(7 - r):
+        arr = make_triangle_B(3, r, order=9)
+        for n in range(10 - r):
             for k in range(n + 1):
                 a = triangle_gem_rec(n, k, r, 3)
                 b = arr.entry(n, k)
-                c = oracle_triangle(n, r, k, "assoc", 3)
+                c = oracle_triangle(n, r, k, "assoc", 3, bound=9)
                 if not (a == b == c):
                     bad.append((n, k, r, a, b, c))
     ok = not bad
-    _report(9, "ord >= 3 triangle: recurrence, Riordan and oracle, r <= 2", ok)
+    _report(9, "ord >= 3 triangle: recurrence, Riordan, oracle; r <= 2, n+r <= 9", ok)
     assert not bad, bad[:5]
 
 

@@ -138,6 +138,19 @@ def test_oracle_bound_exit(capsys):
     assert code == 0
 
 
+def test_oracle_size_nine_needs_explicit_bound(capsys):
+    argv = ["oracle", "--n", "9", "--r", "0", "--mode", "assoc", "--m", "2"]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "exceeds the bound 8" in err
+    code, out, err = _run(capsys, argv + ["--max-enum", "9"])
+    assert code == 0 and err == ""
+    total = sum(sequences.triangle_gem_rec(9, k, 0, 2) for k in range(10))
+    assert out == "%d\n" % total
+    code, out, _ = _run(capsys, argv + ["--k", "3", "--max-enum", "9"])
+    assert code == 0 and out == "%d\n" % sequences.triangle_gem_rec(9, 3, 0, 2)
+
+
 def test_table_free_sign_usage_error(capsys):
     code, _, err = _run(capsys, ["table", "stirling-b", "--m", "1", "--rows", "3"])
     assert code == 2
