@@ -10,13 +10,18 @@ has a_n = n! * [z^n] A(z), see ``egf_coeff``.
 
 ``_powers`` tables self^0..self^order once per series and is the one place
 powers are formed: ``compose``, ``revert`` and the Riordan columns read it.
+
+``_ints`` caches a series over one denominator: ``(nums, d)`` with d the lcm
+of the coefficient denominators and coeffs[k] == nums[k] / d.  The O(order^3)
+kernels, ``*`` and ``compose``, sum integer products on it and form one
+normalized Fraction per output coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, lcm
 from collections.abc import Iterable
 
 from ._record import Record
@@ -103,6 +108,13 @@ class FormalPowerSeries(Record):
 
     # -- ring operations ----------------------------------------------------
 
+    @cached_property
+    def _ints(self) -> tuple[list[int], int]:
+        """(nums, d): the coefficients as nums[k] / d, d their least common
+        denominator."""
+        d = lcm(*(c.denominator for c in self.coeffs))
+        return [c.numerator * (d // c.denominator) for c in self.coeffs], d
+
     def _coerce(self, other) -> "FormalPowerSeries | None":
         if isinstance(other, FormalPowerSeries):
             return other
@@ -143,16 +155,15 @@ class FormalPowerSeries(Record):
         if not isinstance(other, FormalPowerSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (n + 1)
-        for i in range(min(len(a), n + 1)):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(min(len(b), n + 1 - i)):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-        return FormalPowerSeries(tuple(out))
+        (a, da), (b, db) = self._ints, other._ints
+        out = [0] * (n + 1)
+        for i, ai in enumerate(a[: n + 1]):
+            if ai:
+                for k, bj in enumerate(b[: n + 1 - i], i):
+                    if bj:
+                        out[k] += ai * bj
+        d = da * db
+        return FormalPowerSeries(tuple(Fraction(c, d) for c in out))
 
     __rmul__ = __mul__
 
@@ -176,34 +187,44 @@ class FormalPowerSeries(Record):
             return NotImplemented
         base = self if k >= 0 else self.reciprocal()
         k = abs(k)
-        result = FormalPowerSeries.one(self.order)
-        while k:
+        if not k:
+            return FormalPowerSeries.one(self.order)
+        while not k & 1:  # start from the lowest set bit's power, not from one
+            base, k = base * base, k >> 1
+        result, k = base, k >> 1
+        while k:  # and square only up to the top bit
+            base = base * base
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
         return result
 
     # -- composition and reversion -------------------------------------------
 
     @cached_property
-    def _powers(self) -> tuple[tuple[Fraction, ...], ...]:
-        """self^0..self^order as coefficient tuples; needs constant term 0, so
-        self^k starts at z^k and each product skips the zeros below it."""
+    def _powers(self) -> tuple["FormalPowerSeries", ...]:
+        """self^0..self^order; needs constant term 0, so self^k starts at z^k
+        and each product skips the zeros below it."""
         if self.coeffs[0] != 0:
             raise ValueError("composition requires inner constant term 0")
         powers = [FormalPowerSeries.one(self.order)]
         for _ in range(self.order):
             powers.append(powers[-1] * self)
-        return tuple(p.coeffs for p in powers)
+        return tuple(powers)
 
     def compose(self, inner: "FormalPowerSeries") -> "FormalPowerSeries":
         """self(inner) = sum_k c_k inner^k over inner's power table; needs
-        inner(0) = 0."""
+        inner(0) = 0.  With inner^k = nums_k / d_k, the weights c_k / d_k are
+        put over one denominator D, so each output coefficient is one integer
+        sum over D."""
         powers, n = inner._powers, min(self.order, inner.order)
-        terms = [(c, powers[k]) for k, c in enumerate(self.coeffs[: n + 1]) if c]
-        out = (sum((c * p[i] for c, p in terms if p[i]), Fraction(0)) for i in range(n + 1))
-        return FormalPowerSeries(tuple(out))
+        weights = [
+            (c / p._ints[1], p._ints[0]) for c, p in zip(self.coeffs[: n + 1], powers) if c
+        ]
+        d = lcm(*(w.denominator for w, _ in weights))
+        terms = [(w.numerator * (d // w.denominator), p) for w, p in weights]
+        out = (sum(w * p[i] for w, p in terms if p[i]) for i in range(n + 1))
+        return FormalPowerSeries(tuple(Fraction(c, d) for c in out))
 
     def revert(self) -> "FormalPowerSeries":
         """Compositional inverse fbar with self(fbar) = z = fbar(self).
@@ -223,7 +244,7 @@ class FormalPowerSeries(Record):
         inv = [Fraction(0)] * (n + 1)
         resid = [Fraction(0)] * (n + 1)
         resid[1] = Fraction(1)
-        for k, power in enumerate(self._powers[1:], 1):
+        for k, power in enumerate((p.coeffs for p in self._powers[1:]), 1):
             inv[k] = c = resid[k] / power[k]
             for i in range(k + 1, n + 1):
                 resid[i] -= c * power[i]

@@ -59,7 +59,7 @@ class ExpRiordanArray(Record):
     @cached_property
     def _table(self) -> tuple[tuple[Fraction, ...], ...]:
         n = self.order
-        cols = [(FormalPowerSeries(p) * self.g).coeffs for p in self.f._powers[: n + 1]]
+        cols = [(p * self.g).coeffs for p in self.f._powers[: n + 1]]
         return tuple(
             tuple(cols[k][i] * (factorial(i) // factorial(k)) for k in range(n + 1))
             for i in range(n + 1)

@@ -65,6 +65,10 @@ RIORDAN_GOLDEN = {
         "1ba2667166b369aba33e431650ee6b0f297182c7535c90955ec5eccd814cc04a",
     "seq tree --terms 30":
         "7a6cfe9b052d439ff088fd5219dc76d4fc9631b24736e7b0b6b5b127cc7287e7",
+    "seq lattice --terms 400 --r 4 --format csv":
+        "da47e94eae4840d7866cebe54bf86baf12d7146fb924bebe4c4a556e96bfd1a3",
+    "table inverse --rows 40 --r 3 --format csv":
+        "da2615c60aa69bddb0bb802aaa22142d11ecbabf8df9259747fccf9ed5f89ff6",
 }
 
 

@@ -116,12 +116,80 @@ def test_revert_is_a_two_sided_involution(f):
     assert fbar.revert() == f
 
 
+def schoolbook_mul(a, b):
+    """Reference product: one Fraction multiply-add per index pair, no ``*``
+    of series."""
+    n = min(a.order, b.order)
+    out = [Fraction(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a.coeffs[i] * b.coeffs[j]
+    return FPS(tuple(out))
+
+
+PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, int(p**0.5) + 1))]
+
+
+@st.composite
+def operands(draw):
+    """A series of order 0..16 with zero and negative coefficients, over small
+    denominators or over distinct primes below 1000 (a large lcm)."""
+    order = draw(st.integers(0, 16))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(SMALL_FRACTIONS, min_size=order + 1, max_size=order + 1))
+    else:
+        size = dict(min_size=order + 1, max_size=order + 1)
+        nums = draw(st.lists(st.integers(-60, 60), **size))
+        dens = draw(st.lists(st.sampled_from(PRIMES), unique=True, **size))
+        coeffs = [Fraction(a, d) for a, d in zip(nums, dens)]
+    return FPS.from_coeffs(coeffs, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operands(), operands())
+def test_mul_matches_schoolbook(a, b):
+    product = a * b
+    assert product.order == min(a.order, b.order)
+    assert product == schoolbook_mul(a, b)
+    assert all(type(c) is Fraction for c in product.coeffs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(operands(), st.one_of(st.integers(-7, 7), SMALL_FRACTIONS))
+def test_scalar_mul_matches_schoolbook(a, c):
+    expected = schoolbook_mul(FPS.constant(c, a.order), a)
+    assert a * c == expected
+    assert c * a == expected
+
+
+def test_pow_does_no_wasted_products(monkeypatch):
+    s = FPS.from_coeffs([2, Fraction(-1, 3), 0, 5], 7)
+    expected = {0: FPS.one(7)}
+    for k in range(1, 6):
+        expected[k] = schoolbook_mul(expected[k - 1], s)
+        expected[-k] = schoolbook_mul(expected[1 - k], s.reciprocal())
+    products = []
+    mul = FPS.__mul__
+
+    def counted_mul(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(FPS, "__mul__", counted_mul)
+    for k, cost in [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)]:
+        for exponent in (k, -k):
+            products.clear()
+            assert s**exponent == expected[exponent]
+            assert len(products) == cost, exponent
+
+
 def horner_compose(outer, inner):
-    """Reference composition by Horner's rule, from the top coefficient down."""
+    """Reference composition by Horner's rule, from the top coefficient down,
+    on the schoolbook product, so it shares no kernel with ``compose``."""
     n = min(outer.order, inner.order)
     result = FPS.constant(outer.coeffs[n], n)
     for k in range(n - 1, -1, -1):
-        result = result * inner.truncate(n) + outer.coeffs[k]
+        result = schoolbook_mul(result, inner.truncate(n)) + outer.coeffs[k]
     return result
 
 
