@@ -5,13 +5,12 @@ and the matching derangement-style counts along several independent routes
 (recurrences, explicit sums, exponential Riordan arrays, egf coefficients)
 and can cross-check all of them against a brute-force enumeration oracle.
 
-The package exports exactly the `__all__` names of `fps`, `numeric`,
-`permcore`, `riordan` and `sequences`.
+The package exports exactly the `__all__` names of `fps`, `permcore`,
+`riordan` and `sequences`.
 """
 
-from . import fps, numeric, permcore, riordan, sequences
+from . import fps, permcore, riordan, sequences
 from .fps import *  # noqa: F401,F403
-from .numeric import *  # noqa: F401,F403
 from .permcore import *  # noqa: F401,F403
 from .riordan import *  # noqa: F401,F403
 from .sequences import *  # noqa: F401,F403
@@ -20,6 +19,6 @@ __version__ = "0.1.0"
 
 __all__ = sorted(
     name
-    for module in (fps, numeric, permcore, riordan, sequences)
+    for module in (fps, permcore, riordan, sequences)
     for name in module.__all__
 ) + ["__version__"]

@@ -37,8 +37,6 @@ from math import comb, factorial, perm
 
 from ._record import Record
 from .fps import FormalPowerSeries
-from .numeric import binomial, falling_factorial, rising_factorial
-from .riordan import DEFAULT_ORDER
 
 __all__ = [
     "HOWARD_VARIANTS",
@@ -48,13 +46,11 @@ __all__ = [
     "d_explicit",
     "d_poly",
     "d_rec",
-    "d_series",
     "diagonals",
     "diagonals_delta",
     "howard_check",
     "incomplete_factorial",
     "inverse_triangle_rec",
-    "lah",
     "lattice_terms",
     "par_ge",
     "par_le",
@@ -82,15 +78,6 @@ def _series_order(count: int, shift: int = 0) -> int:
     if count < 0:
         raise ValueError("count must be >= 0, got %d" % (count,))
     return max(count - 1 + shift, 1)
-
-
-def lah(n: int, k: int) -> int:
-    """Lah numbers: ordered set partitions, (n!/k!) C(n-1, k-1); lah(0,0)=1."""
-    if n == 0 and k == 0:
-        return 1
-    if k <= 0 or k > n:
-        return 0
-    return factorial(n) // factorial(k) * comb(n - 1, k - 1)
 
 
 # -- compositions with bounded parts -----------------------------------------
@@ -503,21 +490,22 @@ def d_rec(r: int, n: int) -> int:
 
 
 def d_explicit(r: int, n: int) -> int:
-    """d(r, n) by the explicit double sum (exact rational inside)."""
-    total = Fraction(0)
-    for i in range(r + 1):
-        inner = Fraction(0)
-        for k in range(n - i + 1):
-            inner += (
-                comb(n - i, k)
-                * Fraction((-1) ** k, 2**k)
-                * rising_factorial(i + 1, n - i - k)
-            )
-        total += comb(r, i) * falling_factorial(n, i) * 2**i * inner
-    return _int(2**n * total, "d_explicit(%d, %d)" % (r, n))
+    """d(r, n) by the explicit double sum, all in integers."""
+    if r < 0 or n < 0:
+        raise ValueError("r and n must be >= 0")
+    return sum(
+        comb(r, i)
+        * perm(n, i)
+        * 2**i
+        * sum(
+            comb(n - i, k) * (-1) ** k * 2 ** (n - k) * perm(n - k, n - i - k)
+            for k in range(n - i + 1)
+        )
+        for i in range(r + 1)
+    )
 
 
-def d_series(r: int, order: int = DEFAULT_ORDER) -> FormalPowerSeries:
+def _d_series(r: int, order: int) -> FormalPowerSeries:
     """The egf e^(-x)/(1-2x) * ((1+2x)/(1-2x))^r."""
     inv = FormalPowerSeries.from_coeffs([1, -2], order).reciprocal()
     series = FormalPowerSeries.from_coeffs([0, -1], order).exp() * inv
@@ -525,9 +513,12 @@ def d_series(r: int, order: int = DEFAULT_ORDER) -> FormalPowerSeries:
         series = series * (FormalPowerSeries.from_coeffs([1, 2], order) * inv) ** r
     return series
 
+
 def d_egf(r: int, count: int) -> list[int]:
     """First `count` values of d(r, .) via egf coefficient extraction."""
-    series = d_series(r, _series_order(count))
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    series = _d_series(r, _series_order(count))
     return [_int(series.egf_coeff(n), "d_egf(%d)[%d]" % (r, n)) for n in range(count)]
 
 
@@ -548,27 +539,27 @@ class RPolynomial(Record):
 
 
 def d_poly(n: int) -> RPolynomial:
-    """d(., n) as a polynomial in r (degree n), by exact interpolation of
-    the recurrence values at r = 0..n."""
-    pts = [(x, d_rec(x, n)) for x in range(n + 1)]
-    coef = [Fraction(0)] * (n + 1)
-    for xi, yi in pts:
-        basis = [Fraction(1)]
-        denom = 1
-        for xj, _ in pts:
-            if xj == xi:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for idx, b in enumerate(basis):
-                new[idx] -= xj * b
-                new[idx + 1] += b
-            basis = new
-            denom *= xi - xj
-        scale = Fraction(yi, denom)
-        for idx, b in enumerate(basis):
-            coef[idx] += scale * b
+    """d(., n) as a polynomial in r (degree n), from the recurrence values at
+    r = 0..n by Newton forward differences, in integers:
+
+        n! d(r, n) = sum_j (Delta^j d)(0, n) (n!/j!) r(r-1)...(r-j+1)
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    diffs = [d_rec(r, n) for r in range(n + 1)]  # diffs[0] is (Delta^j d)(0, n)
+    scaled = [0] * (n + 1)  # n! times the coefficients
+    falling = [1]  # r(r-1)...(r-j+1), ascending
+    for j in range(n + 1):
+        weight = diffs[0] * perm(n, n - j)
+        for i, c in enumerate(falling):
+            scaled[i] += weight * c
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        falling = [a - j * b for a, b in zip([0] + falling, falling + [0])]
     return RPolynomial(
-        tuple(_int(c, "d_poly(%d) coefficient %d" % (n, i)) for i, c in enumerate(coef))
+        tuple(
+            _int(Fraction(c, factorial(n)), "d_poly(%d) coefficient %d" % (n, i))
+            for i, c in enumerate(scaled)
+        )
     )
 
 
@@ -576,16 +567,22 @@ def d_asym(r: int, n: int) -> Fraction:
     """Rational part of the large-n behaviour: d(r, n) ~ n! * d_asym / sqrt(e).
 
     The caller applies n! and the irrational 1/sqrt(e) at display time; the
-    library side stays exact.
+    library side stays exact.  The expansion is
+
+        (-2)^n sum_i C(r, i) 2^i (C(-i-1, n) - (2i-1)/2 C(-i, n)),
+
+    summed with C(-i-1, n) = (-1)^n C(n+i, n) and C(-i, n) =
+    (-1)^n C(n+i-1, n), except C(0, 0) = 1 at i = n = 0.
     """
-    total = Fraction(0)
-    for i in range(r + 1):
-        total += (
-            comb(r, i)
-            * 2**i
-            * (binomial(-i - 1, n) - Fraction(2 * i - 1, 2) * binomial(-i, n))
-        )
-    return (-2) ** n * total
+    if r < 0 or n < 0:
+        raise ValueError("r and n must be >= 0")
+    twice = sum(
+        comb(r, i)
+        * 2**i
+        * (2 * comb(n + i, n) - (2 * i - 1) * (comb(n + i - 1, n) if n + i else 1))
+        for i in range(r + 1)
+    )
+    return Fraction(2**n * twice, 2)
 
 
 # -- lattice paths, diagonals, inverse triangle, trees ---------------------------
@@ -594,6 +591,8 @@ def d_asym(r: int, n: int) -> Fraction:
 def lattice_terms(r: int, count: int) -> list[int]:
     """[x^n] ((1+x)/(1-x))^r for n < count: staircase lattice point counts,
     all read from one series."""
+    if r < 0:
+        raise ValueError("r must be >= 0")
     order = _series_order(count)
     series = (
         FormalPowerSeries.from_coeffs([1, 1], order)

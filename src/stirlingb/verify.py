@@ -18,6 +18,7 @@ import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import factorial
 
 from . import sequences
@@ -127,6 +128,20 @@ def _collect(scope: str, checks) -> VerificationReport:
     return report
 
 
+def _triangle(pair, labels, max_n, *axes):
+    """The cells of a triangle grid for `_collect`: every combination of the
+    outer `axes`, (name, values) pairs taken in order, then n <= max_n and
+    k <= n.  `pair(*outer, n, k)` gives the values of the two routes that
+    `labels` name, so each cell is evaluated once."""
+    names = [name for name, _ in axes]
+    for outer in product(*(values for _, values in axes)):
+        head = tuple(zip(names, outer))
+        for n in range(max_n + 1):
+            for k in range(n + 1):
+                left, right = pair(*outer, n, k)
+                yield head + (("n", n), ("k", k)), (labels[0], left), (labels[1], right)
+
+
 # -- riordan scope ---------------------------------------------------------------
 
 
@@ -147,24 +162,31 @@ def check_riordan(
     max_n: int, max_r: int, *, seed: int, samples: int, **_
 ) -> VerificationReport:
     order = max(max_n, 1)
-    # each array is built once per run, and with it its table and its inverse
+    rs = range(max_r + 1)
+    # each array is built once per run, and with it its table, its inverse,
+    # its conjugated inverse and its production-matrix rebuild
     triangle = cache(make_triangle_B)
 
+    @cache
+    def conjugate_inverse(r):
+        return unsigned_conjugate(triangle(2, r, order).invert())
+
+    @cache
+    def rebuilt(r):
+        return production_rebuild(triangle(2, r, order))
+
     def triangle_vs_riordan(m):
-        for r in range(max_r + 1):
-            arr = triangle(m, r, order)
-            for n in range(max_n + 1):
-                row = arr.row(n)
-                for k in range(n + 1):
-                    yield (
-                        (("m", m), ("r", r), ("n", n), ("k", k)),
-                        ("recurrence", sequences.triangle_gem_rec(n, k, r, m)),
-                        ("riordan", row[k]),
-                    )
+        return _triangle(
+            lambda m, r, n, k: (
+                sequences.triangle_gem_rec(n, k, r, m),
+                triangle(m, r, order).entry(n, k),
+            ),
+            ("recurrence", "riordan"), max_n, ("m", (m,)), ("r", rs),
+        )
 
     def inverse_identity():
         inv_order = min(order, 10)
-        for r in range(max_r + 1):
+        for r in rs:
             arr = triangle(2, r, inv_order)
             inv = arr.invert()
             prod = arr.multiply(inv)
@@ -178,28 +200,19 @@ def check_riordan(
                         yield coords, ("riordan", got.entry(n, k)), want
 
     def inverse_recurrence():
-        for r in range(max_r + 1):
-            conj = unsigned_conjugate(triangle(2, r, order).invert())
-            for n in range(max_n + 1):
-                for k in range(n + 1):
-                    yield (
-                        (("r", r), ("n", n), ("k", k)),
-                        ("recurrence", Fraction(sequences.inverse_triangle_rec(n, k, r))),
-                        ("riordan", conj.entry(n, k)),
-                    )
+        return _triangle(
+            lambda r, n, k: (
+                Fraction(sequences.inverse_triangle_rec(n, k, r)),
+                conjugate_inverse(r).entry(n, k),
+            ),
+            ("recurrence", "riordan"), max_n, ("r", rs),
+        )
 
     def production():
-        for r in range(max_r + 1):
-            arr = triangle(2, r, order)
-            rebuilt = production_rebuild(arr)
-            for n in range(arr.order + 1):
-                row = arr.row(n)
-                for k in range(n + 1):
-                    yield (
-                        (("r", r), ("n", n), ("k", k)),
-                        ("riordan", rebuilt[n][k]),
-                        ("riordan", row[k]),
-                    )
+        return _triangle(
+            lambda r, n, k: (rebuilt(r)[n][k], triangle(2, r, order).entry(n, k)),
+            ("riordan", "riordan"), order, ("r", rs),
+        )
 
     def random_laws():
         rng = random.Random(seed)
@@ -246,14 +259,13 @@ def check_oracle(
     max_n: int, max_r: int, *, bound: int | None, **_
 ) -> VerificationReport:
     def triangle_vs_oracle(m):
-        for r in range(max_r + 1):
-            for n in range(max_n + 1):
-                for k in range(n + 1):
-                    yield (
-                        (("m", m), ("r", r), ("n", n), ("k", k)),
-                        ("recurrence", sequences.triangle_gem_rec(n, k, r, m)),
-                        ("oracle", oracle_triangle(n, r, k, "assoc", m, bound=bound)),
-                    )
+        return _triangle(
+            lambda m, r, n, k: (
+                sequences.triangle_gem_rec(n, k, r, m),
+                oracle_triangle(n, r, k, "assoc", m, bound=bound),
+            ),
+            ("recurrence", "oracle"), max_n, ("m", (m,)), ("r", range(max_r + 1)),
+        )
 
     def totals_vs_convolution():
         for m in (2, 3):
@@ -292,41 +304,22 @@ def check_oracle(
 
 
 def check_howard(max_n: int, max_r: int, **_) -> VerificationReport:
-    def type_a():
-        for n in range(max_n + 1):
-            for k in range(n + 1):
-                lhs, rhs = sequences.howard_check(n, k, variant="type-a")
-                yield ((("n", n), ("k", k)), ("recurrence", lhs), ("explicit", rhs))
+    def type_a(n, k):
+        return sequences.howard_check(n, k, variant="type-a")
 
-    def type_b():
-        for m in (2, 3):
-            for r in range(max_r + 1):
-                for n in range(max_n + 1):
-                    for k in range(n + 1):
-                        lhs, rhs = sequences.howard_check(n, k, r, m, "type-b")
-                        yield (
-                            (("m", m), ("r", r), ("n", n), ("k", k)),
-                            ("recurrence", lhs),
-                            ("explicit", rhs),
-                        )
+    def type_b(m, r, n, k):
+        return sequences.howard_check(n, k, r, m, "type-b")
 
-    def howard1():
-        for r in range(max_r + 1):
-            for n in range(max_n + 1):
-                for k in range(n + 1):
-                    lhs, rhs = sequences.howard_check(n, k, r, 2, "howard1")
-                    yield (
-                        (("r", r), ("n", n), ("k", k)),
-                        ("recurrence", lhs),
-                        ("explicit", rhs),
-                    )
+    def howard1(r, n, k):
+        return sequences.howard_check(n, k, r, 2, "howard1")
 
+    labels, rs = ("recurrence", "explicit"), range(max_r + 1)
     return _collect(
         "howard",
         [
-            ("howard-type-a", type_a()),
-            ("howard-type-b", type_b()),
-            ("howard-free-sign-reduction", howard1()),
+            ("howard-type-a", _triangle(type_a, labels, max_n)),
+            ("howard-type-b", _triangle(type_b, labels, max_n, ("m", (2, 3)), ("r", rs))),
+            ("howard-free-sign-reduction", _triangle(howard1, labels, max_n, ("r", rs))),
         ],
     )
 

@@ -79,6 +79,25 @@ def test_riordan_route_golden(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == RIORDAN_GOLDEN[argv]
 
 
+# sha256 of the whole stdout of verify reports, so a check renamed, reordered
+# or recounted shows even when the last line still passes
+VERIFY_GOLDEN = {
+    "verify all":
+        "6dcb2483f7878f14694eebe6bf5ca77d1ffb8c1a0ed143a22661c10ef1e715b0",
+    "verify howard --max-n 10 --max-r 3":
+        "2d3ef7219c5629f9ebe3d761bbaf3ad67bdcb4c9a54be2c3ae1cd278b08f8984",
+    "verify riordan --max-n 12 --max-r 2 --seed 7":
+        "d09a70447183180667f2fd94403e35beda8e0c5c328ed9012e437d3c0ac3e4a2",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_GOLDEN))
+def test_verify_report_golden(capsys, argv):
+    code, out, err = _run(capsys, argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GOLDEN[argv]
+
+
 def test_table_defaults_to_eight_rows(capsys):
     code, out, _ = _run(capsys, ["table", "stirling-b"])
     assert code == 0

@@ -12,7 +12,7 @@ from stirlingb.riordan import (
     unsigned_conjugate,
 )
 from stirlingb.sequences import (
-    d_series,
+    _d_series,
     inverse_triangle_rec,
     triangle_ge2_alt_rec,
     triangle_ge2_rec,
@@ -161,7 +161,7 @@ def test_apply_fte_row_sums_equal_d_egf():
     for r in range(4):
         arr = make_triangle_B(2, r, order=10)
         sums = arr.apply_fte(FPS.x(10).exp())
-        assert sums.coeffs == d_series(r, 10).coeffs
+        assert sums.coeffs == _d_series(r, 10).coeffs
 
 
 def test_make_triangle_B_validation():

@@ -11,6 +11,7 @@ from stirlingb.permcore import oracle_triangle
 from stirlingb.riordan import make_triangle_B, unsigned_conjugate
 from stirlingb.sequences import (
     HOWARD_VARIANTS,
+    _d_series,
     _ge2_column0,
     _gem,
     _gem_column0,
@@ -20,13 +21,11 @@ from stirlingb.sequences import (
     d_explicit,
     d_poly,
     d_rec,
-    d_series,
     diagonals,
     diagonals_delta,
     howard_check,
     incomplete_factorial,
     inverse_triangle_rec,
-    lah,
     lattice_terms,
     par_ge,
     par_le,
@@ -41,16 +40,6 @@ from stirlingb.sequences import (
 )
 
 # -- small combinatorial helpers -------------------------------------------------
-
-
-def test_lah_values():
-    assert lah(0, 0) == 1
-    assert lah(0, 1) == 0
-    assert lah(1, 1) == 1
-    assert lah(3, 1) == 6
-    assert lah(3, 2) == 6
-    assert lah(4, 2) == 36
-    assert lah(2, 3) == 0
 
 
 def _compositions(a, b, lo, hi):
@@ -123,12 +112,20 @@ def test_triangle_ge2_two_recurrence_forms_agree():
                 assert _second_form(n1, k, r) == triangle_ge2_rec(n1, k, r), (n1, k, r)
 
 
+def _lah(n, k):
+    """Lah numbers, (n!/k!) C(n-1, k-1), with L(0, 0) = 1."""
+    if n == k == 0:
+        return 1
+    return factorial(n) // factorial(k) * comb(n - 1, k - 1) if 0 < k <= n else 0
+
+
 def test_triangle_ge2_column0_lah_identity():
     # {n, 0}_r = sum_j C(r, j) 2^(n+r-j) (r-j)! L(n, r-j)
+    assert [_lah(4, k) for k in range(6)] == [0, 24, 36, 12, 1, 0]
     for r in range(5):
         for n in range(7):
             want = sum(
-                comb(r, j) * 2 ** (n + r - j) * factorial(r - j) * lah(n, r - j)
+                comb(r, j) * 2 ** (n + r - j) * factorial(r - j) * _lah(n, r - j)
                 for j in range(r + 1)
             )
             assert triangle_ge2_rec(n, 0, r) == want, (n, r)
@@ -197,11 +194,21 @@ def test_triangle_ge2_validation():
         lambda: rstirling1(3, 1, -1),
         lambda: inverse_triangle_rec(3, 1, -1),
         lambda: howard_check(3, 1, -1, 2, "howard1"),
+        lambda: d_explicit(-1, 3),
+        lambda: d_explicit(2, -1),
+        lambda: d_egf(-1, 4),
+        lambda: d_poly(-1),
+        lambda: d_asym(-1, 3),
+        lambda: d_asym(2, -1),
+        lambda: lattice_terms(-1, 4),
     ],
-    ids=["rstirling1", "inverse_triangle_rec", "howard1"],
+    ids=[
+        "rstirling1", "inverse_triangle_rec", "howard1", "d_explicit", "d_explicit-n",
+        "d_egf", "d_poly-n", "d_asym", "d_asym-n", "lattice_terms",
+    ],
 )
 def test_negative_r_is_rejected(call):
-    with pytest.raises(ValueError, match="r must be >= 0"):
+    with pytest.raises(ValueError, match=r"^(r|n|r and n) must be >= 0$"):
         call()
     assert not [key for key in sequences._TABLES if key[1:2] == (-1,)]
 
@@ -362,7 +369,7 @@ def test_rpolynomial_interface():
 
 
 def test_d_series_leading_terms():
-    s = d_series(2, 4)
+    s = _d_series(2, 4)
     assert s.egf_coeff(0) == 1
     assert s.egf_coeff(1) == 9
     assert s.egf_coeff(1) == d_rec(2, 1)
@@ -453,6 +460,12 @@ def test_tree_terms_match_integer_recurrence():
             + 2 * sum(comb(n, k) * y[k] * y[n + 1 - k] for k in range(1, n + 1))
         )
     assert tree_terms(40) == y[1:]
+
+
+def test_tree_terms_are_column_one_of_the_inverse_at_r0():
+    terms = tree_terms(25)
+    for n in range(25):
+        assert terms[n] == inverse_triangle_rec(n + 1, 1, 0), n
 
 
 @pytest.mark.parametrize(
