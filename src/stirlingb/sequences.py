@@ -16,9 +16,11 @@ Conventions used throughout (see also permcore):
 
 The recurrences are evaluated row by row into one table per parameter set,
 kept for the life of the process and extended in place when a query reaches
-past its last row.  Their long inner sums are carried from one row to the
-next as running sums, so a cell costs O(1) (O(m) for the windowed families)
-big-integer operations, and nothing recurses.  The point functions
+past its last row.  Each triangle table starts from row 0 = [1] and builds
+every column of the later rows, column 0 included, with its one rule.  Long
+inner sums are carried from one row to the next as running sums, so a cell
+costs O(1) (O(m) for the windowed families) big-integer operations, and
+nothing recurses.  The point functions
 (``triangle_ge2_rec(n, k, r)`` and friends) read one cell of a table.
 
 The series-backed families (``d_egf``, ``lattice_terms``, ``tree_terms``)
@@ -52,8 +54,6 @@ __all__ = [
     "incomplete_factorial",
     "inverse_triangle_rec",
     "lattice_terms",
-    "par_ge",
-    "par_le",
     "rstirling1",
     "stirling1",
     "stirlingA",
@@ -78,39 +78,6 @@ def _series_order(count: int, shift: int = 0) -> int:
     if count < 0:
         raise ValueError("count must be >= 0, got %d" % (count,))
     return max(count - 1 + shift, 1)
-
-
-# -- compositions with bounded parts -----------------------------------------
-
-
-def par_le(a: int, b: int, c: int) -> int:
-    """Compositions of a into b positive parts, each part <= c."""
-    if b == 0:
-        return 1 if a == 0 else 0
-    if c <= 0 or a < b:
-        return 0
-    total = 0
-    for i in range(b + 1):
-        t = a - c * i - 1
-        if t < 0:
-            break
-        total += (-1) ** i * comb(b, i) * comb(t, b - 1)
-    return total
-
-
-def par_ge(a: int, b: int, c: int) -> int:
-    """Compositions of a into b positive parts, each part >= c.
-
-    Subtracting c-1 from every part reduces to the unconstrained case, so
-    the count is C(a - (c-1)b - 1, b - 1); c < 1 behaves like c = 1 since
-    parts are positive anyway.
-    """
-    if b == 0:
-        return 1 if a == 0 else 0
-    shift = a - (max(c, 1) - 1) * b
-    if shift < b:
-        return 0
-    return comb(shift - 1, b - 1)
 
 
 # -- row tables ------------------------------------------------------------------
@@ -176,30 +143,18 @@ def _r_table(cls, r: int, *params) -> _Rows:
 # -- the ord >= 2 triangle (signed derangement cycle counts) -------------------
 
 
-def _ge2_column0(n: int, r: int) -> int:
-    """Entries with no non-special cycle: all of [n] sits in the r special
-    cycles (each of order >= 2 or all-barred)."""
-    if n == 0:
-        return 1
-    total = 0
-    for j in range(r + 1):
-        if r - j - 1 < 0:
-            continue
-        total += comb(r, j) * comb(n - 1, r - j - 1) * 2 ** (r - j)
-    return 2**n * factorial(n) * total
-
-
 class _Ge2Rows(_Rows):
     """The remove-the-largest-element recurrence of ``triangle_ge2_rec`` for
     one r.  With p = n-1, ff(p, j) = p!/(p-j)! and T' the table for r-1,
 
-        T(n, k) = T(p, k-1) + 4p B(p-1, k-1) + 4r D(p, k)    (k >= 1)
+        T(n, k) = T(p, k-1) + 4p B(p-1, k-1) + 4r D(p, k)    (k >= 0)
         B(p, k) = sum_j 2^j ff(p, j) T(p-j, k)           = T(p, k) + 2p B(p-1, k)
         A(p, k) = sum_j 2^j ff(p, j) T'(p-j, k)          = T'(p, k) + 2p A(p-1, k)
         D(p, k) = sum_j (j+1) 2^j ff(p, j) T'(p-j, k)    = A(p, k) + 2p D(p-1, k)
 
-    and column 0 from its closed form.  ``b``, ``a`` and ``d`` hold B, A and
-    D at p-1 for the last row p, padded with a zero to the row's length.
+    from row 0 = [1]; at k = 0 the k-1 terms vanish and only 4r D(p, 0) is
+    left.  ``b``, ``a`` and ``d`` hold B, A and D at p-1 for the last row p,
+    padded with a zero to the row's length.
     """
 
     def __init__(self, r: int):
@@ -211,12 +166,11 @@ class _Ge2Rows(_Rows):
             return [1]
         p, r = n - 1, self.r
         prev, b, two_p = self.rows[p], self.b, 2 * p
-        row = [_ge2_column0(n, r)]
-        row += [prev[k] + 2 * two_p * b[k] for k in range(n)]
+        row = [0] + [prev[k] + 2 * two_p * b[k] for k in range(n)]
         if r:
             a = [x + two_p * y for x, y in zip(self.lower.rows[p], self.a)]
             d = [x + two_p * y for x, y in zip(a, self.d)]
-            for k in range(1, n):  # D(p, n) = 0
+            for k in range(n):  # D(p, n) = 0
                 row[k] += 4 * r * d[k]
             self.a, self.d = a + [0], d + [0]
         self.b = [x + two_p * y for x, y in zip(prev, b)] + [0]
@@ -226,7 +180,7 @@ class _Ge2Rows(_Rows):
 def triangle_ge2_rec(n: int, k: int, r: int) -> int:
     """Signed permutations of [n+r], k+r cycles, specials 1..r in distinct
     cycles, every cycle of order >= 2 or all-barred.  Computed from the
-    remove-the-largest-element recurrence; column 0 from the closed form.
+    remove-the-largest-element recurrence, column 0 included.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -256,27 +210,6 @@ def triangle_ge2_alt_rec(n: int, k: int) -> int:
 # -- the general ord >= m triangle ---------------------------------------------
 
 
-def _gem_column0(n: int, r: int, m: int) -> int:
-    """k = 0 baseline: [n] distributed over the r special cycles, short
-    special cycles (order < m) all-barred, long ones freely signed."""
-    total = 0
-    for p in range(r + 1):
-        for j in range(p + 1):
-            weight = comb(r, p) * comb(p, j)
-            if not weight:
-                continue
-            s = 0
-            for a in range(n + 1):
-                short = par_le(a, j, m - 2)
-                if not short:
-                    continue
-                long_ = par_ge(n - a, p - j, m - 1)
-                if long_:
-                    s += 2 ** (n + p - a - j) * short * long_
-            total += weight * s
-    return factorial(n) * total
-
-
 class _GemRows(_Rows):
     """The removal recurrence of the ord >= m triangle for one (r, m).  With
     p = n-1, ff(p, j) = p!/(p-j)!, c = max(m-1, 0), c2 = max(m-2, 0) and G'
@@ -292,9 +225,9 @@ class _GemRows(_Rows):
         D(p, k) = sum_{j>=c2} (j+1) 2^j ff(p, j) G'(p-j, k)
                 = (c2+1) y(p, k) + 2p (D(p-1, k) + A(p-1, k))
 
-    for k >= 1, and column 0 from its closed form.  The heads keep their
-    explicit terms over the last c rows; ``h``, ``a`` and ``d`` hold H, A and
-    D at p-1 for the last row p.
+    for k >= 0 from row 0 = [1]; at k = 0 the k-1 terms vanish and only the
+    r term is left.  The heads keep their explicit terms over the last c
+    rows; ``h``, ``a`` and ``d`` hold H, A and D at p-1 for the last row p.
     """
 
     def __init__(self, r: int, m: int):
@@ -303,9 +236,9 @@ class _GemRows(_Rows):
         self.h, self.a, self.d = [], [], []
 
     def _next(self, n: int) -> list[int]:
-        r, m = self.r, self.m
         if n == 0:
-            return [_gem_column0(0, r, m)]
+            return [1]
+        r, m = self.r, self.m
         p, rows, two_p = n - 1, self.rows, 2 * (n - 1)
         c, c2 = max(m - 1, 0), max(m - 2, 0)
         ff = [perm(p, j) for j in range(c + 1)]
@@ -316,7 +249,7 @@ class _GemRows(_Rows):
             for k, v in enumerate(rows[p - c]):
                 h[k] += w * v
         self.h = h
-        row = [_gem_column0(n, r, m)] + [2 * v for v in h]
+        row = [0] + [2 * v for v in h]
         for j in range(min(c, n)):
             for k, v in enumerate(rows[p - j]):
                 row[k + 1] += ff[j] * v
@@ -331,11 +264,11 @@ class _GemRows(_Rows):
                     a[k] += w * v
                     d[k] += (c2 + 1) * w * v
             self.a, self.d = a, d
-            for k in range(1, n):  # D(p, n) = 0
+            for k in range(n):  # D(p, n) = 0
                 row[k] += 4 * r * d[k]
             for j in range(min(c2, n)):
                 w = r * (j + 1) * ff[j]
-                for k, v in enumerate(low[p - j][1:], 1):
+                for k, v in enumerate(low[p - j]):
                     row[k] += w * v
         return row
 
@@ -605,6 +538,8 @@ def diagonals(n: int, r: int, m: int = 2) -> tuple[int, int]:
     """Closed forms for the two subdiagonal entries (n+1, n) and (n+2, n)
     of the ord >= m triangle.  m = 2 uses the dedicated quadratic forms;
     other m >= 1 dispatch to the Kronecker-delta forms."""
+    if r < 0 or n < 0:
+        raise ValueError("r and n must be >= 0")
     if m == 2:
         first = 2 * (n + 1) * (n + 2 * r)
         second = (
@@ -619,6 +554,8 @@ def diagonals(n: int, r: int, m: int = 2) -> tuple[int, int]:
 def diagonals_delta(n: int, r: int, m: int) -> tuple[int, int]:
     """The same two subdiagonals for any m >= 1, written with Kronecker
     deltas in the exponents."""
+    if r < 0 or n < 0:
+        raise ValueError("r and n must be >= 0")
     if m < 1:
         raise ValueError("m must be >= 1")
     d1 = 1 if m == 1 else 0
@@ -725,7 +662,7 @@ def howard_check(
         if m < 2:
             raise ValueError("type-b variant needs m >= 2")
         lhs = triangle_gem_rec(n, k, r, m)
-        rhs = Fraction(0)
+        rhs = 0
         for p in range(r + 1):
             for l in range(k + 1):
                 if m * l > n or (m - 1) * p > n - m * l:
@@ -735,11 +672,11 @@ def howard_check(
                     * comb(n, m * l)
                     * comb(n - m * l, (m - 1) * p)
                     * (2**m - 1) ** (l + p)
-                    * Fraction(factorial(m * l) * factorial((m - 1) * p))
-                    / (m**l * factorial(l))
+                    * (factorial(m * l) // (m**l * factorial(l)))
+                    * factorial((m - 1) * p)
                     * triangle_gem_rec(n - m * l - (m - 1) * p, k - l, r - p, m + 1)
                 )
-        return lhs, _int(rhs, "howard_check(%d, %d, %d, %d) type-b rhs" % (n, k, r, m))
+        return lhs, rhs
     if variant == "howard1":
         lhs = 2 ** (n + r) * rstirling1(n, k, r)
         rhs = 0

@@ -79,6 +79,27 @@ def test_riordan_route_golden(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == RIORDAN_GOLDEN[argv]
 
 
+# sha256 of stdout for large recurrence tables, one per window m = 2..5, so a
+# change to any column of the row tables shows
+RECURRENCE_GOLDEN = {
+    "table stirling-b --rows 80 --m 2 --r 3 --format csv":
+        "e120d26921d320ef657df61ab5c8f06afe3b8301d83fca396343cac193b0af4f",
+    "table stirling-b --rows 70 --m 3 --r 2 --format csv":
+        "c2908e4bb485c02028aac8bdcd2bd6b83cf3340494d95d316cec372d447b16f8",
+    "table stirling-b --rows 60 --m 4 --r 3 --format csv":
+        "f219451c79230ca86b3b4e914b0c5329659845fcced6707820e390b5b478176a",
+    "table stirling-b --rows 50 --m 5 --r 4 --format csv":
+        "dbef867ce614d7c52e2b1866946f980d65198912cdf90f7b346735417c5b8a27",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(RECURRENCE_GOLDEN))
+def test_recurrence_table_golden(capsys, argv):
+    code, out, err = _run(capsys, argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == RECURRENCE_GOLDEN[argv]
+
+
 # sha256 of the whole stdout of verify reports, so a check renamed, reordered
 # or recounted shows even when the last line still passes
 VERIFY_GOLDEN = {

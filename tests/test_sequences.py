@@ -12,9 +12,7 @@ from stirlingb.riordan import make_triangle_B, unsigned_conjugate
 from stirlingb.sequences import (
     HOWARD_VARIANTS,
     _d_series,
-    _ge2_column0,
     _gem,
-    _gem_column0,
     RPolynomial,
     d_asym,
     d_egf,
@@ -27,8 +25,6 @@ from stirlingb.sequences import (
     incomplete_factorial,
     inverse_triangle_rec,
     lattice_terms,
-    par_ge,
-    par_le,
     rstirling1,
     stirling1,
     stirlingA,
@@ -38,38 +34,6 @@ from stirlingb.sequences import (
     triangle_gem_rec,
     typeB_factorial_conv,
 )
-
-# -- small combinatorial helpers -------------------------------------------------
-
-
-def _compositions(a, b, lo, hi):
-    if b == 0:
-        return 1 if a == 0 else 0
-    return sum(
-        1
-        for parts in itertools.product(range(lo, hi + 1), repeat=b)
-        if sum(parts) == a
-    )
-
-
-def test_par_le_against_brute_force():
-    assert par_le(2, 1, 1) == 0
-    for a in range(8):
-        for b in range(4):
-            for c in range(4):
-                assert par_le(a, b, c) == _compositions(a, b, 1, c), (a, b, c)
-
-
-def test_par_ge_against_brute_force():
-    for a in range(9):
-        for b in range(4):
-            for c in range(4):
-                assert par_ge(a, b, c) == _compositions(a, b, max(c, 1), a + 1), (
-                    a,
-                    b,
-                    c,
-                )
-
 
 # -- the ord >= 2 triangle --------------------------------------------------------
 
@@ -201,10 +165,15 @@ def test_triangle_ge2_validation():
         lambda: d_asym(-1, 3),
         lambda: d_asym(2, -1),
         lambda: lattice_terms(-1, 4),
+        lambda: diagonals(2, -1),
+        lambda: diagonals(-1, 2, 3),
+        lambda: diagonals_delta(2, -1, 3),
+        lambda: diagonals_delta(-1, 2, 3),
     ],
     ids=[
         "rstirling1", "inverse_triangle_rec", "howard1", "d_explicit", "d_explicit-n",
         "d_egf", "d_poly-n", "d_asym", "d_asym-n", "lattice_terms",
+        "diagonals", "diagonals-n", "diagonals_delta", "diagonals_delta-n",
     ],
 )
 def test_negative_r_is_rejected(call):
@@ -229,6 +198,16 @@ def test_gem_m3_against_oracle():
                 assert triangle_gem_rec(n, k, r, 3) == oracle_triangle(
                     n, r, k, "assoc", 3
                 ), (n, k, r)
+
+
+def test_gem_m4_and_m5_against_oracle():
+    for m in (4, 5):
+        for r in range(4):
+            for n in range(8 - r):
+                for k in range(n + 1):
+                    assert triangle_gem_rec(n, k, r, m) == oracle_triangle(
+                        n, r, k, "assoc", m
+                    ), (n, k, r, m)
 
 
 def test_gem_free_sign_column():
@@ -519,16 +498,17 @@ def test_howard_validation():
 # -- the row tables against the per-cell recurrences --------------------------------
 #
 # The recurrences as single cells, each term summed from scratch: the reference
-# the running sums of the row tables must reproduce.  Only the base columns are
-# shared with the library.
+# the running sums of the row tables must reproduce.  They share no code with
+# the library; each starts from its n = 0 base case alone, and column 0 comes
+# from the same rule as every other column.
 
 
 @cache
 def _ref_ge2(n, k, r):
     if n < 0 or k < 0 or k > n:
         return 0
-    if k == 0:
-        return _ge2_column0(n, r)
+    if n == 0:
+        return 1
     p = n - 1
     fp = factorial(p)
     total = _ref_ge2(p, k - 1, r)
@@ -551,8 +531,8 @@ def _ref_tau(m, n, j):
 def _ref_gem(n, k, r, m):
     if n < 0 or k < 0 or k > n:
         return 0
-    if k == 0:
-        return _gem_column0(n, r, m)
+    if n == 0:
+        return 1
     p = n - 1
     total = 0
     for j in range(p + 1):
