@@ -201,6 +201,9 @@ def _add_common_value_flags(cmd: argparse.ArgumentParser) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact terms may pass the int-to-str digit limit; lift it for this call
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         if args.command in ("table", "seq"):
             print(_cmd_table(args))
@@ -215,6 +218,8 @@ def main(argv=None) -> int:
     except (EnumerationLimitError, UsageError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
     raise AssertionError("unreachable command %r" % (args.command,))
 
 

@@ -11,17 +11,20 @@ has a_n = n! * [z^n] A(z), see ``egf_coeff``.
 ``_powers`` tables self^0..self^order once per series and is the one place
 powers are formed: ``compose``, ``revert`` and the Riordan columns read it.
 
-``_ints`` caches a series over one denominator: ``(nums, d)`` with d the lcm
-of the coefficient denominators and coeffs[k] == nums[k] / d.  The O(order^3)
-kernels, ``*`` and ``compose``, sum integer products on it and form one
-normalized Fraction per output coefficient.
+``_ints`` is a series over one denominator: ``(nums, d)`` with d > 0 the lcm
+of the coefficient denominators and coeffs[k] == nums[k] / d, which makes it
+unique.  ``*`` (by a series or a scalar), ``compose`` and ``_powers`` work on
+it alone and return a series that holds only ``_ints``; its ``coeffs`` tuple
+of Fractions is a view, formed on first read.  A series built from Fractions
+and one built from integers are the same type and compare, hash and print
+alike.  ``reciprocal``, ``exp``, ``log`` and ``revert`` stay on Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from collections.abc import Iterable
 
 from ._record import Record
@@ -41,7 +44,18 @@ class FormalPowerSeries(Record):
     _fields = ("coeffs",)
 
     def __init__(self, coeffs: tuple[Fraction, ...]):
-        self.coeffs = coeffs  # coeffs[k] = [z^k]; len(coeffs) == order + 1
+        self.coeffs = coeffs  # coeffs[k] = [z^k]
+        self.order = len(coeffs) - 1
+
+    @classmethod
+    def _from_ints(cls, nums: list[int], d: int) -> "FormalPowerSeries":
+        """The series nums[k] / d (d > 0), kept in lowest terms as ``_ints``."""
+        g = gcd(d, *nums)
+        if g > 1:
+            nums, d = [c // g for c in nums], d // g
+        series = cls.__new__(cls)
+        series._ints, series.order = (nums, d), len(nums) - 1
+        return series
 
     # -- construction ------------------------------------------------------
 
@@ -82,10 +96,6 @@ class FormalPowerSeries(Record):
 
     # -- basic queries ------------------------------------------------------
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
     def coeff(self, n: int) -> Fraction:
         if n < 0:
             return Fraction(0)
@@ -114,6 +124,11 @@ class FormalPowerSeries(Record):
         denominator."""
         d = lcm(*(c.denominator for c in self.coeffs))
         return [c.numerator * (d // c.denominator) for c in self.coeffs], d
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        nums, d = self._ints
+        return tuple(Fraction(c, d) for c in nums)
 
     def _coerce(self, other) -> "FormalPowerSeries | None":
         if isinstance(other, FormalPowerSeries):
@@ -149,9 +164,11 @@ class FormalPowerSeries(Record):
         return o + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            return FormalPowerSeries(tuple(c * a for a in self.coeffs))
+        if isinstance(other, (int, Fraction)):  # an int has a denominator, 1
+            (nums, d), c = self._ints, other.numerator
+            return FormalPowerSeries._from_ints(
+                [c * a for a in nums], d * other.denominator
+            )
         if not isinstance(other, FormalPowerSeries):
             return NotImplemented
         n = min(self.order, other.order)
@@ -162,8 +179,7 @@ class FormalPowerSeries(Record):
                 for k, bj in enumerate(b[: n + 1 - i], i):
                     if bj:
                         out[k] += ai * bj
-        d = da * db
-        return FormalPowerSeries(tuple(Fraction(c, d) for c in out))
+        return FormalPowerSeries._from_ints(out, da * db)
 
     __rmul__ = __mul__
 
@@ -205,26 +221,25 @@ class FormalPowerSeries(Record):
     def _powers(self) -> tuple["FormalPowerSeries", ...]:
         """self^0..self^order; needs constant term 0, so self^k starts at z^k
         and each product skips the zeros below it."""
-        if self.coeffs[0] != 0:
+        if self._ints[0][0]:
             raise ValueError("composition requires inner constant term 0")
-        powers = [FormalPowerSeries.one(self.order)]
+        powers = [FormalPowerSeries._from_ints([1] + [0] * self.order, 1)]
         for _ in range(self.order):
             powers.append(powers[-1] * self)
         return tuple(powers)
 
     def compose(self, inner: "FormalPowerSeries") -> "FormalPowerSeries":
         """self(inner) = sum_k c_k inner^k over inner's power table; needs
-        inner(0) = 0.  With inner^k = nums_k / d_k, the weights c_k / d_k are
-        put over one denominator D, so each output coefficient is one integer
-        sum over D."""
+        inner(0) = 0.  With self = c / d and inner^k = nums_k / d_k, each
+        output coefficient is one integer sum over d * D, D = lcm of the d_k
+        that meet a nonzero c_k."""
         powers, n = inner._powers, min(self.order, inner.order)
-        weights = [
-            (c / p._ints[1], p._ints[0]) for c, p in zip(self.coeffs[: n + 1], powers) if c
-        ]
-        d = lcm(*(w.denominator for w, _ in weights))
-        terms = [(w.numerator * (d // w.denominator), p) for w, p in weights]
-        out = (sum(w * p[i] for w, p in terms if p[i]) for i in range(n + 1))
-        return FormalPowerSeries(tuple(Fraction(c, d) for c in out))
+        cs, d = self._ints
+        used = [(c, p._ints) for c, p in zip(cs[: n + 1], powers) if c]
+        big_d = lcm(*(dk for _, (_, dk) in used))
+        terms = [(c * (big_d // dk), nums) for c, (nums, dk) in used]
+        out = [sum(w * p[i] for w, p in terms if p[i]) for i in range(n + 1)]
+        return FormalPowerSeries._from_ints(out, d * big_d)
 
     def revert(self) -> "FormalPowerSeries":
         """Compositional inverse fbar with self(fbar) = z = fbar(self).

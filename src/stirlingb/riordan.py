@@ -10,14 +10,16 @@ lower triangular with l(n, n) = g(0) * f'(0)**n.  The group operations
 and the sign-conjugated companion array live here, together with the concrete
 triangle constructor for the signed-permutation cycle statistics.  Column k
 is g * f^k over f's cached powers; the inverse (1 / g(fbar), fbar) is cached,
-so an array reverts f and composes g with fbar at most once.
+so an array reverts f and composes g with fbar at most once.  The table
+reads the integer form of g * f^k (``FormalPowerSeries._ints``) and forms
+one Fraction per entry on or below the diagonal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, lcm
 
 from ._record import Record
 from .fps import FormalPowerSeries
@@ -37,11 +39,12 @@ class ExpRiordanArray(Record):
     _fields = ("g", "f")
 
     def __init__(self, g: FormalPowerSeries, f: FormalPowerSeries):
-        if g.coeff(0) == 0:
+        # read on the integer forms, which the table needs anyway
+        if not g._ints[0][0]:
             raise ValueError("Riordan array needs g(0) != 0")
-        if f.order < 1 or f.coeff(0) != 0:
+        if f.order < 1 or f._ints[0][0]:
             raise ValueError("Riordan array needs f(0) = 0 and order >= 1")
-        if f.coeff(1) == 0:
+        if not f._ints[0][1]:
             raise ValueError("Riordan array needs f'(0) != 0")
         self.g, self.f = g, f
 
@@ -58,10 +61,19 @@ class ExpRiordanArray(Record):
 
     @cached_property
     def _table(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Rows 0..order; column k is g * f^k = nums_k / d_k, so l(i, k) is
+        one Fraction(nums_k[i] * i!/k!, d_k).  Above the diagonal every
+        entry is one shared zero."""
         n = self.order
-        cols = [(p * self.g).coeffs for p in self.f._powers[: n + 1]]
+        cols = [(p * self.g)._ints for p in self.f._powers[: n + 1]]
+        fact = [factorial(i) for i in range(n + 1)]
+        zero = Fraction(0)
         return tuple(
-            tuple(cols[k][i] * (factorial(i) // factorial(k)) for k in range(n + 1))
+            tuple(
+                Fraction(nums[i] * (fact[i] // fact[k]), d)
+                for k, (nums, d) in enumerate(cols[: i + 1])
+            )
+            + (zero,) * (n - i)
             for i in range(n + 1)
         )
 
@@ -69,11 +81,12 @@ class ExpRiordanArray(Record):
         """l(n, k) = n!/k! [z^n] g f^k as an exact rational."""
         if n < 0 or k < 0:
             raise ValueError("entry indices must be nonnegative")
-        if n > self.order or k > self.order:
+        table = self._table
+        if n >= len(table) or k >= len(table):
             raise ValueError(
-                "entry (%d, %d) beyond truncation order %d" % (n, k, self.order)
+                "entry (%d, %d) beyond truncation order %d" % (n, k, len(table) - 1)
             )
-        return self._table[n][k]
+        return table[n][k]
 
     def row(self, n: int) -> tuple[Fraction, ...]:
         return tuple(self.entry(n, k) for k in range(n + 1))
@@ -129,9 +142,15 @@ def production_rebuild(array: ExpRiordanArray):
 
     Returns a list of order+1 lists of Fractions, each of length order+1.
     The caller compares against entry() to validate an array.
+
+    With A and Z over one denominator D, P = Q / D for an integer matrix Q.
+    If l(0, 0) = c / e, row n is N_n / (e * D^n) with N_0 = (c, 0, ..., 0)
+    and N_{n+1} = N_n Q, all in integers.
     """
     order = array.order
     a, z = array.production_sequences()
+    d = lcm(*(c.denominator for c in a + z))
+    a, z = ([c.numerator * (d // c.denominator) for c in s] for s in (a, z))
     # column 0 is i! z_i: a_{i+1} has weight 0 there, and at i = order-1 it
     # lies past a's truncation
     prod = [
@@ -143,14 +162,20 @@ def production_rebuild(array: ExpRiordanArray):
         + [a[0]]
         for i in range(order)
     ]
-    out = [[array.entry(0, 0)] + [Fraction(0)] * order]
+    start = array.entry(0, 0)
+    rows = [[start.numerator] + [0] * order]
     for n in range(order):
-        prev, new = out[-1], [Fraction(0)] * (order + 1)
-        for i in range(n + 1):
-            for k, w in enumerate(prod[i]):
-                new[k] += w * prev[i]
-        out.append(new)
-    return out
+        new = [0] * (order + 1)
+        for i, w in enumerate(rows[-1][: n + 1]):
+            if w:
+                for k, q in enumerate(prod[i]):
+                    new[k] += q * w
+        rows.append(new)
+    zero = Fraction(0)
+    return [
+        [Fraction(c, start.denominator * d**n) if c else zero for c in row]
+        for n, row in enumerate(rows)
+    ]
 
 
 def make_triangle_B(m: int, r: int, order: int = DEFAULT_ORDER) -> ExpRiordanArray:

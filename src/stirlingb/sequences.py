@@ -313,13 +313,21 @@ class _StirlingARows(_Rows):
                                               = ff(p, c) S(p-c, k) + p E(p-1, k)
 
     with ff(p, i) = p!/(p-i)! and c = max(m-1, 0); ``e`` holds E at p-1
-    for the last row p.
+    for the last row p, and ``sums[n]`` the sum of row n.
     """
 
     def __init__(self, mode: str, m: int):
+        if mode not in ("restr", "assoc"):
+            raise ValueError("mode must be 'restr' or 'assoc', got %r" % (mode,))
         super().__init__()
         self.mode, self.m = mode, m
-        self.e = []
+        self.e, self.sums = [], []
+
+    def total(self, n: int) -> int:
+        """The sum of row n, formed once per row; 0 for n < 0."""
+        while len(self.sums) <= n:
+            self.sums.append(sum(self.row(len(self.sums))))
+        return self.sums[n] if n >= 0 else 0
 
     def _next(self, n: int) -> list[int]:
         if n == 0:
@@ -345,8 +353,6 @@ class _StirlingARows(_Rows):
 def stirlingA(n: int, k: int, mode: str, m: int) -> int:
     """Permutations of [n] with k cycles, all cycle sizes <= m ("restr") or
     >= m ("assoc").  No signs and no exemption here."""
-    if mode not in ("restr", "assoc"):
-        raise ValueError("mode must be 'restr' or 'assoc', got %r" % (mode,))
     return _table(_StirlingARows, mode, m).cell(n, k)
 
 
@@ -375,7 +381,7 @@ def rstirling1(n: int, k: int, r: int) -> int:
 
 def incomplete_factorial(n: int, mode: str, m: int) -> int:
     """Row sums of stirlingA: permutations of [n] with the size window."""
-    return sum(stirlingA(n, k, mode, m) for k in range(n + 1))
+    return _table(_StirlingARows, mode, m).total(n)
 
 
 def typeB_factorial_conv(n: int, mode: str, m: int) -> int:

@@ -119,6 +119,33 @@ def test_verify_report_golden(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GOLDEN[argv]
 
 
+def test_typeb_factorial_golden(capsys):
+    # sha256 of stdout recorded before the row sums of stirlingA were kept
+    # with their rows; the 300 terms took about 9 s then
+    code, out, err = _run(capsys, "seq typeb-factorial --terms 300 --m 3".split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "68a7bc5b41b7a8c58cba282cd1bb155f4544870cb9548fa81342640415228762"
+    )
+
+
+@pytest.mark.parametrize("fmt, tail", [("csv", "\n"), ("json", "]}\n")])
+def test_outputs_past_the_int_digit_limit(capsys, fmt, tail):
+    argv = ["seq", "d", "--terms", "1600", "--r", "0", "--format", fmt]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        last = str(sequences.d_rec(0, 1599))
+        sys.set_int_max_str_digits(4300)  # Python's default
+        code, out, err = _run(capsys, argv)
+        assert sys.get_int_max_str_digits() == 4300  # restored for library callers
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(last) > 4300
+    assert code == 0 and err == ""
+    assert out.endswith(last + tail)
+
+
 def test_table_defaults_to_eight_rows(capsys):
     code, out, _ = _run(capsys, ["table", "stirling-b"])
     assert code == 0

@@ -280,3 +280,43 @@ def test_truncate_and_prefix():
     with pytest.raises(ValueError, match="cannot extend"):
         s.truncate(5)
     assert s.prefix(2) == (1, 2, 3)
+
+
+def _is_canonical_view(s, expected):
+    """``s`` holds the unique integer form of ``expected``'s coefficients,
+    reads them as Fractions, and equals and hashes like a Fraction-built twin."""
+    nums, d = s._ints
+    assert d > 0
+    assert FPS(s.coeffs)._ints == (nums, d)
+    assert type(s.coeffs) is tuple and all(type(c) is Fraction for c in s.coeffs)
+    assert s.coeffs == expected.coeffs
+    twin = FPS(tuple(expected.coeffs))
+    assert s == twin and hash(s) == hash(twin)
+
+
+@settings(max_examples=30, deadline=None)
+@given(operands(), operands(), inners())
+def test_integer_form_is_canonical(a, b, inner):
+    _is_canonical_view(a * b, schoolbook_mul(a, b))
+    _is_canonical_view(a.compose(inner), horner_compose(a, inner))
+    power = FPS.one(inner.order)
+    for p in inner._powers:
+        _is_canonical_view(p, power)
+        power = schoolbook_mul(power, inner)
+
+
+def test_integer_kernels_form_no_fraction(fractions_formed):
+    a = FPS.from_coeffs([Fraction(1, 3), -2, 0, Fraction(5, 7), 1], 6)
+    inner = FPS.from_coeffs([0, Fraction(-1, 2), 3, 0, Fraction(2, 9)], 6)
+    c = Fraction(-3, 4)
+    for s in (a, inner):
+        s._ints  # the operands' integer form is theirs, not the kernels'
+    assert fractions_formed(lambda: a * inner) == 0
+    assert fractions_formed(lambda: a * c) == 0
+    assert fractions_formed(lambda: 5 * a) == 0
+    assert fractions_formed(lambda: inner._powers) == 0
+    assert fractions_formed(lambda: a.compose(inner)) == 0
+    product = a * inner
+    assert "coeffs" not in vars(product)
+    assert fractions_formed(lambda: product.coeffs) == product.order + 1
+    assert product == schoolbook_mul(a, inner)

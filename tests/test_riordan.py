@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,6 +137,78 @@ def test_production_a0_is_linear_coefficient():
     arr = make_triangle_B(2, 1, order=8)
     a, _ = arr.production_sequences()
     assert a[0] == arr.f.coeff(1)
+
+
+def _fraction_rebuild(array):
+    """Reference rebuild: row n+1 = row n times the production matrix, with
+    one Fraction multiply-add per matrix entry and no integer form."""
+    order = array.order
+    a, z = array.production_sequences()
+    prod = [
+        [factorial(i) * z[i]]
+        + [
+            factorial(i) // factorial(k) * (z[i - k] + k * a[i - k + 1])
+            for k in range(1, i + 1)
+        ]
+        + [a[0]]
+        for i in range(order)
+    ]
+    out = [[array.entry(0, 0)] + [Fraction(0)] * order]
+    for n in range(order):
+        prev, new = out[-1], [Fraction(0)] * (order + 1)
+        for i in range(n + 1):
+            for k, w in enumerate(prod[i]):
+                new[k] += w * prev[i]
+        out.append(new)
+    return out
+
+
+def _same_cells(got, want):
+    assert len(got) == len(want)
+    for got_row, want_row in zip(got, want):
+        assert len(got_row) == len(want_row)
+        for x, y in zip(got_row, want_row):
+            assert type(x) is Fraction and x == y
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("r", [0, 1, 3])
+def test_production_rebuild_matches_fraction_reference(m, r):
+    arr = make_triangle_B(m, r, order=9)
+    _same_cells(production_rebuild(arr), _fraction_rebuild(arr))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 7),
+    st.sampled_from([2, 3]),
+    st.lists(st.fractions(-3, 3, max_denominator=5), min_size=15, max_size=15),
+)
+def test_production_rebuild_on_random_fractional_arrays(order, g0, rest):
+    g = [g0] + rest[:order]
+    f = [0, rest[order] or Fraction(1, 2)] + rest[order + 1 : 2 * order]
+    arr = ExpRiordanArray(FPS.from_coeffs(g, order), FPS.from_coeffs(f, order))
+    _same_cells(production_rebuild(arr), _fraction_rebuild(arr))
+
+
+def test_table_forms_one_fraction_per_lower_entry(fractions_formed):
+    arr = make_triangle_B(2, 3, order=10)
+    arr.f._powers  # f's power table belongs to f, not to the table
+    # 66 lower-triangle entries and the one shared zero above them
+    assert fractions_formed(lambda: arr._table) <= 66 + 1
+
+
+def test_table_is_zero_above_the_diagonal_and_bounded_by_order():
+    arr = make_triangle_B(3, 2, order=6)
+    table = arr._table
+    assert len(table) == 7 and all(len(row) == 7 for row in table)
+    for n, row in enumerate(table):
+        assert all(v == 0 for v in row[n + 1 :])
+        assert row[n] != 0
+    for n, k in ((7, 0), (0, 7), (9, 12)):
+        with pytest.raises(ValueError) as exc:
+            arr.entry(n, k)
+        assert str(exc.value) == "entry (%d, %d) beyond truncation order 6" % (n, k)
 
 
 def test_production_rebuild_matches_entries():
