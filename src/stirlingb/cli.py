@@ -30,6 +30,8 @@ class UsageError(Exception):
 
 def _triangle_rows(family: str, rows: int, m: int, r: int, mode: str):
     """(rows, provenance, the parameters the family reports)."""
+    if family in ("stirling-b", "inverse") and mode != "assoc":
+        raise UsageError("family '%s' supports --mode assoc only" % family)
     if family == "stirling-b":
         vals = [
             [sequences.triangle_gem_rec(n, k, r, m) for k in range(n + 1)]

@@ -8,11 +8,13 @@ g(0) != 0, f(0) = 0, f'(0) != 0.  Its entries are
 lower triangular with l(n, n) = g(0) * f'(0)**n.  The group operations
 (multiply, invert), the fundamental theorem (apply_fte), production sequences
 and the sign-conjugated companion array live here, together with the concrete
-triangle constructor for the signed-permutation cycle statistics.  Column k
-is g * f^k over f's cached powers; the inverse (1 / g(fbar), fbar) is cached,
-so an array reverts f and composes g with fbar at most once.  The table
-reads the integer form of g * f^k (``FormalPowerSeries._ints``) and forms
-one Fraction per entry on or below the diagonal.
+triangle constructor for the signed-permutation cycle statistics: the array
+((f')^r, f) with f = sum_L w_L x^L / L, w_L being the sign masks a cycle of
+length L may carry, for every window m >= 0.  Column k is g * f^k over f's
+cached powers; the inverse (1 / g(fbar), fbar) is cached, so an array
+reverts f and composes g with fbar at most once.  The table reads the
+integer form of g * f^k (``FormalPowerSeries._ints``) and forms one Fraction
+per entry on or below the diagonal.
 """
 
 from __future__ import annotations
@@ -184,27 +186,24 @@ def make_triangle_B(m: int, r: int, order: int = DEFAULT_ORDER) -> ExpRiordanArr
     at least m or fully barred, and the r special elements in distinct
     cycles.
 
-        g = ((1 - x^(m-1))/(1 - x) + 2^m x^(m-1)/(1 - 2x))^r
-        f = -log(1 - 2x) - sum_{k=1}^{m-1} ((2^k - 1)/k) x^k
+    A cycle of length L has w_L sign masks: 2^L if L >= m, 1 if it must be
+    all-barred.  By the exponential formula the array is (g, f) with
 
-    For m = 2 this reduces to g = ((1+2x)/(1-2x))^r, f = -log(1-2x) - x.
-    Only m >= 2 is a Riordan array in this sense.
+        f = sum_L w_L x^L / L = -log(1 - 2x) - sum_{k<m} ((2^k - 1)/k) x^k
+        g = (f')^r
+
+    since f' is the egf of one cycle through a marked element and the r
+    special elements sit in distinct cycles.  For m = 2 this is
+    g = ((1+2x)/(1-2x))^r, f = -log(1-2x) - x.
     """
-    if m < 2:
-        raise ValueError("make_triangle_B supports m >= 2 only, got m=%d" % m)
+    if m < 0:
+        raise ValueError("m must be >= 0")
     if r < 0:
         raise ValueError("r must be >= 0")
     if order < 1:
         raise ValueError("order must be >= 1")
-    one_minus_2x = FormalPowerSeries.from_coeffs([1, -2], order)
-    one_minus_x = FormalPowerSeries.from_coeffs([1, -1], order)
-    x_pow = FormalPowerSeries.from_coeffs([0] * (m - 1) + [1], order)
-
+    # f one order up, so that f' reaches the array's order
     correction = [Fraction(0)] + [Fraction(2**k - 1, k) for k in range(1, m)]
-    f = -(one_minus_2x.log()) - FormalPowerSeries.from_coeffs(correction, order)
-
-    head = (FormalPowerSeries.one(order) - x_pow) * one_minus_x.reciprocal()
-    tail = (2**m) * x_pow * one_minus_2x.reciprocal()
-    g = (head + tail) ** r
-    return ExpRiordanArray(g, f)
-
+    f = -(FormalPowerSeries.from_coeffs([1, -2], order + 1).log())
+    f -= FormalPowerSeries.from_coeffs(correction, order + 1)
+    return ExpRiordanArray(f.derivative() ** r, f.truncate(order))

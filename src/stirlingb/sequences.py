@@ -7,7 +7,9 @@ Conventions used throughout (see also permcore):
   distinct cycles, and every cycle of order >= 2 or fully barred.  These are
   the row/column entries of the m = 2 triangle; row sums over k give the
   derangement counts ``d_rec(r, n)``.
-* ``triangle_gem_rec(n, k, r, m)`` generalizes the window to ord >= m.
+* ``triangle_gem_rec(n, k, r, m)`` generalizes the window to ord >= m for
+  every m >= 0.  A cycle of length L carries w_L sign masks, 2^L inside the
+  window and 1 below it, where it must be all-barred.
 * ``stirlingA(n, k, mode, m)`` are the plain (type A) restricted/associated
   Stirling numbers of the first kind: cycle sizes bounded above ("restr") or
   below ("assoc") by m, no sign, no exemption.
@@ -16,8 +18,9 @@ Conventions used throughout (see also permcore):
 
 The recurrences are evaluated row by row into one table per parameter set,
 kept for the life of the process and extended in place when a query reaches
-past its last row.  Each triangle table starts from row 0 = [1] and builds
-every column of the later rows, column 0 included, with its one rule.  Long
+past its last row.  Each triangle table starts from row 0 (the r specials
+as fixed points: [1], or [w_1^r] for the window triangle) and builds every
+column of the later rows, column 0 included, with its one rule.  Long
 inner sums are carried from one row to the next as running sums, so a cell
 costs O(1) (O(m) for the windowed families) big-integer operations, and
 nothing recurses.  The point functions
@@ -211,10 +214,11 @@ def triangle_ge2_alt_rec(n: int, k: int) -> int:
 
 
 class _GemRows(_Rows):
-    """The removal recurrence of the ord >= m triangle for one (r, m).  With
-    p = n-1, ff(p, j) = p!/(p-j)!, c = max(m-1, 0), c2 = max(m-2, 0) and G'
-    the table for r-1, a cycle of j+1 elements takes free signs once it
-    reaches the window and is all-barred below it:
+    """The removal recurrence of the ord >= m triangle for one (r, m).  A
+    cycle of length L carries w_L sign masks: 2^L once it reaches the
+    window (L >= m), 1 below it, where it must be all-barred.  With p = n-1,
+    ff(p, j) = p!/(p-j)!, c = max(m-1, 0), c2 = max(m-2, 0) and G' the
+    table for r-1:
 
         G(n, k) = sum_{j<c} ff(p, j) G(p-j, k-1) + 2 H(p, k-1)
                   + r (sum_{j<c2} (j+1) ff(p, j) G'(p-j, k) + 4 D(p, k))
@@ -225,9 +229,10 @@ class _GemRows(_Rows):
         D(p, k) = sum_{j>=c2} (j+1) 2^j ff(p, j) G'(p-j, k)
                 = (c2+1) y(p, k) + 2p (D(p-1, k) + A(p-1, k))
 
-    for k >= 0 from row 0 = [1]; at k = 0 the k-1 terms vanish and only the
-    r term is left.  The heads keep their explicit terms over the last c
-    rows; ``h``, ``a`` and ``d`` hold H, A and D at p-1 for the last row p.
+    for k >= 0 from row 0 = [w_1^r], the r specials as fixed points; at
+    k = 0 the k-1 terms vanish and only the r term is left.  The heads keep
+    their explicit terms over the last c rows; ``h``, ``a`` and ``d`` hold
+    H, A and D at p-1 for the last row p.
     """
 
     def __init__(self, r: int, m: int):
@@ -236,9 +241,9 @@ class _GemRows(_Rows):
         self.h, self.a, self.d = [], [], []
 
     def _next(self, n: int) -> list[int]:
-        if n == 0:
-            return [1]
         r, m = self.r, self.m
+        if n == 0:
+            return [(2 if m <= 1 else 1) ** r]
         p, rows, two_p = n - 1, self.rows, 2 * (n - 1)
         c, c2 = max(m - 1, 0), max(m - 2, 0)
         ff = [perm(p, j) for j in range(c + 1)]
@@ -279,26 +284,17 @@ def _gem(n: int, k: int, r: int, m: int) -> int:
 
 def triangle_gem_rec(n: int, k: int, r: int, m: int) -> int:
     """Signed permutations of [n+r], k+r cycles, specials distinct, every
-    cycle of order >= m or all-barred.
+    cycle of order >= m or all-barred, for every m >= 0.  At m <= 1 every
+    cycle is in the window and signs are free.
 
-    m = 2 dispatches to triangle_ge2_rec.  For m <= 1 the window constraint
-    is vacuous, signs are free, and only the k = 0 column has a stated
-    closed form (2^(n+r) n! C(n+r-1, r-1)); other columns raise.
+    m = 2 dispatches to triangle_ge2_rec, the paper's recurrence.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
+    if m < 0:
+        raise ValueError("m must be >= 0")
     if m == 2:
         return triangle_ge2_rec(n, k, r)
-    if m < 2:
-        if k == 0:
-            if n < 0:
-                return 0
-            if r == 0:
-                return 1 if n == 0 else 0
-            return 2 ** (n + r) * factorial(n) * comb(n + r - 1, r - 1)
-        raise ValueError(
-            "columns k > 0 are unsupported for m <= 1 (free-sign regime)"
-        )
     return _gem(n, k, r, m)
 
 
@@ -665,8 +661,8 @@ def howard_check(
         )
         return lhs, rhs
     if variant == "type-b":
-        if m < 2:
-            raise ValueError("type-b variant needs m >= 2")
+        if m < 1:
+            raise ValueError("type-b variant needs m >= 1")
         lhs = triangle_gem_rec(n, k, r, m)
         rhs = 0
         for p in range(r + 1):

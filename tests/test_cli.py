@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from stirlingb import sequences
 from stirlingb.cli import FAMILIES, main
+from stirlingb.permcore import oracle_triangle
 from stirlingb.verify import SCOPES
 
 
@@ -222,10 +223,25 @@ def test_oracle_size_nine_needs_explicit_bound(capsys):
     assert code == 0 and out == "%d\n" % sequences.triangle_gem_rec(9, 3, 0, 2)
 
 
-def test_table_free_sign_usage_error(capsys):
-    code, _, err = _run(capsys, ["table", "stirling-b", "--m", "1", "--rows", "3"])
-    assert code == 2
-    assert "free-sign" in err
+def test_table_stirling_b_m1_prints_oracle_rows(capsys):
+    code, out, err = _run(
+        capsys, ["table", "stirling-b", "--m", "1", "--rows", "6", "--r", "2"]
+    )
+    assert code == 0 and err == ""
+    want = [
+        " ".join(str(oracle_triangle(n, 2, k, "assoc", 1)) for k in range(n + 1))
+        for n in range(6)
+    ]
+    assert out == "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize("family", ["stirling-b", "inverse"])
+def test_table_assoc_only_families_reject_restr(capsys, family):
+    code, out, err = _run(capsys, ["table", family, "--mode", "restr", "--rows", "4"])
+    assert code == 2 and out == ""
+    assert err == "error: family '%s' supports --mode assoc only\n" % family
+    code, _, err = _run(capsys, ["table", family, "--mode", "assoc", "--rows", "4"])
+    assert code == 0 and err == ""
 
 
 def test_usage_error_unknown_family(capsys):
@@ -296,8 +312,9 @@ def test_verify_failure_reports_cell(capsys, monkeypatch):
 
 
 # family -> (command, m, r, mode or None when the key is absent, provenance),
-# for --m 3 --r 1 --mode restr (--m 2 for inverse, which takes m = 2 only);
-# m and r are null for a family that does not take them
+# for --m 3 --r 1 --mode restr (--m 2 for inverse, which takes m = 2 only,
+# and no --mode for the assoc-only stirling-b and inverse); m and r are null
+# for a family that does not take them
 FAMILY_PAYLOADS = {
     "stirling-b": ("table", 3, 1, None, "recurrence"),
     "inverse": ("table", 2, 1, None, "riordan"),
@@ -314,9 +331,10 @@ FAMILY_PAYLOADS = {
 def test_family_json_payload_keys(capsys, family):
     command, m, r, mode, provenance = FAMILY_PAYLOADS[family]
     flag_m = "2" if family == "inverse" else "3"
+    flag_mode = [] if family in ("stirling-b", "inverse") else ["--mode", "restr"]
     code, out, err = _run(
         capsys,
-        [command, family, "--m", flag_m, "--r", "1", "--mode", "restr",
+        [command, family, "--m", flag_m, "--r", "1", *flag_mode,
          "--rows", "3", "--format", "json"],
     )
     assert code == 0 and err == ""

@@ -55,6 +55,12 @@ def test_sequences_imports_only_stdlib_the_record_base_and_fps():
     assert _imports_beyond_stdlib("stirlingb.sequences") == {"._record", ".fps"}
 
 
+def test_riordan_imports_only_stdlib_the_record_base_and_fps():
+    # the array route builds its window from its own weights: the cycle
+    # weights of the recurrences in sequences are never shared with it
+    assert _imports_beyond_stdlib("stirlingb.riordan") == {"._record", ".fps"}
+
+
 def test_every_private_helper_is_used():
     # a module-level _name function or class that no code in the package
     # reads is dead: nothing outside the package may rely on it

@@ -237,8 +237,8 @@ def test_apply_fte_row_sums_equal_d_egf():
 
 
 def test_make_triangle_B_validation():
-    with pytest.raises(ValueError):
-        make_triangle_B(1, 0)
+    with pytest.raises(ValueError, match="^m must be >= 0$"):
+        make_triangle_B(-1, 0)
     with pytest.raises(ValueError):
         make_triangle_B(2, -1)
     with pytest.raises(ValueError):

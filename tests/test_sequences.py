@@ -169,15 +169,18 @@ def test_triangle_ge2_validation():
         lambda: diagonals(-1, 2, 3),
         lambda: diagonals_delta(2, -1, 3),
         lambda: diagonals_delta(-1, 2, 3),
+        lambda: triangle_gem_rec(2, 1, 0, -1),
+        lambda: triangle_gem_rec(2, 1, 1, -1),
     ],
     ids=[
         "rstirling1", "inverse_triangle_rec", "howard1", "d_explicit", "d_explicit-n",
         "d_egf", "d_poly-n", "d_asym", "d_asym-n", "lattice_terms",
         "diagonals", "diagonals-n", "diagonals_delta", "diagonals_delta-n",
+        "triangle_gem_rec-m", "triangle_gem_rec-m-r1",
     ],
 )
 def test_negative_r_is_rejected(call):
-    with pytest.raises(ValueError, match=r"^(r|n|r and n) must be >= 0$"):
+    with pytest.raises(ValueError, match=r"^(r|n|m|r and n) must be >= 0$"):
         call()
     assert not [key for key in sequences._TABLES if key[1:2] == (-1,)]
 
@@ -210,21 +213,29 @@ def test_gem_m4_and_m5_against_oracle():
                     ), (n, k, r, m)
 
 
-def test_gem_free_sign_column():
+def test_window_triangle_both_routes_match_oracle():
+    # one weight rule at every m: the recurrence and the array from
+    # f = sum_L w_L x^L / L, each against the oracle
+    for m in range(6):
+        for r in range(4):
+            arr = make_triangle_B(m, r, order=8 - r)
+            for n in range(9 - r):
+                for k in range(n + 1):
+                    want = oracle_triangle(n, r, k, "assoc", m)
+                    assert triangle_gem_rec(n, k, r, m) == want, (n, k, r, m)
+                    assert arr.entry(n, k) == want, (n, k, r, m)
+    # at m <= 1 signs are free and column 0 has the closed form
+    # 2^(n+r) n! C(n+r-1, r-1): every element in one of the r special cycles
     for m in (0, 1):
         for r in range(4):
-            for n in range(5 - r):
-                want = oracle_triangle(n, r, 0, "assoc", m)
+            arr = make_triangle_B(m, r, order=8)
+            for n in range(9):
+                if r:
+                    want = 2 ** (n + r) * factorial(n) * comb(n + r - 1, r - 1)
+                else:
+                    want = int(n == 0)
                 assert triangle_gem_rec(n, 0, r, m) == want, (n, r, m)
-    assert triangle_gem_rec(0, 0, 0, 1) == 1
-    assert triangle_gem_rec(3, 0, 0, 1) == 0
-
-
-def test_gem_free_sign_rejects_positive_k():
-    with pytest.raises(ValueError, match="free-sign"):
-        triangle_gem_rec(2, 1, 0, 1)
-    with pytest.raises(ValueError, match="free-sign"):
-        triangle_gem_rec(3, 2, 1, 0)
+                assert arr.entry(n, 0) == want, (n, r, m)
 
 
 # -- type A windowed Stirling numbers ----------------------------------------------
@@ -471,7 +482,7 @@ def test_howard_type_a():
 
 
 def test_howard_type_b():
-    for m in (2, 3):
+    for m in (1, 2, 3):
         for r in range(3):
             for n in range(6 - r):
                 for k in range(n + 1):
@@ -491,8 +502,8 @@ def test_howard_validation():
     assert set(HOWARD_VARIANTS) == {"type-a", "type-b", "howard1"}
     with pytest.raises(ValueError):
         howard_check(2, 1, variant="type-c")
-    with pytest.raises(ValueError):
-        howard_check(2, 1, m=1, variant="type-b")
+    with pytest.raises(ValueError, match="m >= 1"):
+        howard_check(2, 1, m=0, variant="type-b")
 
 
 # -- the row tables against the per-cell recurrences --------------------------------
@@ -532,7 +543,7 @@ def _ref_gem(n, k, r, m):
     if n < 0 or k < 0 or k > n:
         return 0
     if n == 0:
-        return 1
+        return _ref_tau(m, 0, 0) ** r  # the r specials as fixed points
     p = n - 1
     total = 0
     for j in range(p + 1):
