@@ -28,22 +28,35 @@ class UsageError(Exception):
     pass
 
 
-def _triangle_rows(family: str, rows: int, m: int, r: int, mode: str):
-    """(rows, provenance, the parameters the family reports)."""
-    if family in ("stirling-b", "inverse") and mode != "assoc":
-        raise UsageError("family '%s' supports --mode assoc only" % family)
+# family -> (provenance, the flags it reads with their defaults); the json
+# payload reports both, and a flag given to a family that does not read it
+# is a usage error.  stirling-b and inverse also accept --mode assoc, their
+# only mode, and report none.
+_FAMILY_FLAGS = {
+    "stirling-b": ("recurrence", {"m": 2, "r": 0}),
+    "inverse": ("riordan", {"m": 2, "r": 0}),
+    "stirling-a": ("recurrence", {"m": 2, "mode": "assoc"}),
+    "d": ("recurrence", {"r": 0}),
+    "lattice": ("explicit", {"r": 0}),
+    "tree": ("riordan", {}),
+    "incomplete": ("recurrence", {"m": 2, "mode": "assoc"}),
+    "typeb-factorial": ("explicit", {"m": 2, "mode": "assoc"}),
+}
+
+
+def _values(family: str, size: int, m=None, r=None, mode=None) -> list:
+    """The first ``size`` rows of a triangle family, or terms of a sequence."""
     if family == "stirling-b":
-        vals = [
+        return [
             [sequences.triangle_gem_rec(n, k, r, m) for k in range(n + 1)]
-            for n in range(rows)
+            for n in range(size)
         ]
-        return vals, "recurrence", {"m": m, "r": r}
     if family == "inverse":
         if m != 2:
             raise UsageError("family 'inverse' supports --m 2 only")
-        conj = unsigned_conjugate(make_triangle_B(2, r, order=max(rows - 1, 1)).invert())
+        conj = unsigned_conjugate(make_triangle_B(2, r, order=max(size - 1, 1)).invert())
         vals = []
-        for n in range(rows):
+        for n in range(size):
             row = []
             for k in range(n + 1):
                 v = conj.entry(n, k)
@@ -51,33 +64,18 @@ def _triangle_rows(family: str, rows: int, m: int, r: int, mode: str):
                     raise UsageError("non-integer inverse entry at (%d, %d)" % (n, k))
                 row.append(int(v))
             vals.append(row)
-        return vals, "riordan", {"m": m, "r": r}
+        return vals
     if family == "stirling-a":
-        vals = [
-            [sequences.stirlingA(n, k, mode, m) for k in range(n + 1)]
-            for n in range(rows)
-        ]
-        return vals, "recurrence", {"m": m, "mode": mode}
-    raise UsageError("unknown triangle family %r" % (family,))
-
-
-def _sequence_terms(family: str, terms: int, m: int, r: int, mode: str):
-    """(terms, provenance, the parameters the family reports)."""
+        return [[sequences.stirlingA(n, k, mode, m) for k in range(n + 1)] for n in range(size)]
     if family == "d":
-        return [sequences.d_rec(r, n) for n in range(terms)], "recurrence", {"r": r}
+        return [sequences.d_rec(r, n) for n in range(size)]
     if family == "lattice":
-        return sequences.lattice_terms(r, terms), "explicit", {"r": r}
+        return sequences.lattice_terms(r, size)
     if family == "tree":
-        return sequences.tree_terms(terms), "riordan", {}
+        return sequences.tree_terms(size)
     if family == "incomplete":
-        return [
-            sequences.incomplete_factorial(n, mode, m) for n in range(terms)
-        ], "recurrence", {"m": m, "mode": mode}
-    if family == "typeb-factorial":
-        return [
-            sequences.typeB_factorial_conv(n, mode, m) for n in range(terms)
-        ], "explicit", {"m": m, "mode": mode}
-    raise UsageError("unknown sequence family %r" % (family,))
+        return [sequences.incomplete_factorial(n, mode, m) for n in range(size)]
+    return [sequences.typeB_factorial_conv(n, mode, m) for n in range(size)]
 
 
 def _render_rows(rows, fmt, payload):
@@ -107,22 +105,29 @@ def _size(first, second, flag: str) -> int:
 
 
 def _cmd_table(args) -> str:
-    m = args.m if args.m is not None else 2
-    r = args.r if args.r is not None else 0
-    if m < 0 or r < 0:
+    family = args.family
+    provenance, reads = _FAMILY_FLAGS[family]
+    given = {
+        flag: getattr(args, flag)
+        for flag in ("m", "r", "mode")
+        if getattr(args, flag) is not None
+    }
+    if family in ("stirling-b", "inverse") and given.pop("mode", "assoc") != "assoc":
+        raise UsageError("family '%s' supports --mode assoc only" % family)
+    for flag in given:
+        if flag not in reads:
+            raise UsageError("family '%s' does not take --%s" % (family, flag))
+    params = dict(reads, **given)
+    if params.get("m", 0) < 0 or params.get("r", 0) < 0:
         raise UsageError("--m and --r must be >= 0")
-    if args.family in TRIANGLE_FAMILIES:
-        size = _size(args.rows, args.terms, "--rows")
-        values, provenance, params = _triangle_rows(args.family, size, m, r, args.mode)
-        render = _render_rows
+    if family in TRIANGLE_FAMILIES:
+        size, render = _size(args.rows, args.terms, "--rows"), _render_rows
     else:
-        size = _size(args.terms, args.rows, "--terms")
-        values, provenance, params = _sequence_terms(args.family, size, m, r, args.mode)
-        render = _render_terms
+        size, render = _size(args.terms, args.rows, "--terms"), _render_terms
     # m and r are always keys, null for a family that does not take them
-    payload = {"family": args.family, "m": None, "r": None, "provenance": provenance}
+    payload = {"family": family, "m": None, "r": None, "provenance": provenance}
     payload.update(params)
-    return render(values, args.format, payload)
+    return render(_values(family, size, **params), args.format, payload)
 
 
 def _cmd_verify(args) -> tuple[str, int]:
@@ -196,7 +201,7 @@ def _add_common_value_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--r", type=int, default=None)
     cmd.add_argument("--rows", type=int, default=None)
     cmd.add_argument("--terms", type=int, default=None)
-    cmd.add_argument("--mode", choices=MODES, default="assoc")
+    cmd.add_argument("--mode", choices=MODES, default=None)
     cmd.add_argument("--format", choices=FORMATS, default="pretty")
 
 

@@ -12,19 +12,21 @@ Conventions used throughout (see also permcore):
   window and 1 below it, where it must be all-barred.
 * ``stirlingA(n, k, mode, m)`` are the plain (type A) restricted/associated
   Stirling numbers of the first kind: cycle sizes bounded above ("restr") or
-  below ("assoc") by m, no sign, no exemption.
+  below ("assoc") by m, no sign, no exemption.  Here w_L is 1 inside the
+  window and 0 outside it, and both triangles run one weight rule.
 * The d-family is computed four independent ways (recurrence, explicit
   double sum, egf coefficients, Riordan row sums) so the tests can compare.
 
 The recurrences are evaluated row by row into one table per parameter set,
 kept for the life of the process and extended in place when a query reaches
 past its last row.  Each triangle table starts from row 0 (the r specials
-as fixed points: [1], or [w_1^r] for the window triangle) and builds every
-column of the later rows, column 0 included, with its one rule.  Long
-inner sums are carried from one row to the next as running sums, so a cell
-costs O(1) (O(m) for the windowed families) big-integer operations, and
-nothing recurses.  The point functions
-(``triangle_ge2_rec(n, k, r)`` and friends) read one cell of a table.
+as fixed points, [w_1^r] for the window triangles and [1] for the rest)
+and builds every column of the later rows, column 0 included, with its one
+rule.  Long inner sums are carried from one row to the next as running
+sums, so a cell costs O(1) big-integer operations, plus one per explicit
+head weight (about m) for the window triangles, and nothing recurses.
+The point functions (``triangle_ge2_rec(n, k, r)`` and friends) read one
+cell of a table.
 
 The series-backed families (``d_egf``, ``lattice_terms``, ``tree_terms``)
 take a term count and read every term from one series truncated at the
@@ -210,76 +212,96 @@ def triangle_ge2_alt_rec(n: int, k: int) -> int:
     return _table(_Ge2AltRows).cell(n, k)
 
 
-# -- the general ord >= m triangle ---------------------------------------------
+# -- the window triangles and the type A Stirling numbers of the first kind ---
 
 
-class _GemRows(_Rows):
-    """The removal recurrence of the ord >= m triangle for one (r, m).  A
-    cycle of length L carries w_L sign masks: 2^L once it reaches the
-    window (L >= m), 1 below it, where it must be all-barred.  With p = n-1,
-    ff(p, j) = p!/(p-j)!, c = max(m-1, 0), c2 = max(m-2, 0) and G' the
-    table for r-1:
+class _WindowRows(_Rows):
+    """The removal recurrence of a window triangle for one (r, mode, m,
+    signed).  A cycle of length L carries w_L: signed (type B), 2^L sign
+    masks inside the window and 1 outside it, where it must be all-barred;
+    unsigned (type A), 1 inside and 0 outside.  The window is L >= m
+    ("assoc") or L <= m ("restr"), so w_L is a head w_1..w_c and then a
+    tail rho^L, rho in {2, 1, 0}.  The triangle is [(f')^r, f] with f =
+    sum_L w_L x^L/L, whose rule reads, with p = n-1, ff(p, j) = p!/(p-j)!,
+    c2 = max(c-1, 0) and G' the table for r-1,
 
-        G(n, k) = sum_{j<c} ff(p, j) G(p-j, k-1) + 2 H(p, k-1)
-                  + r (sum_{j<c2} (j+1) ff(p, j) G'(p-j, k) + 4 D(p, k))
-        H(p, k) = sum_{j>=c} 2^j ff(p, j) G(p-j, k)
-                = 2^c ff(p, c) G(p-c, k) + 2p H(p-1, k)
-        A(p, k) = sum_{j>=c2} 2^j ff(p, j) G'(p-j, k)
-                = y(p, k) + 2p A(p-1, k),    y(p, k) = 2^c2 ff(p, c2) G'(p-c2, k)
-        D(p, k) = sum_{j>=c2} (j+1) 2^j ff(p, j) G'(p-j, k)
-                = (c2+1) y(p, k) + 2p (D(p-1, k) + A(p-1, k))
+        G(n, k) = sum_j w_(j+1) ff(p, j) G(p-j, k-1)
+                  + r sum_j (j+1) w_(j+2) ff(p, j) G'(p-j, k)
+                = sum_{j<c} w_(j+1) ff(p, j) G(p-j, k-1) + rho H(p, k-1)
+                  + r (sum_{j<c2} (j+1) w_(j+2) ff(p, j) G'(p-j, k) + rho^2 D(p, k))
+        H(p, k) = sum_{j>=c} rho^j ff(p, j) G(p-j, k)
+                = rho^c ff(p, c) G(p-c, k) + rho p H(p-1, k)
+        A(p, k) = sum_{j>=c2} rho^j ff(p, j) G'(p-j, k)
+                = y(p, k) + rho p A(p-1, k),    y(p, k) = rho^c2 ff(p, c2) G'(p-c2, k)
+        D(p, k) = sum_{j>=c2} (j+1) rho^j ff(p, j) G'(p-j, k)
+                = (c2+1) y(p, k) + rho p (D(p-1, k) + A(p-1, k))
 
-    for k >= 0 from row 0 = [w_1^r], the r specials as fixed points; at
-    k = 0 the k-1 terms vanish and only the r term is left.  The heads keep
-    their explicit terms over the last c rows; ``h``, ``a`` and ``d`` hold
-    H, A and D at p-1 for the last row p.
+    from row 0 = [w_1^r], the r specials as fixed points; at k = 0 only the
+    r term is left.  The tails are skipped when rho = 0.  ``h``, ``a`` and
+    ``d`` hold H, A and D at p-1 for the last row p, ``sums`` the row sums.
     """
 
-    def __init__(self, r: int, m: int):
+    def __init__(self, r: int, mode: str, m: int, signed: bool):
         super().__init__(r)
-        self.m = m
-        self.h, self.a, self.d = [], [], []
+        inside, outside = (2, 1) if signed else (1, 0)  # w_L = base^L
+        if mode == "assoc":
+            self.c, base, self.rho = max(m - 1, 0), outside, inside
+        else:
+            self.c, base, self.rho = max(m, 0), inside, outside
+        self.w = [base**L for L in range(1, self.c + 1)]  # w[j] is w_(j+1)
+        self.h, self.a, self.d, self.sums = [], [], [], []
+
+    def total(self, n: int) -> int:
+        """The sum of row n, formed once per row; 0 for n < 0."""
+        while len(self.sums) <= n:
+            self.sums.append(sum(self.row(len(self.sums))))
+        return self.sums[n] if n >= 0 else 0
 
     def _next(self, n: int) -> list[int]:
-        r, m = self.r, self.m
+        r, c, rho, w = self.r, self.c, self.rho, self.w
         if n == 0:
-            return [(2 if m <= 1 else 1) ** r]
-        p, rows, two_p = n - 1, self.rows, 2 * (n - 1)
-        c, c2 = max(m - 1, 0), max(m - 2, 0)
+            return [(w[0] if c else rho) ** r]
+        p, rows, c2 = n - 1, self.rows, max(c - 1, 0)
         ff = [perm(p, j) for j in range(c + 1)]
-
-        h = [two_p * v for v in self.h] + [0]
-        if p >= c:
-            w = 2**c * ff[c]
-            for k, v in enumerate(rows[p - c]):
-                h[k] += w * v
-        self.h = h
-        row = [0] + [2 * v for v in h]
+        if rho:
+            step = rho * p
+            h = [step * v for v in self.h] + [0]
+            if p >= c:
+                x = rho**c * ff[c]
+                for k, v in enumerate(rows[p - c]):
+                    h[k] += x * v
+            self.h = h
+            row = [0] + [rho * v for v in h]
+        else:
+            row = [0] * (n + 1)
         for j in range(min(c, n)):
-            for k, v in enumerate(rows[p - j]):
-                row[k + 1] += ff[j] * v
-
+            x = w[j] * ff[j]
+            if x:
+                for k, v in enumerate(rows[p - j]):
+                    row[k + 1] += x * v
         if r:
             low = self.lower.rows
-            a = [two_p * v for v in self.a] + [0]
-            d = [two_p * (x + y) for x, y in zip(self.d, self.a)] + [0]
-            if p >= c2:
-                w = 2**c2 * ff[c2]
-                for k, v in enumerate(low[p - c2]):
-                    a[k] += w * v
-                    d[k] += (c2 + 1) * w * v
-            self.a, self.d = a, d
-            for k in range(n):  # D(p, n) = 0
-                row[k] += 4 * r * d[k]
+            if rho:
+                a = [step * v for v in self.a] + [0]
+                d = [step * (u + v) for u, v in zip(self.d, self.a)] + [0]
+                if p >= c2:
+                    x = rho**c2 * ff[c2]
+                    for k, v in enumerate(low[p - c2]):
+                        a[k] += x * v
+                        d[k] += (c2 + 1) * x * v
+                self.a, self.d = a, d
+                x = rho * rho * r
+                for k in range(n):  # D(p, n) = 0
+                    row[k] += x * d[k]
             for j in range(min(c2, n)):
-                w = r * (j + 1) * ff[j]
+                x = r * (j + 1) * w[j + 1] * ff[j]
                 for k, v in enumerate(low[p - j]):
-                    row[k] += w * v
+                    row[k] += x * v
         return row
 
 
 def _gem(n: int, k: int, r: int, m: int) -> int:
-    return _r_table(_GemRows, r, m).cell(n, k)
+    return _r_table(_WindowRows, r, "assoc", m, True).cell(n, k)
 
 
 def triangle_gem_rec(n: int, k: int, r: int, m: int) -> int:
@@ -298,58 +320,19 @@ def triangle_gem_rec(n: int, k: int, r: int, m: int) -> int:
     return _gem(n, k, r, m)
 
 
-# -- type A restricted/associated Stirling numbers of the first kind ----------
-
-
-class _StirlingARows(_Rows):
-    """The removal recurrence of ``stirlingA`` for one (mode, m), p = n-1:
-
-        restr:  S(n, k) = sum_{i<=min(m-1, p)} ff(p, i) S(p-i, k-1)
-        assoc:  S(n, k) = E(p, k-1),  E(p, k) = sum_{i>=c} ff(p, i) S(p-i, k)
-                                              = ff(p, c) S(p-c, k) + p E(p-1, k)
-
-    with ff(p, i) = p!/(p-i)! and c = max(m-1, 0); ``e`` holds E at p-1
-    for the last row p, and ``sums[n]`` the sum of row n.
-    """
-
-    def __init__(self, mode: str, m: int):
-        if mode not in ("restr", "assoc"):
-            raise ValueError("mode must be 'restr' or 'assoc', got %r" % (mode,))
-        super().__init__()
-        self.mode, self.m = mode, m
-        self.e, self.sums = [], []
-
-    def total(self, n: int) -> int:
-        """The sum of row n, formed once per row; 0 for n < 0."""
-        while len(self.sums) <= n:
-            self.sums.append(sum(self.row(len(self.sums))))
-        return self.sums[n] if n >= 0 else 0
-
-    def _next(self, n: int) -> list[int]:
-        if n == 0:
-            return [1]
-        p, rows = n - 1, self.rows
-        if self.mode == "restr":
-            row = [0] * (n + 1)
-            for i in range(min(self.m - 1, p) + 1):
-                w = perm(p, i)
-                for k, v in enumerate(rows[p - i]):
-                    row[k + 1] += w * v
-            return row
-        c = max(self.m - 1, 0)
-        e = [p * v for v in self.e] + [0]
-        if p >= c:
-            w = perm(p, c)
-            for k, v in enumerate(rows[p - c]):
-                e[k] += w * v
-        self.e = e
-        return [0] + e
+def _type_a(mode: str, m: int) -> _WindowRows:
+    """The unsigned window table for one (mode, m), once both are checked."""
+    if mode not in ("restr", "assoc"):
+        raise ValueError("mode must be 'restr' or 'assoc', got %r" % (mode,))
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    return _table(_WindowRows, 0, mode, m, False)
 
 
 def stirlingA(n: int, k: int, mode: str, m: int) -> int:
     """Permutations of [n] with k cycles, all cycle sizes <= m ("restr") or
     >= m ("assoc").  No signs and no exemption here."""
-    return _table(_StirlingARows, mode, m).cell(n, k)
+    return _type_a(mode, m).cell(n, k)
 
 
 class _RStirling1Rows(_Rows):
@@ -377,24 +360,20 @@ def rstirling1(n: int, k: int, r: int) -> int:
 
 def incomplete_factorial(n: int, mode: str, m: int) -> int:
     """Row sums of stirlingA: permutations of [n] with the size window."""
-    return _table(_StirlingARows, mode, m).total(n)
+    return _type_a(mode, m).total(n)
 
 
 def typeB_factorial_conv(n: int, mode: str, m: int) -> int:
     """Total signed permutations of [n] whose cycles obey the window-or-
     all-barred rule, by convolving the two type A totals: the elements in
     window cycles keep free signs (2^i), the rest sit in all-barred cycles
-    on the other side of the window.
-    """
-    complement = {"assoc": ("restr", m - 1), "restr": ("assoc", m + 1)}.get(mode)
-    if complement is None:
-        raise ValueError("mode must be 'restr' or 'assoc', got %r" % (mode,))
+    on the other side of the window, read unchecked: at assoc m = 0 that
+    side is the empty window (restr, -1)."""
+    inside = _type_a(mode, m)
+    other, edge = ("restr", m - 1) if mode == "assoc" else ("assoc", m + 1)
+    outside = _table(_WindowRows, 0, other, edge, False)
     return sum(
-        comb(n, i)
-        * 2**i
-        * incomplete_factorial(i, mode, m)
-        * incomplete_factorial(n - i, *complement)
-        for i in range(n + 1)
+        comb(n, i) * 2**i * inside.total(i) * outside.total(n - i) for i in range(n + 1)
     )
 
 
@@ -539,7 +518,7 @@ def lattice_terms(r: int, count: int) -> list[int]:
 def diagonals(n: int, r: int, m: int = 2) -> tuple[int, int]:
     """Closed forms for the two subdiagonal entries (n+1, n) and (n+2, n)
     of the ord >= m triangle.  m = 2 uses the dedicated quadratic forms;
-    other m >= 1 dispatch to the Kronecker-delta forms."""
+    every other m >= 0 dispatches to the Kronecker-delta forms."""
     if r < 0 or n < 0:
         raise ValueError("r and n must be >= 0")
     if m == 2:
@@ -554,13 +533,14 @@ def diagonals(n: int, r: int, m: int = 2) -> tuple[int, int]:
 
 
 def diagonals_delta(n: int, r: int, m: int) -> tuple[int, int]:
-    """The same two subdiagonals for any m >= 1, written with Kronecker
-    deltas in the exponents."""
+    """The same two subdiagonals for any m >= 0, written with Kronecker
+    deltas in the exponents; m = 0 is the m = 1 triangle (all cycles in the
+    window), so it takes the m = 1 deltas."""
     if r < 0 or n < 0:
         raise ValueError("r and n must be >= 0")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    d1 = 1 if m == 1 else 0
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    d1 = 1 if m <= 1 else 0
     d2 = 1 if m == 2 else 0
     d3 = 1 if m == 3 else 0
     first = Fraction(2) ** ((n + r + 1) * d1 + 2 * d2 - 1) * (n + 1) * (n + 2 * r)

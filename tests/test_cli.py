@@ -91,6 +91,11 @@ RECURRENCE_GOLDEN = {
         "f219451c79230ca86b3b4e914b0c5329659845fcced6707820e390b5b478176a",
     "table stirling-b --rows 50 --m 5 --r 4 --format csv":
         "dbef867ce614d7c52e2b1866946f980d65198912cdf90f7b346735417c5b8a27",
+    # the type A tables, recorded before they moved onto the signed rows' rule
+    "table stirling-a --rows 104 --m 4 --mode assoc --format csv":
+        "c99d14027d2df4ae29ed442793fd9add9862725f08dc5d23465645aef69ee213",
+    "table stirling-a --rows 183 --m 3 --mode restr --format json":
+        "46c5c6bf7f3bf593cc020b0eff0533409963683280f9a815c07de1db2c66d1dd",
 }
 
 
@@ -311,10 +316,11 @@ def test_verify_failure_reports_cell(capsys, monkeypatch):
     assert out.splitlines()[-1] == "scope all: FAIL (1 checks, 15 comparisons)"
 
 
-# family -> (command, m, r, mode or None when the key is absent, provenance),
-# for --m 3 --r 1 --mode restr (--m 2 for inverse, which takes m = 2 only,
-# and no --mode for the assoc-only stirling-b and inverse); m and r are null
-# for a family that does not take them
+# family -> (command, m, r, mode or None when the key is absent, provenance)
+# for the flags the family reads, each given: --m 3 (--m 2 for inverse,
+# which takes m = 2 only), --r 1 and --mode restr (no --mode for the
+# assoc-only stirling-b and inverse); m and r are null for a family that
+# does not read them
 FAMILY_PAYLOADS = {
     "stirling-b": ("table", 3, 1, None, "recurrence"),
     "inverse": ("table", 2, 1, None, "riordan"),
@@ -330,12 +336,14 @@ FAMILY_PAYLOADS = {
 @pytest.mark.parametrize("family", sorted(FAMILY_PAYLOADS))
 def test_family_json_payload_keys(capsys, family):
     command, m, r, mode, provenance = FAMILY_PAYLOADS[family]
-    flag_m = "2" if family == "inverse" else "3"
-    flag_mode = [] if family in ("stirling-b", "inverse") else ["--mode", "restr"]
+    flags = [
+        arg
+        for flag, value in (("--m", m), ("--r", r), ("--mode", mode))
+        if value is not None
+        for arg in (flag, str(value))
+    ]
     code, out, err = _run(
-        capsys,
-        [command, family, "--m", flag_m, "--r", "1", *flag_mode,
-         "--rows", "3", "--format", "json"],
+        capsys, [command, family, *flags, "--rows", "3", "--format", "json"]
     )
     assert code == 0 and err == ""
     payload = json.loads(out)
@@ -346,6 +354,27 @@ def test_family_json_payload_keys(capsys, family):
     assert set(payload) == {"family", "m", "r", "provenance"} | data_keys | (
         {"mode"} if mode is not None else set()
     )
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("seq d --terms 5 --m 5 --mode restr", "m"),
+        ("seq d --terms 5 --mode assoc", "mode"),
+        ("table stirling-a --r 3", "r"),
+        ("seq tree --r 3 --m 7", "m"),
+        ("seq tree --mode assoc", "mode"),
+        ("seq lattice --terms 4 --m 2", "m"),
+        ("seq incomplete --r 0", "r"),
+        ("table typeb-factorial --r 1", "r"),
+    ],
+)
+def test_unread_flag_exits_2(capsys, argv, flag):
+    # a flag the family does not read is an error, not silently dropped
+    family = argv.split()[1]
+    code, out, err = _run(capsys, argv.split())
+    assert code == 2 and out == ""
+    assert err == "error: family '%s' does not take --%s\n" % (family, flag)
 
 
 def test_verify_all_defaults_pass(capsys):

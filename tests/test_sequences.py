@@ -135,8 +135,14 @@ def test_point_functions_are_zero_off_the_triangle(point):
         lambda: stirlingA(-1, 5, "weird", 2),
         lambda: rstirling1(-1, 5, -1),
         lambda: inverse_triangle_rec(-1, 5, -1),
+        lambda: stirlingA(5, 2, "assoc", -3),
+        lambda: incomplete_factorial(4, "assoc", -5),
+        lambda: typeB_factorial_conv(3, "restr", -2),
     ],
-    ids=["triangle_ge2_rec", "triangle_gem_rec", "stirlingA", "rstirling1", "inverse"],
+    ids=[
+        "triangle_ge2_rec", "triangle_gem_rec", "stirlingA", "rstirling1", "inverse",
+        "stirlingA-m", "incomplete_factorial-m", "typeB_factorial_conv-m",
+    ],
 )
 def test_bad_r_or_mode_raises_before_a_table_is_made(call):
     tables = set(sequences._TABLES)
@@ -311,6 +317,9 @@ def test_typeB_factorial_conv_basics():
     for n in range(6):
         assert typeB_factorial_conv(n, "assoc", 1) == 2**n * factorial(n)
     assert typeB_factorial_conv(2, "assoc", 2) == 5
+    # m = 0 is m = 1 again; its all-barred side is the empty window
+    for n in range(9):
+        assert typeB_factorial_conv(n, "assoc", 0) == 2**n * factorial(n)
     with pytest.raises(ValueError):
         typeB_factorial_conv(3, "diagonal", 2)
 
@@ -410,6 +419,15 @@ def test_diagonals_match_triangle_m3():
             assert second == triangle_gem_rec(n + 2, n, r, 3), (n, r)
 
 
+def test_diagonals_match_triangle_m0():
+    # m = 0 puts every cycle in the window, as m = 1 does
+    for r in range(3):
+        for n in range(6):
+            first, second = diagonals(n, r, 0)
+            assert first == triangle_gem_rec(n + 1, n, r, 0), (n, r)
+            assert second == triangle_gem_rec(n + 2, n, r, 0), (n, r)
+
+
 def test_diagonals_match_free_sign_m1():
     for r in range(3):
         for n in range(5):
@@ -419,8 +437,8 @@ def test_diagonals_match_free_sign_m1():
 
 
 def test_diagonals_validation():
-    with pytest.raises(ValueError):
-        diagonals_delta(2, 0, 0)
+    with pytest.raises(ValueError, match="^m must be >= 0$"):
+        diagonals_delta(2, 0, -1)
 
 
 def test_inverse_triangle_matches_riordan_route():
@@ -627,6 +645,15 @@ def test_stirling1_matches_sympy():
     for n in range(61):
         for k in range(n + 1):
             assert stirling1(n, k) == sympy_numbers.stirling(n, k, kind=1), (n, k)
+
+
+def test_window_row_sums_match_typeB_factorial_above_the_oracle_bound():
+    # the signed window triangle at r = 0 against the convolution of the two
+    # type A totals, far past the sizes the oracle reaches
+    for m in range(6):
+        for n in range(41):
+            total = sum(triangle_gem_rec(n, k, 0, m) for k in range(n + 1))
+            assert total == typeB_factorial_conv(n, "assoc", m), (n, m)
 
 
 def test_gem_m2_matches_ge2_recurrence():
