@@ -5,8 +5,9 @@ bounded grids.  A scope runs its checks in a fixed order and stops at the
 first failing check; the report carries the first mismatching cell with both
 values and both provenances.
 
-`SCOPE_TABLE` lists the scopes with their default grid sizes (max_n, max_r):
-riordan (8, 3), oracle (4, 2), howard (5, 2), asymptotic (30, 2); the
+`SCOPE_TABLE` lists the scopes with their default grid sizes (max_n, max_r)
+and the options they read: riordan (8, 3) seed and samples, oracle (4, 2)
+the enumeration bound, howard (5, 2) none, asymptotic (30, 2) precision; the
 asymptotic scope checks r <= 2 only and says so when asked for more.
 `run_scope` runs one of them, or "all" of them in that order up to the first
 failing scope.
@@ -159,7 +160,7 @@ def _random_array(rng: random.Random, order: int) -> ExpRiordanArray:
 
 
 def check_riordan(
-    max_n: int, max_r: int, *, seed: int, samples: int, **_
+    max_n: int, max_r: int, *, seed: int, samples: int
 ) -> VerificationReport:
     order = max(max_n, 1)
     rs = range(max_r + 1)
@@ -255,9 +256,7 @@ def check_riordan(
 # -- oracle scope ----------------------------------------------------------------
 
 
-def check_oracle(
-    max_n: int, max_r: int, *, bound: int | None, **_
-) -> VerificationReport:
+def check_oracle(max_n: int, max_r: int, *, bound: int | None) -> VerificationReport:
     def triangle_vs_oracle(m):
         return _triangle(
             lambda m, r, n, k: (
@@ -303,7 +302,7 @@ def check_oracle(
 # -- howard scope ----------------------------------------------------------------
 
 
-def check_howard(max_n: int, max_r: int, **_) -> VerificationReport:
+def check_howard(max_n: int, max_r: int) -> VerificationReport:
     def type_a(n, k):
         return sequences.howard_check(n, k, variant="type-a")
 
@@ -345,9 +344,7 @@ def _format_fraction(value: Fraction, precision: int) -> str:
 _ASYMPTOTIC_MAX_R = 2
 
 
-def check_asymptotic(
-    max_n: int, max_r: int, *, precision: int, **_
-) -> VerificationReport:
+def check_asymptotic(max_n: int, max_r: int, *, precision: int) -> VerificationReport:
     target = inv_sqrt_e()
     grid = [n for n in (10, 20, 30) if n <= max_n]
     checked_r = range(min(max_r, _ASYMPTOTIC_MAX_R) + 1)
@@ -407,14 +404,14 @@ def check_asymptotic(
 
 # -- scope table --------------------------------------------------------------------
 
-# scope -> (check, default max_n, default max_r), in the order `all` runs them.
-# run_scope hands every check all of seed, samples, bound and precision; each
-# takes the ones it uses.
+# scope -> (check, default max_n, default max_r, the options of seed, samples,
+# bound and precision it reads), in the order `all` runs them.  run_scope hands
+# each check only its own options; the CLI rejects any other it is given.
 SCOPE_TABLE = {
-    "riordan": (check_riordan, 8, 3),
-    "oracle": (check_oracle, 4, 2),
-    "howard": (check_howard, 5, 2),
-    "asymptotic": (check_asymptotic, 30, 2),
+    "riordan": (check_riordan, 8, 3, ("seed", "samples")),
+    "oracle": (check_oracle, 4, 2, ("bound",)),
+    "howard": (check_howard, 5, 2, ()),
+    "asymptotic": (check_asymptotic, 30, 2, ("precision",)),
 }
 
 SCOPES = ("all",) + tuple(SCOPE_TABLE)
@@ -422,7 +419,7 @@ SCOPES = ("all",) + tuple(SCOPE_TABLE)
 
 def _grid(scope: str, max_n: int | None, max_r: int | None) -> tuple[int, int]:
     """(max_n, max_r) for a scope, its defaults filling in any None."""
-    _, default_n, default_r = SCOPE_TABLE[scope]
+    default_n, default_r = SCOPE_TABLE[scope][1:3]
     return (
         default_n if max_n is None else max_n,
         default_r if max_r is None else max_r,
@@ -461,5 +458,5 @@ def run_scope(
             if not sub.ok:
                 break
         return report
-    check = SCOPE_TABLE[scope][0]
-    return check(*_grid(scope, max_n, max_r), **options)
+    check, _, _, reads = SCOPE_TABLE[scope]
+    return check(*_grid(scope, max_n, max_r), **{name: options[name] for name in reads})

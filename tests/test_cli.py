@@ -1,16 +1,18 @@
 import hashlib
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stirlingb import sequences
+from stirlingb import cli, sequences, verify
 from stirlingb.cli import FAMILIES, main
 from stirlingb.permcore import oracle_triangle
 from stirlingb.verify import SCOPES
@@ -123,6 +125,28 @@ def test_verify_report_golden(capsys, argv):
     code, out, err = _run(capsys, argv.split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GOLDEN[argv]
+
+
+# sha256 of stdout for sequence families in each format, a sequence through
+# `table` among them, recorded before sequences and triangles shared one
+# renderer
+SEQUENCE_GOLDEN = {
+    "seq d --terms 300 --r 3 --format json":
+        "155c024848ff5bb9e269f77967250091c6b151b5a996538044298b3503b36d1c",
+    "seq incomplete --terms 80 --m 3 --mode restr --format csv":
+        "f7e744123bf1a79dd1d9be202d8869d8cd8a7251b3e837af5fd18efd316f87df",
+    "seq tree --terms 20 --format json":
+        "9af02a38c28387c450ce951bda98fb9b198698f11a09d80c1d02515dbd052e9c",
+    "table d --rows 40 --r 2":
+        "90a79fb0d8679ecb41e48227bf82fdd62c43d454c474cbff82048a4a21c2c585",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SEQUENCE_GOLDEN))
+def test_sequence_golden(capsys, argv):
+    code, out, err = _run(capsys, argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SEQUENCE_GOLDEN[argv]
 
 
 def test_typeb_factorial_golden(capsys):
@@ -342,9 +366,8 @@ def test_family_json_payload_keys(capsys, family):
         if value is not None
         for arg in (flag, str(value))
     ]
-    code, out, err = _run(
-        capsys, [command, family, *flags, "--rows", "3", "--format", "json"]
-    )
+    size = "--rows" if command == "table" else "--terms"
+    code, out, err = _run(capsys, [command, family, *flags, size, "3", "--format", "json"])
     assert code == 0 and err == ""
     payload = json.loads(out)
     assert payload["m"] == m and payload["r"] == r
@@ -377,6 +400,149 @@ def test_unread_flag_exits_2(capsys, argv, flag):
     assert err == "error: family '%s' does not take --%s\n" % (family, flag)
 
 
+def test_family_payloads_cover_every_family():
+    # a family added to the table cannot skip the payload test
+    assert FAMILY_PAYLOADS.keys() == set(FAMILIES)
+
+
+def _counting(fn, calls):
+    def counted(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+# family -> the library function its table entry calls
+LIBRARY_CALLS = {
+    "stirling-b": "triangle_gem_rec",
+    "inverse": "make_triangle_B",
+    "stirling-a": "stirlingA",
+    "d": "d_rec",
+    "lattice": "lattice_terms",
+    "tree": "tree_terms",
+    "incomplete": "incomplete_factorial",
+    "typeb-factorial": "typeB_factorial_conv",
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_families_look_the_library_up_at_call_time(capsys, monkeypatch, family):
+    # a profiler may swap cli.sequences and the names cli imports for wrapped
+    # copies after import; an entry holding a function captured at import
+    # would bypass them
+    calls = []
+    if family == "inverse":
+        for name in ("make_triangle_B", "unsigned_conjugate"):
+            monkeypatch.setattr(cli, name, _counting(getattr(cli, name), calls))
+    else:
+        proxy = types.SimpleNamespace(**{
+            name: _counting(value, calls)
+            for name, value in vars(sequences).items()
+            if isinstance(value, types.FunctionType)
+        })
+        monkeypatch.setattr(cli, "sequences", proxy)
+    code, _, err = _run(capsys, ["table", family, "--rows", "3"])
+    assert code == 0 and err == ""
+    assert LIBRARY_CALLS[family] in calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "seq d --rows 3",
+        "seq d --rows 3 --terms 5",
+        "table stirling-b --terms 3",
+        "table stirling-b --rows 3 --terms 5",
+    ],
+)
+def test_each_subcommand_takes_one_size_flag(capsys, argv):
+    # --rows sizes a table and --terms a sequence; neither is an alias
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("seq d --r -1", "--r must be >= 0, got -1"),
+        ("table lattice --r -4", "--r must be >= 0, got -4"),
+        ("table stirling-b --m -2", "--m must be >= 0, got -2"),
+        ("table stirling-b --m -1 --r -3", "--m must be >= 0, got -1"),
+        ("seq typeb-factorial --m -1 --mode restr", "--m must be >= 0, got -1"),
+        ("table d --rows 0", "--rows must be >= 1"),
+        ("seq d --terms 0", "--terms must be >= 1"),
+        ("table stirling-a --rows -2", "--rows must be >= 1"),
+    ],
+)
+def test_out_of_range_value_flags_exit_2(capsys, argv, message):
+    code, out, err = _run(capsys, argv.split())
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("verify howard --seed 5", "--seed"),
+        ("verify asymptotic --samples 99 --max-enum -4", "--samples"),
+        ("verify riordan --precision 3 --max-enum -1", "--max-enum"),
+        ("verify oracle --seed 9", "--seed"),
+        ("verify oracle --precision 4", "--precision"),
+        ("verify howard --max-enum 8", "--max-enum"),
+    ],
+)
+def test_verify_rejects_options_the_scope_does_not_read(capsys, argv, flag):
+    scope = argv.split()[1]
+    code, out, err = _run(capsys, argv.split())
+    assert code == 2 and out == ""
+    assert err == "error: scope '%s' does not take %s\n" % (scope, flag)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify riordan --max-n 2 --max-r 1 --seed 3 --samples 1",
+        "verify oracle --max-n 2 --max-r 1 --max-enum 3",
+        "verify howard --max-n 2 --max-r 1",
+        "verify asymptotic --max-n 10 --max-r 0 --precision 5",
+        "verify all --max-n 2 --max-r 1 --seed 3 --samples 1 --max-enum 3 --precision 5",
+    ],
+)
+def test_verify_accepts_the_options_the_scope_reads(capsys, argv):
+    code, out, err = _run(capsys, argv.split())
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1].startswith("scope %s: PASS" % argv.split()[1])
+
+
+def test_bench_jobs_give_each_family_and_scope_only_what_it_reads(monkeypatch):
+    # the benchmark runs these argv; a CLI change that would make one of them
+    # exit 2 fails here.  A family's flags must be in its table entry (this
+    # also rejects --mode assoc for stirling-b and inverse, which the CLI
+    # accepts, but no job passes it).
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses looks it up
+    spec.loader.exec_module(workloads)
+    parser = cli.build_parser()
+    for name in workloads.WORKLOADS:
+        for seed in range(1, 11):
+            for job in workloads.job_list(name, seed):
+                args = parser.parse_args(job.argv)
+                if args.command in ("table", "seq"):
+                    reads, names = cli._FAMILIES[args.family][2], ("m", "r", "mode")
+                elif args.command == "verify" and args.scope != "all":
+                    reads = verify.SCOPE_TABLE[args.scope][3]
+                    names = ("seed", "samples", "bound", "precision")
+                else:
+                    continue
+                given = {name for name in names if getattr(args, name) is not None}
+                assert given <= set(reads), job.argv
+
+
 def test_verify_all_defaults_pass(capsys):
     code, out, _ = _run(capsys, ["verify", "all"])
     assert code == 0
@@ -405,7 +571,9 @@ def test_verify_checks_the_bound_before_any_scope(capsys, monkeypatch):
     def riordan_must_not_run(*args, **kwargs):
         raise AssertionError("riordan scope ran before the bound check")
 
-    monkeypatch.setitem(verify.SCOPE_TABLE, "riordan", (riordan_must_not_run, 8, 3))
+    monkeypatch.setitem(
+        verify.SCOPE_TABLE, "riordan", (riordan_must_not_run, 8, 3, ("seed", "samples"))
+    )
     # oracle defaults max_n = 4: 4 + 5 = 9 elements exceeds the bound 8
     with pytest.raises(EnumerationLimitError, match="over 9 elements"):
         verify.run_scope("all", max_r=5)
@@ -454,15 +622,16 @@ def _ints(low, high):
 
 
 # flag -> the values drawn for it, in range or not; fuzzed_argv adds malformed ones
+VALUE_FLAGS = {
+    "--m": _ints(-1, 4),
+    "--r": _ints(-1, 3),
+    "--mode": st.sampled_from(["assoc", "restr", "free"]),
+    "--format": st.sampled_from(["csv", "json", "pretty", "xml"]),
+}
 FUZZ_FLAGS = {
-    "table": {
-        "--m": _ints(-1, 4),
-        "--r": _ints(-1, 3),
-        "--rows": _ints(-1, 6),
-        "--terms": _ints(-1, 6),
-        "--mode": st.sampled_from(["assoc", "restr", "free"]),
-        "--format": st.sampled_from(["csv", "json", "pretty", "xml"]),
-    },
+    # each subcommand draws only its own size flag
+    "table": dict(VALUE_FLAGS, **{"--rows": _ints(-1, 6)}),
+    "seq": dict(VALUE_FLAGS, **{"--terms": _ints(-1, 6)}),
     "verify": {
         "--max-n": _ints(-1, 4),
         "--max-r": _ints(-1, 2),
@@ -480,7 +649,6 @@ FUZZ_FLAGS = {
         "--max-enum": _ints(-1, 5),
     },
 }
-FUZZ_FLAGS["seq"] = FUZZ_FLAGS["table"]
 FUZZ_POSITIONAL = {
     "table": FAMILIES + ("bogus",),
     "seq": FAMILIES,
