@@ -6,19 +6,29 @@ and the matching derangement-style counts along several independent routes
 and can cross-check all of them against a brute-force enumeration oracle.
 
 The package exports exactly the `__all__` names of `fps`, `permcore`,
-`riordan` and `sequences`.
+`riordan` and `sequences`.  Each layer loads on first use: reading
+`stirlingb.<layer>`, one of its names or `__all__` imports it (PEP 562).
 """
 
-from . import fps, permcore, riordan, sequences
-from .fps import *  # noqa: F401,F403
-from .permcore import *  # noqa: F401,F403
-from .riordan import *  # noqa: F401,F403
-from .sequences import *  # noqa: F401,F403
+import importlib.util
 
 __version__ = "0.1.0"
 
-__all__ = sorted(
-    name
-    for module in (fps, permcore, riordan, sequences)
-    for name in module.__all__
-) + ["__version__"]
+_LAYERS = ("fps", "permcore", "riordan", "sequences")
+
+
+def __getattr__(name):
+    if name in _LAYERS:
+        return importlib.import_module("." + name, __name__)
+    if name == "__all__":
+        names = (n for layer in _LAYERS for n in __getattr__(layer).__all__)
+        return sorted(names) + ["__version__"]
+    # a private name or a submodule (cli, verify) is no export: looking one
+    # up loads no layer
+    if not name.startswith("_") and not importlib.util.find_spec("." + name, __name__):
+        for layer in map(__getattr__, _LAYERS):
+            if name in layer.__all__:
+                # later reads find it in the module dict
+                globals()[name] = value = getattr(layer, name)
+                return value
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

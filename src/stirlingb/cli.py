@@ -11,12 +11,29 @@ enumeration bound violations).
 from __future__ import annotations
 
 import argparse
-import json
+import importlib.util
 import sys
 
-from . import sequences, verify
 from .permcore import EnumerationLimitError, MODES, oracle_total, oracle_triangle
-from .riordan import make_triangle_B, unsigned_conjugate
+
+
+def _on_first_read(name: str):
+    """The layer `name`, registered in sys.modules now and run on its first
+    attribute read (the importlib.util.LazyLoader recipe), unless imported."""
+    name = __package__ + "." + name
+    if name not in sys.modules:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+# `oracle` and `--help` read none of these, so they load no Fraction layer
+riordan, sequences, verify = map(_on_first_read, ("riordan", "sequences", "verify"))
+
+# verify.SCOPES, which the parser offers without loading verify
+SCOPES = ("all", "riordan", "oracle", "howard", "asymptotic")
 
 FORMATS = ("csv", "json", "pretty")
 
@@ -30,7 +47,8 @@ class UsageError(Exception):
 def _inverse_rows(size: int, m: int, r: int) -> list:
     if m != 2:
         raise UsageError("family 'inverse' supports --m 2 only")
-    conj = unsigned_conjugate(make_triangle_B(2, r, order=max(size - 1, 1)).invert())
+    array = riordan.make_triangle_B(2, r, order=max(size - 1, 1))
+    conj = riordan.unsigned_conjugate(array.invert())
     rows = []
     for n in range(size):
         row = []
@@ -85,6 +103,7 @@ def _render(kind: str, values: list, fmt: str, payload: dict) -> str:
         payload["terms"] = values
         rows = [values] if fmt == "pretty" else [[v] for v in values]
     if fmt == "json":
+        import json
         payload["rows"] = rows
         return json.dumps(payload, sort_keys=True)
     sep = "," if fmt == "csv" else " "
@@ -134,6 +153,9 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 
 def _cmd_oracle(args) -> tuple[str, int]:
+    for flag in ("n", "r", "m"):
+        if (value := getattr(args, flag)) < 0:
+            raise UsageError("--%s must be >= 0, got %d" % (flag, value))
     if args.k is None:
         value = oracle_total(args.n, args.r, args.mode, args.m, bound=args.max_enum)
     else:
@@ -158,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_value_flags(seq, SEQUENCE_FAMILIES, "--terms")
 
     ver = sub.add_parser("verify", help="run a cross-route verification scope")
-    ver.add_argument("scope", choices=verify.SCOPES)
+    ver.add_argument("scope", choices=SCOPES)
     ver.add_argument("--max-n", dest="max_n", type=int, default=None)
     ver.add_argument("--max-r", dest="max_r", type=int, default=None)
     ver.add_argument("--seed", type=int, default=None)

@@ -428,20 +428,17 @@ LIBRARY_CALLS = {
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_families_look_the_library_up_at_call_time(capsys, monkeypatch, family):
-    # a profiler may swap cli.sequences and the names cli imports for wrapped
-    # copies after import; an entry holding a function captured at import
-    # would bypass them
+    # a profiler may swap the layers cli holds (cli.sequences, cli.riordan) for
+    # wrapped copies after import; an entry holding a function captured at
+    # import would bypass them
     calls = []
-    if family == "inverse":
-        for name in ("make_triangle_B", "unsigned_conjugate"):
-            monkeypatch.setattr(cli, name, _counting(getattr(cli, name), calls))
-    else:
-        proxy = types.SimpleNamespace(**{
-            name: _counting(value, calls)
-            for name, value in vars(sequences).items()
-            if isinstance(value, types.FunctionType)
-        })
-        monkeypatch.setattr(cli, "sequences", proxy)
+    layer = "riordan" if family == "inverse" else "sequences"
+    proxy = types.SimpleNamespace(**{
+        name: _counting(value, calls)
+        for name, value in vars(getattr(cli, layer)).items()
+        if isinstance(value, types.FunctionType)
+    })
+    monkeypatch.setattr(cli, layer, proxy)
     code, _, err = _run(capsys, ["table", family, "--rows", "3"])
     assert code == 0 and err == ""
     assert LIBRARY_CALLS[family] in calls
@@ -475,6 +472,11 @@ def test_each_subcommand_takes_one_size_flag(capsys, argv):
         ("table d --rows 0", "--rows must be >= 1"),
         ("seq d --terms 0", "--terms must be >= 1"),
         ("table stirling-a --rows -2", "--rows must be >= 1"),
+        ("oracle --n -1", "--n must be >= 0, got -1"),
+        ("oracle --n 3 --r -2", "--r must be >= 0, got -2"),
+        ("oracle --n 3 --m -1", "--m must be >= 0, got -1"),
+        ("oracle --n -2 --r -1 --m -1 --k 2", "--n must be >= 0, got -2"),
+        ("oracle --n 2 --r -1 --m -3", "--r must be >= 0, got -1"),
     ],
 )
 def test_out_of_range_value_flags_exit_2(capsys, argv, message):
@@ -553,6 +555,8 @@ def test_verify_all_is_the_scopes_in_order():
     from stirlingb.verify import SCOPES, run_scope
 
     assert SCOPES == ("all", "riordan", "oracle", "howard", "asymptotic")
+    # the parser offers cli's copy, so that it need not load verify
+    assert cli.SCOPES == SCOPES
     kwargs = dict(max_n=3, max_r=1, samples=2)
     combined = run_scope("all", **kwargs)
     parts = [run_scope(scope, **kwargs) for scope in SCOPES[1:]]
@@ -599,22 +603,88 @@ def test_verify_asymptotic_reports_r_cap(capsys):
     assert "not checked" not in out
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _fresh(args):
+    """stdout of a fresh interpreter run with `args`, so modules other
+    tests imported do not count."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return proc.stdout
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # a fresh interpreter, so modules other tests imported do not count
-    src = str(Path(__file__).resolve().parents[1] / "src")
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import stirlingb.cli\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    )
-    loaded = set(proc.stdout.split())
+    loaded = set(_fresh(["-c", script]).split())
     assert "stirlingb.cli" in loaded
     assert loaded & {"dataclasses", "inspect"} == set()
+
+
+def test_importing_cli_from_the_package_runs_no_fraction_layer():
+    # `from stirlingb import cli` first looks `cli` up on the package
+    script = "import sys\nfrom stirlingb import cli\nprint('fractions' in sys.modules)\n"
+    assert _fresh(["-c", script]).split() == ["False"]
+
+
+# the Fraction layers, the stdlib modules only they import, and json
+NOT_FOR_ORACLE = {
+    "fractions", "decimal", "json",
+    "stirlingb.fps", "stirlingb.sequences", "stirlingb.riordan", "stirlingb.verify",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        ("oracle --n 3", NOT_FOR_ORACLE),
+        ("--help", NOT_FOR_ORACLE),
+        ("table stirling-b --format csv", {"json", "stirlingb.riordan", "stirlingb.verify"}),
+    ],
+)
+def test_each_command_runs_only_the_modules_it_reads(argv, unread):
+    # run as `python -m stirlingb.cli` does, then list the modules whose body
+    # ran: a module LazyLoader registered keeps its own class until then
+    script = (
+        "import runpy, sys, types\n"
+        "sys.argv[1:] = %r\n"
+        "try:\n"
+        "    runpy.run_module('stirlingb.cli', run_name='__main__')\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "ran = [n for n, m in sys.modules.items() if type(m) is types.ModuleType]\n"
+        "print(' '.join(ran))\n"
+    ) % argv.split()
+    ran = set(_fresh(["-c", script]).splitlines()[-1].split())
+    assert "stirlingb.permcore" in ran
+    assert ran & unread == set()
+
+
+@pytest.mark.parametrize(
+    "argv, layer, call",
+    [
+        ("table stirling-b --rows 5", "sequences", "triangle_gem_rec"),
+        ("table inverse --rows 4", "riordan", "make_triangle_B"),
+        ("verify riordan --max-n 2 --max-r 1", "verify", "run_scope"),
+    ],
+)
+def test_the_tracer_sees_cli_call_each_layer(tmp_path, argv, layer, call):
+    # perfbench/trace_child.py swaps the layers cli holds for wrapped copies
+    # after import; a layer cli loaded out of its sight would show no span
+    out = tmp_path / "trace.json"
+    _fresh([str(ROOT / "perfbench" / "trace_child.py"), str(out), "job", *argv.split()])
+    spans = json.loads(out.read_text())["spans"]  # [job, name, layer, start, end, parent]
+    assert any(
+        span[1:3] == [call, layer] and span[5] is not None and spans[span[5]][2] == "cli"
+        for span in spans
+    )
 
 
 def _ints(low, high):

@@ -19,6 +19,18 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
+def test_star_import_gives_every_layer_export():
+    # the package loads its layers on first use; `import *` reads __all__
+    namespace = {}
+    exec("from stirlingb import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(stirlingb.__all__)
+    for layer in ("fps", "permcore", "riordan", "sequences"):
+        module = getattr(stirlingb, layer)
+        assert module is sys.modules["stirlingb." + layer]
+        for name in module.__all__:
+            assert namespace[name] is getattr(module, name) is getattr(stirlingb, name)
+
+
 def _tree(name):
     path = importlib.import_module(name).__file__
     with open(path, encoding="utf-8") as handle:

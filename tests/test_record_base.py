@@ -6,7 +6,8 @@ import inspect
 
 import pytest
 
-import stirlingb.cli  # noqa: F401  (imports every layer, so every record class)
+# every layer that defines a record class; the package loads each on first use
+from stirlingb import fps, permcore, riordan, sequences, verify  # noqa: F401
 from stirlingb._record import Record
 
 RECORD_CLASSES = {
