@@ -136,7 +136,7 @@ def _flag(name: str) -> str:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
-    # options left unset take run_scope's defaults, the only ones there are
+    # options left unset take their SCOPE_TABLE defaults, the only ones there are
     names = ("max_n", "max_r", "seed", "samples", "bound", "precision")
     options = {name: v for name in names if (v := getattr(args, name)) is not None}
     for name, low in (("max_n", 0), ("max_r", 0), ("samples", 0), ("precision", 1)):
@@ -144,18 +144,20 @@ def _cmd_verify(args) -> tuple[str, int]:
         if value < low:
             raise UsageError("%s must be >= %d, got %d" % (_flag(name), low, value))
     if args.scope != "all":
-        reads = ("max_n", "max_r") + verify.SCOPE_TABLE[args.scope][3]
+        reads = verify.SCOPE_TABLE[args.scope][1]
         for name in options:
             if name not in reads:
                 raise UsageError("scope '%s' does not take %s" % (args.scope, _flag(name)))
+    if options.get("bound", 0) < 0:
+        raise UsageError("--max-enum must be >= 0, got %d" % options["bound"])
     report = verify.run_scope(args.scope, **options)
     return "\n".join(report.lines()), 0 if report.ok else 1
 
 
 def _cmd_oracle(args) -> tuple[str, int]:
-    for flag in ("n", "r", "m"):
-        if (value := getattr(args, flag)) < 0:
-            raise UsageError("--%s must be >= 0, got %d" % (flag, value))
+    for flag in ("n", "r", "m", "k", "max_enum"):
+        if (value := getattr(args, flag)) is not None and value < 0:
+            raise UsageError("%s must be >= 0, got %d" % (_flag(flag), value))
     if args.k is None:
         value = oracle_total(args.n, args.r, args.mode, args.m, bound=args.max_enum)
     else:

@@ -46,7 +46,6 @@ from ._record import Record
 from .fps import FormalPowerSeries
 
 __all__ = [
-    "HOWARD_VARIANTS",
     "RPolynomial",
     "d_asym",
     "d_egf",
@@ -55,16 +54,18 @@ __all__ = [
     "d_rec",
     "diagonals",
     "diagonals_delta",
-    "howard_check",
+    "free_sign_howard",
     "incomplete_factorial",
     "inverse_triangle_rec",
     "lattice_terms",
     "rstirling1",
     "stirling1",
+    "stirling1_howard",
     "stirlingA",
     "tree_terms",
     "triangle_ge2_alt_rec",
     "triangle_ge2_rec",
+    "triangle_gem_howard",
     "triangle_gem_rec",
     "typeB_factorial_conv",
 ]
@@ -367,11 +368,10 @@ def typeB_factorial_conv(n: int, mode: str, m: int) -> int:
     """Total signed permutations of [n] whose cycles obey the window-or-
     all-barred rule, by convolving the two type A totals: the elements in
     window cycles keep free signs (2^i), the rest sit in all-barred cycles
-    on the other side of the window, read unchecked: at assoc m = 0 that
-    side is the empty window (restr, -1)."""
+    on the other side of the window."""
     inside = _type_a(mode, m)
-    other, edge = ("restr", m - 1) if mode == "assoc" else ("assoc", m + 1)
-    outside = _table(_WindowRows, 0, other, edge, False)
+    # at assoc m = 0 the other side is the empty window, restr m = 0
+    outside = _type_a("restr", max(m - 1, 0)) if mode == "assoc" else _type_a("assoc", m + 1)
     return sum(
         comb(n, i) * 2**i * inside.total(i) * outside.total(n - i) for i in range(n + 1)
     )
@@ -515,21 +515,19 @@ def lattice_terms(r: int, count: int) -> list[int]:
     return [_int(series.coeff(n), "lattice_terms(%d)[%d]" % (r, n)) for n in range(count)]
 
 
-def diagonals(n: int, r: int, m: int = 2) -> tuple[int, int]:
+def diagonals(n: int, r: int) -> tuple[int, int]:
     """Closed forms for the two subdiagonal entries (n+1, n) and (n+2, n)
-    of the ord >= m triangle.  m = 2 uses the dedicated quadratic forms;
-    every other m >= 0 dispatches to the Kronecker-delta forms."""
+    of the ord >= 2 triangle, the dedicated quadratic forms;
+    ``diagonals_delta`` covers every m."""
     if r < 0 or n < 0:
         raise ValueError("r and n must be >= 0")
-    if m == 2:
-        first = 2 * (n + 1) * (n + 2 * r)
-        second = (
-            Fraction(4, 3)
-            * comb(n + 2, 2)
-            * (3 * n * n + n + 12 * n * r + 12 * r * r)
-        )
-        return first, _int(second, "diagonals(%d, %d, 2)[1]" % (n, r))
-    return diagonals_delta(n, r, m)
+    first = 2 * (n + 1) * (n + 2 * r)
+    second = (
+        Fraction(4, 3)
+        * comb(n + 2, 2)
+        * (3 * n * n + n + 12 * n * r + 12 * r * r)
+    )
+    return first, _int(second, "diagonals(%d, %d)[1]" % (n, r))
 
 
 def diagonals_delta(n: int, r: int, m: int) -> tuple[int, int]:
@@ -611,63 +609,59 @@ def tree_terms(count: int) -> list[int]:
     return [_int(series.egf_coeff(n), "tree_terms[%d]" % (n,)) for n in range(count)]
 
 
-# -- cross-window identities -----------------------------------------------------
+# -- cross-window identities (Howard) ------------------------------------------
+#
+# Each route computes the right side of one identity and returns the family on
+# its left, so it is checked against that family's own function.
 
-HOWARD_VARIANTS = ("type-a", "type-b", "howard1")
+
+def stirling1_howard(n: int, j: int) -> int:
+    """stirling1(n, j) from the ord >= 2 type A numbers: with k = n - j,
+
+        s1(n, n-k) = sum_l C(n, 2k-l) sA(2k-l, k-l, assoc, 2)."""
+    k = n - j
+    return sum(
+        comb(n, 2 * k - l) * stirlingA(2 * k - l, k - l, "assoc", 2)
+        for l in range(k + 1)
+        if 2 * k - l <= n
+    )
 
 
-def howard_check(
-    n: int, k: int, r: int = 0, m: int = 2, variant: str = "type-b"
-) -> tuple[int, int]:
-    """Evaluate both sides of one of the cross-window identities.
+def triangle_gem_howard(n: int, k: int, r: int, m: int) -> int:
+    """triangle_gem_rec(n, k, r, m) for m >= 1 from the ord >= m+1 triangle:
+    a double sum over the extracted cycles of length m, l of them among the n
+    plain elements and p through a special element, each with weight 2^m - 1;
+    the l plain ones are arranged in (ml)!/(m^l l!) ways."""
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    total = 0
+    for p in range(r + 1):
+        for l in range(k + 1):
+            if m * l > n or (m - 1) * p > n - m * l:
+                continue
+            total += (
+                comb(r, p)
+                * comb(n, m * l)
+                * comb(n - m * l, (m - 1) * p)
+                * (2**m - 1) ** (l + p)
+                * (factorial(m * l) // (m**l * factorial(l)))
+                * factorial((m - 1) * p)
+                * triangle_gem_rec(n - m * l - (m - 1) * p, k - l, r - p, m + 1)
+            )
+    return total
 
-    * "type-a":  plain Stirling vs. binomial-weighted ord >= 2 type A numbers,
-      lhs = s1(n, n-k), rhs = sum_l C(n, 2k-l) sA(2k-l, k-l, assoc, 2).
-      (r and m are ignored.)
-    * "type-b":  the ord >= m triangle against the ord >= m+1 triangle,
-      double sum over extracted short cycles (weight (2^m - 1) per element
-      bundle, (ml)!/(m^l l!) arrangements).
-    * "howard1": the free-sign signed r-Stirling numbers (2^(n+r) weighted)
-      against the ord >= 2 triangle.
 
-    Returns (lhs, rhs), computed along independent routes.
-    """
-    if variant == "type-a":
-        lhs = stirling1(n, n - k)
-        rhs = sum(
-            comb(n, 2 * k - l) * stirlingA(2 * k - l, k - l, "assoc", 2)
-            for l in range(k + 1)
-            if 2 * k - l <= n
-        )
-        return lhs, rhs
-    if variant == "type-b":
-        if m < 1:
-            raise ValueError("type-b variant needs m >= 1")
-        lhs = triangle_gem_rec(n, k, r, m)
-        rhs = 0
-        for p in range(r + 1):
-            for l in range(k + 1):
-                if m * l > n or (m - 1) * p > n - m * l:
-                    continue
-                rhs += (
-                    comb(r, p)
-                    * comb(n, m * l)
-                    * comb(n - m * l, (m - 1) * p)
-                    * (2**m - 1) ** (l + p)
-                    * (factorial(m * l) // (m**l * factorial(l)))
-                    * factorial((m - 1) * p)
-                    * triangle_gem_rec(n - m * l - (m - 1) * p, k - l, r - p, m + 1)
-                )
-        return lhs, rhs
-    if variant == "howard1":
-        lhs = 2 ** (n + r) * rstirling1(n, k, r)
-        rhs = 0
-        for p in range(r + 1):
-            for l in range(min(k, n) + 1):
-                rhs += (
-                    comb(r, p)
-                    * comb(n, l)
-                    * triangle_ge2_rec(n - l, k - l, r - p)
-                )
-        return lhs, rhs
-    raise ValueError("variant must be one of %s, got %r" % (HOWARD_VARIANTS, variant))
+def free_sign_howard(n: int, k: int, r: int) -> int:
+    """2^(n+r) rstirling1(n, k, r), the free-sign signed r-Stirling numbers,
+    from the ord >= 2 triangle:
+
+        sum_p sum_l C(r, p) C(n, l) T(n-l, k-l, r-p)."""
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    return sum(
+        comb(r, p) * comb(n, l) * triangle_ge2_rec(n - l, k - l, r - p)
+        for p in range(r + 1)
+        for l in range(min(k, n) + 1)
+    )

@@ -5,12 +5,10 @@ bounded grids.  A scope runs its checks in a fixed order and stops at the
 first failing check; the report carries the first mismatching cell with both
 values and both provenances.
 
-`SCOPE_TABLE` lists the scopes with their default grid sizes (max_n, max_r)
-and the options they read: riordan (8, 3) seed and samples, oracle (4, 2)
-the enumeration bound, howard (5, 2) none, asymptotic (30, 2) precision; the
-asymptotic scope checks r <= 2 only and says so when asked for more.
-`run_scope` runs one of them, or "all" of them in that order up to the first
-failing scope.
+`SCOPE_TABLE` lists the scopes, each with its check and the options it
+reads with their defaults; the asymptotic scope checks r <= 2 only and says
+so when asked for more.  `run_scope` runs one of them, or "all" of them in
+that order up to the first failing scope.
 """
 
 from __future__ import annotations
@@ -18,8 +16,7 @@ from __future__ import annotations
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import cache
-from itertools import product
+from functools import cache, lru_cache
 from math import factorial
 
 from . import sequences
@@ -129,18 +126,28 @@ def _collect(scope: str, checks) -> VerificationReport:
     return report
 
 
-def _triangle(pair, labels, max_n, *axes):
-    """The cells of a triangle grid for `_collect`: every combination of the
-    outer `axes`, (name, values) pairs taken in order, then n <= max_n and
-    k <= n.  `pair(*outer, n, k)` gives the values of the two routes that
-    `labels` name, so each cell is evaluated once."""
-    names = [name for name, _ in axes]
-    for outer in product(*(values for _, values in axes)):
-        head = tuple(zip(names, outer))
-        for n in range(max_n + 1):
-            for k in range(n + 1):
-                left, right = pair(*outer, n, k)
-                yield head + (("n", n), ("k", k)), (labels[0], left), (labels[1], right)
+def _cells(pair, labels, *axes):
+    """The cells of a grid for `_collect`: every combination of the (name,
+    values) `axes`, the first outermost.  An axis's values may be a function
+    of the coordinates before it, as k <= n is.  `pair(*coordinates)` gives
+    the values of the two routes that `labels` name, so each cell is
+    evaluated once, in grid order."""
+    def extend(points, name, values):
+        for point, coords in points:
+            for value in values(*point) if callable(values) else values:
+                yield point + (value,), coords + ((name, value),)
+
+    points = iter([((), ())])
+    for name, values in axes:
+        points = extend(points, name, values)
+    for point, coords in points:
+        left, right = pair(*point)
+        yield coords, (labels[0], left), (labels[1], right)
+
+
+def _n_k(size):
+    """The axes n <= size and k <= n of a triangle grid."""
+    return ("n", range(size + 1)), ("k", lambda *head: range(head[-1] + 1))
 
 
 # -- riordan scope ---------------------------------------------------------------
@@ -159,14 +166,17 @@ def _random_array(rng: random.Random, order: int) -> ExpRiordanArray:
     )
 
 
-def check_riordan(
-    max_n: int, max_r: int, *, seed: int, samples: int
-) -> VerificationReport:
+def check_riordan(*, max_n: int, max_r: int, seed: int, samples: int) -> VerificationReport:
     order = max(max_n, 1)
-    rs = range(max_r + 1)
+    inv_order = min(order, 10)
+    law_order = min(max(max_n, 2), 8)
+    rs = ("r", range(max_r + 1))
     # each array is built once per run, and with it its table, its inverse,
-    # its conjugated inverse and its production-matrix rebuild
+    # its conjugated inverse, its products and its production-matrix rebuild
     triangle = cache(make_triangle_B)
+    ident = ExpRiordanArray.identity(inv_order)
+    law_ident = ExpRiordanArray.identity(law_order)
+    rng = random.Random(seed)
 
     @cache
     def conjugate_inverse(r):
@@ -176,79 +186,65 @@ def check_riordan(
     def rebuilt(r):
         return production_rebuild(triangle(2, r, order))
 
+    # the cells read products and laws one r or sample at a time, in order, so
+    # one entry each is enough and the samples' arrays are drawn in order
+    @lru_cache(maxsize=1)
+    def products(r):
+        arr = triangle(2, r, inv_order)
+        inv = arr.invert()
+        return {"right": arr.multiply(inv), "left": inv.multiply(arr)}
+
+    @lru_cache(maxsize=1)
+    def laws(sample):
+        a, b, c = (_random_array(rng, law_order) for _ in range(3))
+        rows = production_rebuild(a)
+        return {
+            "unit": (a.multiply(law_ident).entry, a.entry),
+            "inverse": (a.multiply(a.invert()).entry, law_ident.entry),
+            "associativity": (
+                a.multiply(b).multiply(c).entry, a.multiply(b.multiply(c)).entry
+            ),
+            "production": (lambda n, k: rows[n][k], a.entry),
+        }
+
     def triangle_vs_riordan(m):
-        return _triangle(
+        return _cells(
             lambda m, r, n, k: (
                 sequences.triangle_gem_rec(n, k, r, m),
                 triangle(m, r, order).entry(n, k),
             ),
-            ("recurrence", "riordan"), max_n, ("m", (m,)), ("r", rs),
+            ("recurrence", "riordan"), ("m", (m,)), rs, *_n_k(max_n),
         )
 
-    def inverse_identity():
-        inv_order = min(order, 10)
-        for r in rs:
-            arr = triangle(2, r, inv_order)
-            inv = arr.invert()
-            prod = arr.multiply(inv)
-            prod2 = inv.multiply(arr)
-            ident = ExpRiordanArray.identity(inv_order)
-            for n in range(inv_order + 1):
-                for k in range(n + 1):
-                    want = ("riordan", ident.entry(n, k))
-                    for side, got in (("right", prod), ("left", prod2)):
-                        coords = (("r", r), ("n", n), ("k", k), ("side", side))
-                        yield coords, ("riordan", got.entry(n, k)), want
-
-    def inverse_recurrence():
-        return _triangle(
-            lambda r, n, k: (
-                Fraction(sequences.inverse_triangle_rec(n, k, r)),
-                conjugate_inverse(r).entry(n, k),
-            ),
-            ("recurrence", "riordan"), max_n, ("r", rs),
-        )
-
-    def production():
-        return _triangle(
-            lambda r, n, k: (rebuilt(r)[n][k], triangle(2, r, order).entry(n, k)),
-            ("riordan", "riordan"), order, ("r", rs),
-        )
-
-    def random_laws():
-        rng = random.Random(seed)
-        count = samples if max_n > 0 else 0
-        law_order = min(max(max_n, 2), 8)
-        ident = ExpRiordanArray.identity(law_order)
-        for idx in range(count):
-            a = _random_array(rng, law_order)
-            b = _random_array(rng, law_order)
-            c = _random_array(rng, law_order)
-            unit = a.multiply(ident)
-            inv = a.multiply(a.invert())
-            left = a.multiply(b).multiply(c)
-            right = a.multiply(b.multiply(c))
-            rebuilt = production_rebuild(a)
-            for n in range(law_order + 1):
-                for k in range(n + 1):
-                    base = (("sample", idx), ("n", n), ("k", k))
-                    for law, got, want in (
-                        ("unit", unit.entry(n, k), a.entry(n, k)),
-                        ("inverse", inv.entry(n, k), ident.entry(n, k)),
-                        ("associativity", left.entry(n, k), right.entry(n, k)),
-                        ("production", rebuilt[n][k], a.entry(n, k)),
-                    ):
-                        yield (*base, ("law", law)), ("riordan", got), ("riordan", want)
+    def law(sample, n, k, name):
+        got, want = laws(sample)[name]
+        return got(n, k), want(n, k)
 
     return _collect(
         "riordan",
         [
             ("triangle-recurrence-vs-riordan[m=2]", triangle_vs_riordan(2)),
             ("triangle-recurrence-vs-riordan[m=3]", triangle_vs_riordan(3)),
-            ("group-inverse-two-sided", inverse_identity()),
-            ("inverse-recurrence-vs-conjugate", inverse_recurrence()),
-            ("production-matrix-rebuild", production()),
-            ("random-group-laws", random_laws()),
+            ("group-inverse-two-sided", _cells(
+                lambda r, n, k, side: (products(r)[side].entry(n, k), ident.entry(n, k)),
+                ("riordan", "riordan"), rs, *_n_k(inv_order), ("side", ("right", "left")),
+            )),
+            ("inverse-recurrence-vs-conjugate", _cells(
+                lambda r, n, k: (
+                    Fraction(sequences.inverse_triangle_rec(n, k, r)),
+                    conjugate_inverse(r).entry(n, k),
+                ),
+                ("recurrence", "riordan"), rs, *_n_k(max_n),
+            )),
+            ("production-matrix-rebuild", _cells(
+                lambda r, n, k: (rebuilt(r)[n][k], triangle(2, r, order).entry(n, k)),
+                ("riordan", "riordan"), rs, *_n_k(order),
+            )),
+            ("random-group-laws", _cells(
+                law, ("riordan", "riordan"),
+                ("sample", range(samples if max_n > 0 else 0)), *_n_k(law_order),
+                ("law", ("unit", "inverse", "associativity", "production")),
+            )),
         ],
     )
 
@@ -256,45 +252,44 @@ def check_riordan(
 # -- oracle scope ----------------------------------------------------------------
 
 
-def check_oracle(max_n: int, max_r: int, *, bound: int | None) -> VerificationReport:
+def check_oracle(*, max_n: int, max_r: int, bound: int | None) -> VerificationReport:
+    rs = ("r", range(max_r + 1))
+    delta_forms = cache(sequences.diagonals_delta)  # both entries of an (m, r, n) in one call
+    entries = ("(n+1,n)", "(n+2,n)")
+
     def triangle_vs_oracle(m):
-        return _triangle(
+        return _cells(
             lambda m, r, n, k: (
                 sequences.triangle_gem_rec(n, k, r, m),
                 oracle_triangle(n, r, k, "assoc", m, bound=bound),
             ),
-            ("recurrence", "oracle"), max_n, ("m", (m,)), ("r", range(max_r + 1)),
+            ("recurrence", "oracle"), ("m", (m,)), rs, *_n_k(max_n),
         )
 
-    def totals_vs_convolution():
-        for m in (2, 3):
-            for mode in ("assoc", "restr"):
-                for n in range(max_n + 1):
-                    yield (
-                        (("m", m), ("mode", mode), ("n", n)),
-                        ("explicit", sequences.typeB_factorial_conv(n, mode, m)),
-                        ("oracle", oracle_total(n, 0, mode, m, bound=bound)),
-                    )
-
-    def diagonals_vs_oracle():
-        for m in (1, 2, 3):
-            for r in range(max_r + 1):
-                for n in range(max_n + 1):
-                    for d, value in enumerate(sequences.diagonals_delta(n, r, m), 1):
-                        if n + d <= max_n:
-                            yield (
-                                (("m", m), ("r", r), ("entry", "(n+%d,n)" % d), ("n", n)),
-                                ("explicit", value),
-                                ("oracle", oracle_triangle(n + d, r, n, "assoc", m, bound=bound)),
-                            )
+    def subdiagonal(m, r, n, entry):
+        d = entries.index(entry)
+        return (
+            delta_forms(n, r, m)[d],
+            oracle_triangle(n + d + 1, r, n, "assoc", m, bound=bound),
+        )
 
     return _collect(
         "oracle",
         [
             ("triangle-vs-oracle[m=2]", triangle_vs_oracle(2)),
             ("triangle-vs-oracle[m=3]", triangle_vs_oracle(3)),
-            ("window-totals-vs-convolution", totals_vs_convolution()),
-            ("subdiagonal-closed-forms-vs-oracle", diagonals_vs_oracle()),
+            ("window-totals-vs-convolution", _cells(
+                lambda m, mode, n: (
+                    sequences.typeB_factorial_conv(n, mode, m),
+                    oracle_total(n, 0, mode, m, bound=bound),
+                ),
+                ("explicit", "oracle"),
+                ("m", (2, 3)), ("mode", ("assoc", "restr")), ("n", range(max_n + 1)),
+            )),
+            ("subdiagonal-closed-forms-vs-oracle", _cells(
+                subdiagonal, ("explicit", "oracle"), ("m", (1, 2, 3)), rs,
+                ("n", range(max_n + 1)), ("entry", lambda m, r, n: entries[:max_n - n]),
+            )),
         ],
     )
 
@@ -302,23 +297,31 @@ def check_oracle(max_n: int, max_r: int, *, bound: int | None) -> VerificationRe
 # -- howard scope ----------------------------------------------------------------
 
 
-def check_howard(max_n: int, max_r: int) -> VerificationReport:
-    def type_a(n, k):
-        return sequences.howard_check(n, k, variant="type-a")
-
-    def type_b(m, r, n, k):
-        return sequences.howard_check(n, k, r, m, "type-b")
-
-    def howard1(r, n, k):
-        return sequences.howard_check(n, k, r, 2, "howard1")
-
-    labels, rs = ("recurrence", "explicit"), range(max_r + 1)
+def check_howard(*, max_n: int, max_r: int) -> VerificationReport:
+    labels, rs, n_k = ("recurrence", "explicit"), ("r", range(max_r + 1)), _n_k(max_n)
     return _collect(
         "howard",
         [
-            ("howard-type-a", _triangle(type_a, labels, max_n)),
-            ("howard-type-b", _triangle(type_b, labels, max_n, ("m", (2, 3)), ("r", rs))),
-            ("howard-free-sign-reduction", _triangle(howard1, labels, max_n, ("r", rs))),
+            ("howard-type-a", _cells(
+                lambda n, k: (
+                    sequences.stirling1(n, n - k), sequences.stirling1_howard(n, n - k)
+                ),
+                labels, *n_k,
+            )),
+            ("howard-type-b", _cells(
+                lambda m, r, n, k: (
+                    sequences.triangle_gem_rec(n, k, r, m),
+                    sequences.triangle_gem_howard(n, k, r, m),
+                ),
+                labels, ("m", (2, 3)), rs, *n_k,
+            )),
+            ("howard-free-sign-reduction", _cells(
+                lambda r, n, k: (
+                    2 ** (n + r) * sequences.rstirling1(n, k, r),
+                    sequences.free_sign_howard(n, k, r),
+                ),
+                labels, rs, *n_k,
+            )),
         ],
     )
 
@@ -344,7 +347,7 @@ def _format_fraction(value: Fraction, precision: int) -> str:
 _ASYMPTOTIC_MAX_R = 2
 
 
-def check_asymptotic(max_n: int, max_r: int, *, precision: int) -> VerificationReport:
+def check_asymptotic(*, max_n: int, max_r: int, precision: int) -> VerificationReport:
     target = inv_sqrt_e()
     grid = [n for n in (10, 20, 30) if n <= max_n]
     checked_r = range(min(max_r, _ASYMPTOTIC_MAX_R) + 1)
@@ -404,59 +407,46 @@ def check_asymptotic(max_n: int, max_r: int, *, precision: int) -> VerificationR
 
 # -- scope table --------------------------------------------------------------------
 
-# scope -> (check, default max_n, default max_r, the options of seed, samples,
-# bound and precision it reads), in the order `all` runs them.  run_scope hands
-# each check only its own options; the CLI rejects any other it is given.
+# scope -> (check, {option: default}), in the order `all` runs them.  These are
+# the only defaults and the only record of which options a scope reads:
+# run_scope hands each check its own, and the CLI rejects any other.
 SCOPE_TABLE = {
-    "riordan": (check_riordan, 8, 3, ("seed", "samples")),
-    "oracle": (check_oracle, 4, 2, ("bound",)),
-    "howard": (check_howard, 5, 2, ()),
-    "asymptotic": (check_asymptotic, 30, 2, ("precision",)),
+    "riordan": (check_riordan, {"max_n": 8, "max_r": 3, "seed": 20240801, "samples": 12}),
+    "oracle": (check_oracle, {"max_n": 4, "max_r": 2, "bound": None}),
+    "howard": (check_howard, {"max_n": 5, "max_r": 2}),
+    "asymptotic": (check_asymptotic, {"max_n": 30, "max_r": 2, "precision": 30}),
 }
 
 SCOPES = ("all",) + tuple(SCOPE_TABLE)
 
 
-def _grid(scope: str, max_n: int | None, max_r: int | None) -> tuple[int, int]:
-    """(max_n, max_r) for a scope, its defaults filling in any None."""
-    default_n, default_r = SCOPE_TABLE[scope][1:3]
-    return (
-        default_n if max_n is None else max_n,
-        default_r if max_r is None else max_r,
-    )
-
-
-def run_scope(
-    scope: str,
-    max_n: int | None = None,
-    max_r: int | None = None,
-    seed: int = 20240801,
-    samples: int = 12,
-    bound: int | None = None,
-    precision: int = 30,
-) -> VerificationReport:
-    """Run one scope with its defaults for any size left as None, or, for
-    "all", every scope in table order until the first failing one.
-
-    These are the only defaults of seed, samples and precision; the CLI
-    passes only the options it is given.  When the oracle scope is among
-    those to run, its grid is checked against the enumeration bound before
-    any scope starts."""
+def run_scope(scope: str, **options) -> VerificationReport:
+    """Run one scope, or, for "all", every scope in table order until the
+    first failing one.  Each check takes the options it reads from
+    `options`, its SCOPE_TABLE defaults filling in the rest; an option that
+    no scope reads is a TypeError.  When the oracle scope is among those to
+    run, its grid is checked against the enumeration bound before any scope
+    starts."""
     if scope != "all" and scope not in SCOPE_TABLE:
         raise ValueError("scope must be one of %s, got %r" % (SCOPES, scope))
-    if scope in ("all", "oracle"):
+    for name in options:
+        if not any(name in defaults for _, defaults in SCOPE_TABLE.values()):
+            raise TypeError("run_scope() got an unexpected keyword argument %r" % name)
+    runs = {
+        name: (check, {key: options.get(key, value) for key, value in defaults.items()})
+        for name, (check, defaults) in SCOPE_TABLE.items()
+        if scope in ("all", name)
+    }
+    if "oracle" in runs:
         # the oracle grid reaches every size up to max_n + max_r in
         # increasing order, so this raises at the size the scope would
-        for size in range(sum(_grid("oracle", max_n, max_r)) + 1):
-            check_bound(size, bound)
-    options = dict(seed=seed, samples=samples, bound=bound, precision=precision)
-    if scope == "all":
-        report = VerificationReport("all")
-        for name in SCOPE_TABLE:
-            sub = run_scope(name, max_n, max_r, **options)
-            report.results.extend(sub.results)
-            if not sub.ok:
-                break
-        return report
-    check, _, _, reads = SCOPE_TABLE[scope]
-    return check(*_grid(scope, max_n, max_r), **{name: options[name] for name in reads})
+        grid = runs["oracle"][1]
+        for size in range(grid["max_n"] + grid["max_r"] + 1):
+            check_bound(size, grid["bound"])
+    report = VerificationReport(scope)
+    for check, kwargs in runs.values():
+        sub = check(**kwargs)
+        report.results.extend(sub.results)
+        if not sub.ok:
+            break
+    return report

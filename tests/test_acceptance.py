@@ -32,10 +32,14 @@ from stirlingb.sequences import (
     d_rec,
     diagonals,
     diagonals_delta,
-    howard_check,
+    free_sign_howard,
     lattice_terms,
+    rstirling1,
+    stirling1,
+    stirling1_howard,
     tree_terms,
     triangle_ge2_rec,
+    triangle_gem_howard,
     triangle_gem_rec,
     typeB_factorial_conv,
 )
@@ -309,7 +313,7 @@ def test_criterion_08_diagonal_closed_forms():
     hard_bad = []
     for r in range(5):
         for n in range(9):
-            first, second = diagonals(n, r, 2)
+            first, second = diagonals(n, r)
             if first != triangle_ge2_rec(n + 1, n, r):
                 hard_bad.append((n, r, "first"))
             if second != triangle_ge2_rec(n + 2, n, r):
@@ -359,17 +363,16 @@ def test_criterion_10_convolution_and_cross_window_identities():
     howard_bad = []
     for n in range(8):
         for k in range(n + 1):
-            lhs, rhs = howard_check(n, k, variant="type-a")
-            if lhs != rhs:
+            if stirling1(n, n - k) != stirling1_howard(n, n - k):
                 howard_bad.append(("type-a", n, k))
-    for variant, ms in (("type-b", (2, 3)), ("howard1", (2,))):
-        for m in ms:
-            for r in range(7):
-                for n in range(7 - r):
-                    for k in range(n + 1):
-                        lhs, rhs = howard_check(n, k, r, m, variant=variant)
-                        if lhs != rhs:
-                            howard_bad.append((variant, m, n, k, r))
+    for r in range(7):
+        for n in range(7 - r):
+            for k in range(n + 1):
+                for m in (2, 3):
+                    if triangle_gem_rec(n, k, r, m) != triangle_gem_howard(n, k, r, m):
+                        howard_bad.append(("type-b", m, n, k, r))
+                if 2 ** (n + r) * rstirling1(n, k, r) != free_sign_howard(n, k, r):
+                    howard_bad.append(("howard1", 2, n, k, r))
     ok = not conv_bad and not howard_bad
     _report(10, "window convolution totals and cross-window identities", ok)
     assert not conv_bad, conv_bad[:5]

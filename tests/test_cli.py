@@ -477,6 +477,10 @@ def test_each_subcommand_takes_one_size_flag(capsys, argv):
         ("oracle --n 3 --m -1", "--m must be >= 0, got -1"),
         ("oracle --n -2 --r -1 --m -1 --k 2", "--n must be >= 0, got -2"),
         ("oracle --n 2 --r -1 --m -3", "--r must be >= 0, got -1"),
+        ("oracle --n 2 --k -1", "--k must be >= 0, got -1"),
+        ("oracle --n 3 --max-enum -1", "--max-enum must be >= 0, got -1"),
+        ("verify oracle --max-enum -1", "--max-enum must be >= 0, got -1"),
+        ("verify all --max-n 0 --max-enum -2", "--max-enum must be >= 0, got -2"),
     ],
 )
 def test_out_of_range_value_flags_exit_2(capsys, argv, message):
@@ -537,8 +541,8 @@ def test_bench_jobs_give_each_family_and_scope_only_what_it_reads(monkeypatch):
                 if args.command in ("table", "seq"):
                     reads, names = cli._FAMILIES[args.family][2], ("m", "r", "mode")
                 elif args.command == "verify" and args.scope != "all":
-                    reads = verify.SCOPE_TABLE[args.scope][3]
-                    names = ("seed", "samples", "bound", "precision")
+                    reads = verify.SCOPE_TABLE[args.scope][1]
+                    names = ("max_n", "max_r", "seed", "samples", "bound", "precision")
                 else:
                     continue
                 given = {name for name in names if getattr(args, name) is not None}
@@ -576,7 +580,7 @@ def test_verify_checks_the_bound_before_any_scope(capsys, monkeypatch):
         raise AssertionError("riordan scope ran before the bound check")
 
     monkeypatch.setitem(
-        verify.SCOPE_TABLE, "riordan", (riordan_must_not_run, 8, 3, ("seed", "samples"))
+        verify.SCOPE_TABLE, "riordan", (riordan_must_not_run, verify.SCOPE_TABLE["riordan"][1])
     )
     # oracle defaults max_n = 4: 4 + 5 = 9 elements exceeds the bound 8
     with pytest.raises(EnumerationLimitError, match="over 9 elements"):

@@ -10,7 +10,6 @@ from stirlingb import sequences
 from stirlingb.permcore import oracle_triangle
 from stirlingb.riordan import make_triangle_B, unsigned_conjugate
 from stirlingb.sequences import (
-    HOWARD_VARIANTS,
     _d_series,
     _gem,
     RPolynomial,
@@ -21,16 +20,18 @@ from stirlingb.sequences import (
     d_rec,
     diagonals,
     diagonals_delta,
-    howard_check,
+    free_sign_howard,
     incomplete_factorial,
     inverse_triangle_rec,
     lattice_terms,
     rstirling1,
     stirling1,
+    stirling1_howard,
     stirlingA,
     tree_terms,
     triangle_ge2_alt_rec,
     triangle_ge2_rec,
+    triangle_gem_howard,
     triangle_gem_rec,
     typeB_factorial_conv,
 )
@@ -163,7 +164,7 @@ def test_triangle_ge2_validation():
     [
         lambda: rstirling1(3, 1, -1),
         lambda: inverse_triangle_rec(3, 1, -1),
-        lambda: howard_check(3, 1, -1, 2, "howard1"),
+        lambda: free_sign_howard(3, 1, -1),
         lambda: d_explicit(-1, 3),
         lambda: d_explicit(2, -1),
         lambda: d_egf(-1, 4),
@@ -172,7 +173,7 @@ def test_triangle_ge2_validation():
         lambda: d_asym(2, -1),
         lambda: lattice_terms(-1, 4),
         lambda: diagonals(2, -1),
-        lambda: diagonals(-1, 2, 3),
+        lambda: diagonals(-1, 2),
         lambda: diagonals_delta(2, -1, 3),
         lambda: diagonals_delta(-1, 2, 3),
         lambda: triangle_gem_rec(2, 1, 0, -1),
@@ -405,7 +406,7 @@ def test_lattice_terms_match_closed_form():
 def test_diagonals_match_triangle_m2():
     for r in range(4):
         for n in range(6):
-            first, second = diagonals(n, r, 2)
+            first, second = diagonals(n, r)
             assert first == triangle_ge2_rec(n + 1, n, r), (n, r)
             assert second == triangle_ge2_rec(n + 2, n, r), (n, r)
             assert diagonals_delta(n, r, 2) == (first, second)
@@ -414,7 +415,7 @@ def test_diagonals_match_triangle_m2():
 def test_diagonals_match_triangle_m3():
     for r in range(3):
         for n in range(5):
-            first, second = diagonals(n, r, 3)
+            first, second = diagonals_delta(n, r, 3)
             assert first == triangle_gem_rec(n + 1, n, r, 3), (n, r)
             assert second == triangle_gem_rec(n + 2, n, r, 3), (n, r)
 
@@ -423,7 +424,7 @@ def test_diagonals_match_triangle_m0():
     # m = 0 puts every cycle in the window, as m = 1 does
     for r in range(3):
         for n in range(6):
-            first, second = diagonals(n, r, 0)
+            first, second = diagonals_delta(n, r, 0)
             assert first == triangle_gem_rec(n + 1, n, r, 0), (n, r)
             assert second == triangle_gem_rec(n + 2, n, r, 0), (n, r)
 
@@ -431,7 +432,7 @@ def test_diagonals_match_triangle_m0():
 def test_diagonals_match_free_sign_m1():
     for r in range(3):
         for n in range(5):
-            first, second = diagonals(n, r, 1)
+            first, second = diagonals_delta(n, r, 1)
             assert first == 2 ** (n + 1 + r) * rstirling1(n + 1, n, r), (n, r)
             assert second == 2 ** (n + 2 + r) * rstirling1(n + 2, n, r), (n, r)
 
@@ -494,9 +495,8 @@ def test_series_terms_prefix_and_edge_counts(terms):
 
 def test_howard_type_a():
     for n in range(7):
-        for k in range(n + 1):
-            lhs, rhs = howard_check(n, k, variant="type-a")
-            assert lhs == rhs, (n, k)
+        for k in range(-1, n + 2):
+            assert stirling1_howard(n, k) == stirling1(n, k), (n, k)
 
 
 def test_howard_type_b():
@@ -504,24 +504,23 @@ def test_howard_type_b():
         for r in range(3):
             for n in range(6 - r):
                 for k in range(n + 1):
-                    lhs, rhs = howard_check(n, k, r, m, variant="type-b")
-                    assert lhs == rhs, (n, k, r, m)
+                    want = triangle_gem_rec(n, k, r, m)
+                    assert triangle_gem_howard(n, k, r, m) == want, (n, k, r, m)
 
 
 def test_howard_free_sign():
     for r in range(3):
         for n in range(6 - r):
             for k in range(n + 1):
-                lhs, rhs = howard_check(n, k, r, variant="howard1")
-                assert lhs == rhs, (n, k, r)
+                want = 2 ** (n + r) * rstirling1(n, k, r)
+                assert free_sign_howard(n, k, r) == want, (n, k, r)
 
 
 def test_howard_validation():
-    assert set(HOWARD_VARIANTS) == {"type-a", "type-b", "howard1"}
-    with pytest.raises(ValueError):
-        howard_check(2, 1, variant="type-c")
-    with pytest.raises(ValueError, match="m >= 1"):
-        howard_check(2, 1, m=0, variant="type-b")
+    with pytest.raises(ValueError, match="^m must be >= 1$"):
+        triangle_gem_howard(2, 1, 0, 0)
+    with pytest.raises(ValueError, match="^r must be >= 0$"):
+        triangle_gem_howard(2, 1, -1, 2)
 
 
 # -- the row tables against the per-cell recurrences --------------------------------

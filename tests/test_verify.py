@@ -1,0 +1,264 @@
+"""The verify report under a planted mismatch, and the counts that the
+benchmark's verify gate expects of each scope."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from stirlingb import cli, verify
+
+# Each check's FAIL line and the scope line when the right-hand value of one
+# cell is replaced: the cell's index in the check's walk is the key.  At
+# --max-n 5 the asymptotic grid is empty, so its checks run at max_n 30.
+PLANT_ARGV = "verify all --max-n 5 --max-r 2 --samples 2"
+ASYMPTOTIC_ARGV = "verify asymptotic --max-r 2"
+ASYMPTOTIC_CHECKS = ("ratio-error-decreasing", "plain-ratio-near-limit")
+
+# (check, cell) -> (the FAIL line between "at " and " gives planted", the
+# scope line).
+FAIL_PINS = {
+    ("triangle-recurrence-vs-riordan[m=2]", 0): (
+        "(m=2, r=0, n=0, k=0): recurrence gives 1 but riordan",
+        "scope all: FAIL (1 checks, 1 comparisons)",
+    ),
+    ("triangle-recurrence-vs-riordan[m=2]", 31): (
+        "(m=2, r=1, n=4, k=0): recurrence gives 768 but riordan",
+        "scope all: FAIL (1 checks, 32 comparisons)",
+    ),
+    ("triangle-recurrence-vs-riordan[m=2]", 62): (
+        "(m=2, r=2, n=5, k=5): recurrence gives 1 but riordan",
+        "scope all: FAIL (1 checks, 63 comparisons)",
+    ),
+    ("triangle-recurrence-vs-riordan[m=3]", 0): (
+        "(m=3, r=0, n=0, k=0): recurrence gives 1 but riordan",
+        "scope all: FAIL (2 checks, 64 comparisons)",
+    ),
+    ("triangle-recurrence-vs-riordan[m=3]", 31): (
+        "(m=3, r=1, n=4, k=0): recurrence gives 768 but riordan",
+        "scope all: FAIL (2 checks, 95 comparisons)",
+    ),
+    ("triangle-recurrence-vs-riordan[m=3]", 62): (
+        "(m=3, r=2, n=5, k=5): recurrence gives 1 but riordan",
+        "scope all: FAIL (2 checks, 126 comparisons)",
+    ),
+    ("group-inverse-two-sided", 0): (
+        "(r=0, n=0, k=0, side=right): riordan gives 1 but riordan",
+        "scope all: FAIL (3 checks, 127 comparisons)",
+    ),
+    ("group-inverse-two-sided", 63): (
+        "(r=1, n=4, k=0, side=left): riordan gives 0 but riordan",
+        "scope all: FAIL (3 checks, 190 comparisons)",
+    ),
+    ("group-inverse-two-sided", 125): (
+        "(r=2, n=5, k=5, side=left): riordan gives 1 but riordan",
+        "scope all: FAIL (3 checks, 252 comparisons)",
+    ),
+    ("inverse-recurrence-vs-conjugate", 0): (
+        "(r=0, n=0, k=0): recurrence gives 1 but riordan",
+        "scope all: FAIL (4 checks, 253 comparisons)",
+    ),
+    ("inverse-recurrence-vs-conjugate", 31): (
+        "(r=1, n=4, k=0): recurrence gives 7552 but riordan",
+        "scope all: FAIL (4 checks, 284 comparisons)",
+    ),
+    ("inverse-recurrence-vs-conjugate", 62): (
+        "(r=2, n=5, k=5): recurrence gives 1 but riordan",
+        "scope all: FAIL (4 checks, 315 comparisons)",
+    ),
+    ("production-matrix-rebuild", 0): (
+        "(r=0, n=0, k=0): riordan gives 1 but riordan",
+        "scope all: FAIL (5 checks, 316 comparisons)",
+    ),
+    ("production-matrix-rebuild", 31): (
+        "(r=1, n=4, k=0): riordan gives 768 but riordan",
+        "scope all: FAIL (5 checks, 347 comparisons)",
+    ),
+    ("production-matrix-rebuild", 62): (
+        "(r=2, n=5, k=5): riordan gives 1 but riordan",
+        "scope all: FAIL (5 checks, 378 comparisons)",
+    ),
+    ("random-group-laws", 0): (
+        "(sample=0, n=0, k=0, law=unit): riordan gives 3 but riordan",
+        "scope all: FAIL (6 checks, 379 comparisons)",
+    ),
+    ("random-group-laws", 84): (
+        "(sample=1, n=0, k=0, law=unit): riordan gives 1 but riordan",
+        "scope all: FAIL (6 checks, 463 comparisons)",
+    ),
+    ("random-group-laws", 167): (
+        "(sample=1, n=5, k=5, law=production): riordan gives 1 but riordan",
+        "scope all: FAIL (6 checks, 546 comparisons)",
+    ),
+    ("triangle-vs-oracle[m=2]", 0): (
+        "(m=2, r=0, n=0, k=0): recurrence gives 1 but oracle",
+        "scope all: FAIL (7 checks, 547 comparisons)",
+    ),
+    ("triangle-vs-oracle[m=2]", 31): (
+        "(m=2, r=1, n=4, k=0): recurrence gives 768 but oracle",
+        "scope all: FAIL (7 checks, 578 comparisons)",
+    ),
+    ("triangle-vs-oracle[m=2]", 62): (
+        "(m=2, r=2, n=5, k=5): recurrence gives 1 but oracle",
+        "scope all: FAIL (7 checks, 609 comparisons)",
+    ),
+    ("triangle-vs-oracle[m=3]", 0): (
+        "(m=3, r=0, n=0, k=0): recurrence gives 1 but oracle",
+        "scope all: FAIL (8 checks, 610 comparisons)",
+    ),
+    ("triangle-vs-oracle[m=3]", 31): (
+        "(m=3, r=1, n=4, k=0): recurrence gives 768 but oracle",
+        "scope all: FAIL (8 checks, 641 comparisons)",
+    ),
+    ("triangle-vs-oracle[m=3]", 62): (
+        "(m=3, r=2, n=5, k=5): recurrence gives 1 but oracle",
+        "scope all: FAIL (8 checks, 672 comparisons)",
+    ),
+    ("window-totals-vs-convolution", 0): (
+        "(m=2, mode=assoc, n=0): explicit gives 1 but oracle",
+        "scope all: FAIL (9 checks, 673 comparisons)",
+    ),
+    ("window-totals-vs-convolution", 12): (
+        "(m=3, mode=assoc, n=0): explicit gives 1 but oracle",
+        "scope all: FAIL (9 checks, 685 comparisons)",
+    ),
+    ("window-totals-vs-convolution", 23): (
+        "(m=3, mode=restr, n=5): explicit gives 2196 but oracle",
+        "scope all: FAIL (9 checks, 696 comparisons)",
+    ),
+    ("subdiagonal-closed-forms-vs-oracle", 0): (
+        "(m=1, r=0, n=0, entry=(n+1,n)): explicit gives 0 but oracle",
+        "scope all: FAIL (10 checks, 697 comparisons)",
+    ),
+    ("subdiagonal-closed-forms-vs-oracle", 40): (
+        "(m=2, r=1, n=2, entry=(n+1,n)): explicit gives 24 but oracle",
+        "scope all: FAIL (10 checks, 737 comparisons)",
+    ),
+    ("subdiagonal-closed-forms-vs-oracle", 80): (
+        "(m=3, r=2, n=4, entry=(n+1,n)): explicit gives 20 but oracle",
+        "scope all: FAIL (10 checks, 777 comparisons)",
+    ),
+    ("howard-type-a", 0): (
+        "(n=0, k=0): recurrence gives 1 but explicit",
+        "scope all: FAIL (11 checks, 778 comparisons)",
+    ),
+    ("howard-type-a", 10): (
+        "(n=4, k=0): recurrence gives 1 but explicit",
+        "scope all: FAIL (11 checks, 788 comparisons)",
+    ),
+    ("howard-type-a", 20): (
+        "(n=5, k=5): recurrence gives 0 but explicit",
+        "scope all: FAIL (11 checks, 798 comparisons)",
+    ),
+    ("howard-type-b", 0): (
+        "(m=2, r=0, n=0, k=0): recurrence gives 1 but explicit",
+        "scope all: FAIL (12 checks, 799 comparisons)",
+    ),
+    ("howard-type-b", 63): (
+        "(m=3, r=0, n=0, k=0): recurrence gives 1 but explicit",
+        "scope all: FAIL (12 checks, 862 comparisons)",
+    ),
+    ("howard-type-b", 125): (
+        "(m=3, r=2, n=5, k=5): recurrence gives 1 but explicit",
+        "scope all: FAIL (12 checks, 924 comparisons)",
+    ),
+    ("howard-free-sign-reduction", 0): (
+        "(r=0, n=0, k=0): recurrence gives 1 but explicit",
+        "scope all: FAIL (13 checks, 925 comparisons)",
+    ),
+    ("howard-free-sign-reduction", 31): (
+        "(r=1, n=4, k=0): recurrence gives 768 but explicit",
+        "scope all: FAIL (13 checks, 956 comparisons)",
+    ),
+    ("howard-free-sign-reduction", 62): (
+        "(r=2, n=5, k=5): recurrence gives 128 but explicit",
+        "scope all: FAIL (13 checks, 987 comparisons)",
+    ),
+    ("ratio-error-decreasing", 0): (
+        "(r=0, from_n=10, to_n=20): recurrence gives True but explicit",
+        "scope asymptotic: FAIL (1 checks, 1 comparisons)",
+    ),
+    ("ratio-error-decreasing", 4): (
+        "(r=1, from_n=20, to_n=30): recurrence gives True but explicit",
+        "scope asymptotic: FAIL (1 checks, 5 comparisons)",
+    ),
+    ("ratio-error-decreasing", 8): (
+        "(r=2, n=30, threshold=0.05): recurrence gives True but explicit",
+        "scope asymptotic: FAIL (1 checks, 9 comparisons)",
+    ),
+    ("plain-ratio-near-limit", 0): (
+        "(n=25, threshold=0.01): recurrence gives True but explicit",
+        "scope asymptotic: FAIL (2 checks, 10 comparisons)",
+    ),
+}
+
+
+def _run(capsys, argv):
+    code = cli.main(argv.split())
+    captured = capsys.readouterr()
+    return code, captured.out.splitlines(), captured.err
+
+
+def _plant(monkeypatch, check, cell):
+    """Make `verify._collect` see "planted" as the right-hand value of cell
+    `cell` of `check`; every other cell passes through unchanged."""
+    collect = verify._collect
+
+    def planted(name, cells):
+        for index, (coords, left, right) in enumerate(cells):
+            if name == check and index == cell:
+                right = (right[0], "planted")
+            yield coords, left, right
+
+    def collect_planted(scope, checks):
+        return collect(scope, [(name, planted(name, cells)) for name, cells in checks])
+
+    monkeypatch.setattr(verify, "_collect", collect_planted)
+
+
+def test_every_check_has_fail_pins(capsys):
+    code, lines, _ = _run(capsys, PLANT_ARGV)
+    names = [line[5:].split(" (")[0] for line in lines if line.startswith("ok   ")]
+    assert code == 0 and len(names) == 15
+    assert names == list(dict.fromkeys(check for check, _ in FAIL_PINS))
+
+
+@pytest.mark.parametrize(
+    "check, cell", list(FAIL_PINS), ids=["%s@%d" % key for key in FAIL_PINS]
+)
+def test_a_planted_mismatch_gives_the_pinned_fail_line(capsys, monkeypatch, check, cell):
+    _plant(monkeypatch, check, cell)
+    argv = ASYMPTOTIC_ARGV if check in ASYMPTOTIC_CHECKS else PLANT_ARGV
+    code, lines, err = _run(capsys, argv)
+    fail, scope_line = FAIL_PINS[check, cell]
+    assert code == 1 and err == ""
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL %s at %s gives planted" % (check, fail)
+    ]
+    assert lines[-1] == scope_line
+
+
+@pytest.fixture(scope="module")
+def gates():
+    """perfbench/gates.py, loaded as the benchmark loads it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gates.py"
+    spec = importlib.util.spec_from_file_location("bench_gates", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the grids on which the benchmark's self-test checks its verify gate
+@pytest.mark.parametrize(
+    "scope, max_n, max_r",
+    [
+        ("riordan", 3, 1), ("oracle", 3, 1), ("howard", 4, 1),
+        ("asymptotic", 30, 1), ("all", 2, 1), ("all", 0, 0),
+    ],
+)
+def test_each_scope_runs_what_the_bench_gate_expects(gates, scope, max_n, max_r):
+    report = verify.run_scope(scope, max_n=max_n, max_r=max_r)
+    assert report.ok
+    assert (len(report.results), report.comparisons) == gates.expected_verify(
+        scope, max_n, max_r
+    )
