@@ -68,13 +68,13 @@ def _inverse_rows(size: int, m: int, r: int) -> list:
 # stirling-b and inverse also accept --mode assoc, their only mode, and report
 # none.  The functions name the library at call time and capture none of it.
 _FAMILIES = {
-    "stirling-b": ("rows", "recurrence", {"m": 2, "r": 0}, lambda size, m, r: [
-        [sequences.triangle_gem_rec(n, k, r, m) for k in range(n + 1)] for n in range(size)
-    ]),
+    "stirling-b": ("rows", "recurrence", {"m": 2, "r": 0}, lambda size, m, r: (
+        sequences.triangle_gem_rows(size, r, m)
+    )),
     "inverse": ("rows", "riordan", {"m": 2, "r": 0}, _inverse_rows),
-    "stirling-a": ("rows", "recurrence", {"m": 2, "mode": "assoc"}, lambda size, m, mode: [
-        [sequences.stirlingA(n, k, mode, m) for k in range(n + 1)] for n in range(size)
-    ]),
+    "stirling-a": ("rows", "recurrence", {"m": 2, "mode": "assoc"}, lambda size, m, mode: (
+        sequences.stirlingA_rows(size, mode, m)
+    )),
     "d": ("terms", "recurrence", {"r": 0}, lambda size, r: [
         sequences.d_rec(r, n) for n in range(size)
     ]),

@@ -13,11 +13,12 @@ powers are formed: ``compose``, ``revert`` and the Riordan columns read it.
 
 ``_ints`` is a series over one denominator: ``(nums, d)`` with d > 0 the lcm
 of the coefficient denominators and coeffs[k] == nums[k] / d, which makes it
-unique.  ``*`` (by a series or a scalar), ``compose`` and ``_powers`` work on
-it alone and return a series that holds only ``_ints``; its ``coeffs`` tuple
-of Fractions is a view, formed on first read.  A series built from Fractions
-and one built from integers are the same type and compare, hash and print
-alike.  ``reciprocal``, ``exp``, ``log`` and ``revert`` stay on Fractions.
+unique.  ``*`` (by a series or a scalar), ``compose``, ``_powers``,
+``reciprocal`` and ``revert`` work on it alone and return a series that holds
+only ``_ints``; its ``coeffs`` tuple of Fractions is a view, formed on first
+read.  A series built from Fractions and one built from integers are the same
+type and compare, hash and print alike.  ``exp`` and ``log`` stay on
+Fractions.
 """
 
 from __future__ import annotations
@@ -184,19 +185,29 @@ class FormalPowerSeries(Record):
     __rmul__ = __mul__
 
     def reciprocal(self) -> "FormalPowerSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        a = self.coeffs
-        if a[0] == 0:
+        """Multiplicative inverse; requires a nonzero constant term.  With
+        self = nums / d and a = nums[0], B_0 = 1 and
+
+            B_n = -sum_{j>=1} nums[j] a^(j-1) B_(n-j)
+
+        give [z^n] 1/nums = B_n / a^(n+1), so the inverse is
+        d B_n a^(order-n) over a^(order+1)."""
+        nums, d = self._ints
+        a = nums[0]
+        if not a:
             raise ValueError("series with zero constant term is not invertible")
-        inv0 = 1 / a[0]
-        out = [inv0]
-        for n in range(1, self.order + 1):
-            s = Fraction(0)
-            for j in range(1, min(n, len(a) - 1) + 1):
-                if a[j]:
-                    s += a[j] * out[n - j]
-            out.append(-inv0 * s)
-        return FormalPowerSeries(tuple(out))
+        n, powers = self.order, [1]  # powers[j] = a^j
+        for _ in range(n):
+            powers.append(powers[-1] * a)
+        terms = [(j, c * powers[j - 1]) for j, c in enumerate(nums) if j and c]
+        b = [1]
+        for i in range(1, n + 1):
+            b.append(-sum(w * b[i - j] for j, w in terms if j <= i))
+        den = powers[n] * a
+        if den < 0:  # move the sign of a^(order+1) into the numerators
+            d, den = -d, -den
+        out = [d * v * p for v, p in zip(b, reversed(powers))]
+        return FormalPowerSeries._from_ints(out, den)
 
     def __pow__(self, k: int) -> "FormalPowerSeries":
         if not isinstance(k, int):
@@ -247,23 +258,33 @@ class FormalPowerSeries(Record):
         Requires constant term 0 and a nonzero linear coefficient f_1.
         Solves z = sum_k fbar_k * self^k as a triangular system: self^k starts
         at z^k with coefficient f_1^k, so fbar_k is the z^k coefficient of the
-        residual z - sum_{j<k} fbar_j * self^j divided by f_1^k.
+        residual z - sum_{j<k} fbar_j * self^j divided by f_1^k.  The residual
+        is carried as integers over one denominator, reduced at each step.
         """
         if self.order < 1:
             raise ValueError("reversion needs order >= 1")
-        if self.coeffs[0] != 0:
+        nums = self._ints[0]
+        if nums[0]:
             raise ValueError("reversion requires constant term 0")
-        if self.coeffs[1] == 0:
+        if not nums[1]:
             raise ValueError("reversion requires nonzero linear coefficient")
         n = self.order
-        inv = [Fraction(0)] * (n + 1)
-        resid = [Fraction(0)] * (n + 1)
-        resid[1] = Fraction(1)
-        for k, power in enumerate((p.coeffs for p in self._powers[1:]), 1):
-            inv[k] = c = resid[k] / power[k]
-            for i in range(k + 1, n + 1):
-                resid[i] -= c * power[i]
-        return FormalPowerSeries(tuple(inv))
+        resid, d = [0, 1] + [0] * (n - 1), 1  # the residual is resid / d
+        inv = [(0, 1)]  # fbar_k as (numerator, denominator > 0) in lowest terms
+        for k, power in enumerate(self._powers[1:], 1):
+            p, e = power._ints  # self^k = p / e, and p[k] / e = f_1^k
+            c, lead = resid[k], p[k]
+            if lead < 0:  # fbar_k = c e / (d lead) keeps d lead > 0
+                c, lead = -c, -lead
+            num, den = c * e, d * lead
+            g = gcd(num, den)
+            inv.append((num // g, den // g))
+            if c:  # resid - fbar_k * self^k = (lead resid - c p) / (d lead)
+                tail = [lead * x - c * y for x, y in zip(resid[k + 1 :], p[k + 1 :])]
+                g = gcd(den, *tail)
+                resid[k + 1 :], d = [x // g for x in tail], den // g
+        big_d = lcm(*(den for _, den in inv))
+        return FormalPowerSeries._from_ints([num * (big_d // den) for num, den in inv], big_d)
 
     # -- transcendental (exact, termwise) -------------------------------------
 

@@ -26,7 +26,9 @@ rule.  Long inner sums are carried from one row to the next as running
 sums, so a cell costs O(1) big-integer operations, plus one per explicit
 head weight (about m) for the window triangles, and nothing recurses.
 The point functions (``triangle_ge2_rec(n, k, r)`` and friends) read one
-cell of a table.
+cell of a table; the row functions (``triangle_gem_rows(size, r, m)`` and
+``stirlingA_rows(size, mode, m)``) copy its first ``size`` rows, so a whole
+triangle costs one call and the caller may change what it gets.
 
 The series-backed families (``d_egf``, ``lattice_terms``, ``tree_terms``)
 take a term count and read every term from one series truncated at the
@@ -62,11 +64,13 @@ __all__ = [
     "stirling1",
     "stirling1_howard",
     "stirlingA",
+    "stirlingA_rows",
     "tree_terms",
     "triangle_ge2_alt_rec",
     "triangle_ge2_rec",
     "triangle_gem_howard",
     "triangle_gem_rec",
+    "triangle_gem_rows",
     "typeB_factorial_conv",
 ]
 
@@ -119,6 +123,14 @@ class _Rows:
     def cell(self, n: int, k: int):
         """Entry k of row n of a triangle; 0 outside 0 <= k <= n."""
         return self.row(n)[k] if 0 <= k <= n else 0
+
+    def copies(self, size: int) -> list[list]:
+        """Fresh copies of rows 0..size-1 of a triangle."""
+        if size < 0:
+            raise ValueError("size must be >= 0, got %d" % (size,))
+        if size:
+            self.row(size - 1)
+        return [list(row) for row in self.rows[:size]]
 
     def _next(self, n: int):
         raise NotImplementedError
@@ -305,6 +317,13 @@ def _gem(n: int, k: int, r: int, m: int) -> int:
     return _r_table(_WindowRows, r, "assoc", m, True).cell(n, k)
 
 
+def _check_gem(r: int, m: int) -> None:
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    if m < 0:
+        raise ValueError("m must be >= 0")
+
+
 def triangle_gem_rec(n: int, k: int, r: int, m: int) -> int:
     """Signed permutations of [n+r], k+r cycles, specials distinct, every
     cycle of order >= m or all-barred, for every m >= 0.  At m <= 1 every
@@ -312,13 +331,19 @@ def triangle_gem_rec(n: int, k: int, r: int, m: int) -> int:
 
     m = 2 dispatches to triangle_ge2_rec, the paper's recurrence.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    _check_gem(r, m)
     if m == 2:
         return triangle_ge2_rec(n, k, r)
     return _gem(n, k, r, m)
+
+
+def triangle_gem_rows(size: int, r: int, m: int) -> list[list[int]]:
+    """Rows 0..size-1 of ``triangle_gem_rec(., ., r, m)``, copied from the
+    same table, ``triangle_ge2_rec``'s at m = 2."""
+    _check_gem(r, m)
+    if m == 2:
+        return _r_table(_Ge2Rows, r).copies(size)
+    return _r_table(_WindowRows, r, "assoc", m, True).copies(size)
 
 
 def _type_a(mode: str, m: int) -> _WindowRows:
@@ -334,6 +359,11 @@ def stirlingA(n: int, k: int, mode: str, m: int) -> int:
     """Permutations of [n] with k cycles, all cycle sizes <= m ("restr") or
     >= m ("assoc").  No signs and no exemption here."""
     return _type_a(mode, m).cell(n, k)
+
+
+def stirlingA_rows(size: int, mode: str, m: int) -> list[list[int]]:
+    """Rows 0..size-1 of ``stirlingA(., ., mode, m)``, copied from its table."""
+    return _type_a(mode, m).copies(size)
 
 
 class _RStirling1Rows(_Rows):

@@ -72,6 +72,9 @@ RIORDAN_GOLDEN = {
         "da47e94eae4840d7866cebe54bf86baf12d7146fb924bebe4c4a556e96bfd1a3",
     "table inverse --rows 40 --r 3 --format csv":
         "da2615c60aa69bddb0bb802aaa22142d11ecbabf8df9259747fccf9ed5f89ff6",
+    # recorded before reciprocal and revert moved onto integer numerators
+    "table inverse --rows 30 --r 2 --format pretty":
+        "e4e9585a84c81a055e8e3842227ae0897b15c4502c5952c1d54700381e1fe7ff",
 }
 
 
@@ -98,6 +101,16 @@ RECURRENCE_GOLDEN = {
         "c99d14027d2df4ae29ed442793fd9add9862725f08dc5d23465645aef69ee213",
     "table stirling-a --rows 183 --m 3 --mode restr --format json":
         "46c5c6bf7f3bf593cc020b0eff0533409963683280f9a815c07de1db2c66d1dd",
+    # the pretty and json shapes of the bench jobs, recorded before the
+    # tables were read a whole row at a time
+    "table stirling-b --rows 68 --m 2 --r 2 --format pretty":
+        "e3e52c3080201f5d0ee9e220791f1bcdb9e54c9d7d563317ece87afc07148eb4",
+    "table stirling-b --rows 103 --m 2 --r 0 --format json":
+        "8cdf8ac03ef5fb1741fe6b4c7533f6cb3ed5af601cde6b66c6829cf884c456a9",
+    "table stirling-b --rows 67 --m 3 --r 2 --format pretty":
+        "c8ada13e8e2f11e6af9069f3f5ab6d28af954c2f91cf3bb85449dbe572e3a595",
+    "table stirling-a --rows 100 --m 2 --mode assoc --format pretty":
+        "845e170572e34bb55b85cb5910c47cbf18c14e8333e1be731b68935d293d4223",
 }
 
 
@@ -413,11 +426,20 @@ def _counting(fn, calls):
     return counted
 
 
+def _counting_proxy(module, calls):
+    """A stand-in for a layer whose functions append their names to calls."""
+    return types.SimpleNamespace(**{
+        name: _counting(value, calls)
+        for name, value in vars(module).items()
+        if isinstance(value, types.FunctionType)
+    })
+
+
 # family -> the library function its table entry calls
 LIBRARY_CALLS = {
-    "stirling-b": "triangle_gem_rec",
+    "stirling-b": "triangle_gem_rows",
     "inverse": "make_triangle_B",
-    "stirling-a": "stirlingA",
+    "stirling-a": "stirlingA_rows",
     "d": "d_rec",
     "lattice": "lattice_terms",
     "tree": "tree_terms",
@@ -433,15 +455,21 @@ def test_families_look_the_library_up_at_call_time(capsys, monkeypatch, family):
     # import would bypass them
     calls = []
     layer = "riordan" if family == "inverse" else "sequences"
-    proxy = types.SimpleNamespace(**{
-        name: _counting(value, calls)
-        for name, value in vars(getattr(cli, layer)).items()
-        if isinstance(value, types.FunctionType)
-    })
-    monkeypatch.setattr(cli, layer, proxy)
+    monkeypatch.setattr(cli, layer, _counting_proxy(getattr(cli, layer), calls))
     code, _, err = _run(capsys, ["table", family, "--rows", "3"])
     assert code == 0 and err == ""
     assert LIBRARY_CALLS[family] in calls
+
+
+@pytest.mark.parametrize("family", ["stirling-a", "stirling-b"])
+@pytest.mark.parametrize("argv", [[], ["--m", "3"], ["--rows", "40", "--format", "json"]])
+def test_recurrence_tables_make_one_library_call(capsys, monkeypatch, family, argv):
+    # a whole triangle is one row call, not one point query per cell
+    calls = []
+    monkeypatch.setattr(cli, "sequences", _counting_proxy(sequences, calls))
+    code, _, err = _run(capsys, ["table", family, *argv])
+    assert code == 0 and err == ""
+    assert calls == [LIBRARY_CALLS[family]]
 
 
 @pytest.mark.parametrize(
@@ -674,7 +702,7 @@ def test_each_command_runs_only_the_modules_it_reads(argv, unread):
 @pytest.mark.parametrize(
     "argv, layer, call",
     [
-        ("table stirling-b --rows 5", "sequences", "triangle_gem_rec"),
+        ("table stirling-b --rows 5", "sequences", "triangle_gem_rows"),
         ("table inverse --rows 4", "riordan", "make_triangle_B"),
         ("verify riordan --max-n 2 --max-r 1", "verify", "run_scope"),
     ],

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stirlingb.fps import FormalPowerSeries as FPS
 
@@ -162,6 +162,67 @@ def test_scalar_mul_matches_schoolbook(a, c):
     assert c * a == expected
 
 
+def schoolbook_reciprocal(s):
+    """Reference inverse: out_n = -(1/a_0) sum_{j>=1} a_j out_(n-j), one
+    Fraction multiply-add per term."""
+    a = s.coeffs
+    inv0 = 1 / a[0]
+    out = [inv0]
+    for n in range(1, s.order + 1):
+        acc = Fraction(0)
+        for j in range(1, n + 1):
+            acc += a[j] * out[n - j]
+        out.append(-inv0 * acc)
+    return FPS(tuple(out))
+
+
+def schoolbook_revert(f):
+    """Reference reversion: the triangular solve z = sum_k fbar_k f^k on
+    Fractions, over powers formed by the schoolbook product."""
+    n = f.order
+    powers = [FPS.one(n)]
+    for _ in range(n):
+        powers.append(schoolbook_mul(powers[-1], f))
+    inv = [Fraction(0)] * (n + 1)
+    resid = [Fraction(0)] * (n + 1)
+    resid[1] = Fraction(1)
+    for k in range(1, n + 1):
+        power = powers[k].coeffs
+        inv[k] = c = resid[k] / power[k]
+        for i in range(k + 1, n + 1):
+            resid[i] -= c * power[i]
+    return FPS(tuple(inv))
+
+
+@settings(max_examples=60, deadline=None)
+@given(operands().filter(lambda s: s.coeffs[0]))
+@example(FPS.from_coeffs([-2], 0))
+@example(FPS.from_coeffs([Fraction(-3, 7), Fraction(5, 11), 0, Fraction(-2, 13), 1], 16))
+@example(FPS.from_coeffs([-1, -2, Fraction(1, 3)], 9))
+def test_reciprocal_matches_schoolbook(s):
+    inverse = s.reciprocal()
+    assert inverse.order == s.order
+    _is_canonical_view(inverse, schoolbook_reciprocal(s))
+
+
+@st.composite
+def revertibles(draw):
+    """An operand of order 1..16 with constant term 0 and f_1 != 0."""
+    s = draw(operands().filter(lambda s: s.order and s.coeffs[1]))
+    return FPS.from_coeffs((0,) + s.coeffs[1:], s.order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(revertibles())
+@example(FPS.from_coeffs([0, -1], 1))
+@example(FPS.from_coeffs([0, Fraction(-5, 3), Fraction(2, 7), 0, Fraction(-1, 11)], 16))
+@example(FPS.from_coeffs([0, -2, 0, 0, 3], 12))
+def test_revert_matches_schoolbook(f):
+    fbar = f.revert()
+    assert fbar.order == f.order
+    _is_canonical_view(fbar, schoolbook_revert(f))
+
+
 def test_pow_does_no_wasted_products(monkeypatch):
     s = FPS.from_coeffs([2, Fraction(-1, 3), 0, 5], 7)
     expected = {0: FPS.one(7)}
@@ -299,6 +360,10 @@ def _is_canonical_view(s, expected):
 def test_integer_form_is_canonical(a, b, inner):
     _is_canonical_view(a * b, schoolbook_mul(a, b))
     _is_canonical_view(a.compose(inner), horner_compose(a, inner))
+    if a.coeffs[0]:
+        _is_canonical_view(a.reciprocal(), schoolbook_reciprocal(a))
+    if inner.order and inner.coeffs[1]:
+        _is_canonical_view(inner.revert(), schoolbook_revert(inner))
     power = FPS.one(inner.order)
     for p in inner._powers:
         _is_canonical_view(p, power)
@@ -316,6 +381,10 @@ def test_integer_kernels_form_no_fraction(fractions_formed):
     assert fractions_formed(lambda: 5 * a) == 0
     assert fractions_formed(lambda: inner._powers) == 0
     assert fractions_formed(lambda: a.compose(inner)) == 0
+    assert fractions_formed(lambda: a.reciprocal()) == 0
+    assert fractions_formed(lambda: inner.revert()) == 0
+    for result in (a.reciprocal(), inner.revert()):
+        assert "coeffs" not in vars(result)
     product = a * inner
     assert "coeffs" not in vars(product)
     assert fractions_formed(lambda: product.coeffs) == product.order + 1

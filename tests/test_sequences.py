@@ -28,11 +28,13 @@ from stirlingb.sequences import (
     stirling1,
     stirling1_howard,
     stirlingA,
+    stirlingA_rows,
     tree_terms,
     triangle_ge2_alt_rec,
     triangle_ge2_rec,
     triangle_gem_howard,
     triangle_gem_rec,
+    triangle_gem_rows,
     typeB_factorial_conv,
 )
 
@@ -243,6 +245,86 @@ def test_window_triangle_both_routes_match_oracle():
                     want = int(n == 0)
                 assert triangle_gem_rec(n, 0, r, m) == want, (n, r, m)
                 assert arr.entry(n, 0) == want, (n, r, m)
+
+
+# -- whole rows ---------------------------------------------------------------------
+
+
+def test_triangle_gem_rows_equal_the_point_function():
+    for m in range(6):
+        for r in range(4):
+            want = [[triangle_gem_rec(n, k, r, m) for k in range(n + 1)] for n in range(30)]
+            for size in range(1, 31):
+                assert triangle_gem_rows(size, r, m) == want[:size], (size, r, m)
+
+
+def test_stirlingA_rows_equal_the_point_function():
+    for mode in ("assoc", "restr"):
+        for m in range(6):
+            want = [[stirlingA(n, k, mode, m) for k in range(n + 1)] for n in range(40)]
+            for size in range(1, 41):
+                assert stirlingA_rows(size, mode, m) == want[:size], (size, mode, m)
+
+
+def _message(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "point, rows",
+    [
+        (lambda: triangle_gem_rec(3, 1, -1, 3), lambda: triangle_gem_rows(4, -1, 3)),
+        (lambda: triangle_gem_rec(3, 1, -1, 2), lambda: triangle_gem_rows(4, -1, 2)),
+        (lambda: triangle_gem_rec(3, 1, 1, -1), lambda: triangle_gem_rows(4, 1, -1)),
+        (lambda: triangle_gem_rec(3, 1, -1, -1), lambda: triangle_gem_rows(4, -1, -1)),
+        (lambda: stirlingA(3, 1, "assoc", -1), lambda: stirlingA_rows(4, "assoc", -1)),
+        (lambda: stirlingA(3, 1, "weird", 2), lambda: stirlingA_rows(4, "weird", 2)),
+        (lambda: stirlingA(3, 1, "weird", -1), lambda: stirlingA_rows(4, "weird", -1)),
+    ],
+    ids=["gem-r", "gem-r-m2", "gem-m", "gem-r-and-m", "A-m", "A-mode", "A-mode-and-m"],
+)
+def test_row_functions_raise_as_their_point_functions(point, rows):
+    tables = set(sequences._TABLES)
+    assert _message(rows) == _message(point)
+    assert set(sequences._TABLES) == tables
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [lambda size: triangle_gem_rows(size, 1, 3), lambda size: stirlingA_rows(size, "restr", 2)],
+)
+def test_row_functions_take_any_size_from_zero(rows):
+    assert rows(0) == []
+    assert len(rows(1)) == 1
+    with pytest.raises(ValueError, match=r"^size must be >= 0, got -1$"):
+        rows(-1)
+
+
+@pytest.mark.parametrize(
+    "rows, point",
+    [
+        (lambda size: triangle_gem_rows(size, 2, 2), lambda n, k: triangle_gem_rec(n, k, 2, 2)),
+        (lambda size: triangle_gem_rows(size, 1, 4), lambda n, k: triangle_gem_rec(n, k, 1, 4)),
+        (lambda size: stirlingA_rows(size, "assoc", 3), lambda n, k: stirlingA(n, k, "assoc", 3)),
+    ],
+    ids=["gem-m2", "gem-m4", "stirlingA"],
+)
+def test_returned_rows_are_the_callers_own(rows, point):
+    want = [[point(n, k) for k in range(n + 1)] for n in range(12)]
+    got = rows(12)
+    for row in got:
+        row[-1] += 7
+        row.append(-1)
+    got.append([5])
+    got[0] = None
+    assert rows(12) == want
+    assert [[point(n, k) for k in range(n + 1)] for n in range(12)] == want
+    # a short call after a long one returns only what it asks for
+    assert rows(20)[:12] == want
+    assert rows(5) == want[:5]
+    assert len(rows(3)) == 3
 
 
 # -- type A windowed Stirling numbers ----------------------------------------------
