@@ -3,16 +3,15 @@ formats, run the verification suites, and query the enumeration oracle.
 
 One table, `_FAMILIES`, serves `table` and `seq`: `table` takes every family,
 sized by `--rows`, and `seq` the sequence families, sized by `--terms`.
+Another, `_COMMANDS`, reads argv by argparse's rules and writes the help.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including
 enumeration bound violations).
 """
 
-from __future__ import annotations
-
-import argparse
 import importlib.util
 import sys
+import types
 
 from .permcore import EnumerationLimitError, MODES, oracle_total, oracle_triangle
 
@@ -75,19 +74,17 @@ _FAMILIES = {
     "stirling-a": ("rows", "recurrence", {"m": 2, "mode": "assoc"}, lambda size, m, mode: (
         sequences.stirlingA_rows(size, mode, m)
     )),
-    "d": ("terms", "recurrence", {"r": 0}, lambda size, r: [
-        sequences.d_rec(r, n) for n in range(size)
-    ]),
+    "d": ("terms", "recurrence", {"r": 0}, lambda size, r: sequences.d_rec_terms(size, r)),
     "lattice": (
         "terms", "explicit", {"r": 0}, lambda size, r: sequences.lattice_terms(r, size)
     ),
     "tree": ("terms", "riordan", {}, lambda size: sequences.tree_terms(size)),
-    "incomplete": ("terms", "recurrence", {"m": 2, "mode": "assoc"}, lambda size, m, mode: [
-        sequences.incomplete_factorial(n, mode, m) for n in range(size)
-    ]),
-    "typeb-factorial": ("terms", "explicit", {"m": 2, "mode": "assoc"}, lambda size, m, mode: [
-        sequences.typeB_factorial_conv(n, mode, m) for n in range(size)
-    ]),
+    "incomplete": ("terms", "recurrence", {"m": 2, "mode": "assoc"}, lambda size, m, mode: (
+        sequences.incomplete_factorial_terms(size, mode, m)
+    )),
+    "typeb-factorial": ("terms", "explicit", {"m": 2, "mode": "assoc"}, lambda size, m, mode: (
+        sequences.typeB_factorial_terms(size, mode, m)
+    )),
 }
 
 FAMILIES = tuple(_FAMILIES)
@@ -167,59 +164,130 @@ def _cmd_oracle(args) -> tuple[str, int]:
     return str(value), 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="stirlingb",
-        description="Exact tables, sequences and cross-checks for signed-"
-        "permutation cycle statistics.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    table = sub.add_parser("table", help="emit a triangle or sequence family")
-    _add_value_flags(table, FAMILIES, "--rows")
-
-    seq = sub.add_parser("seq", help="emit a sequence family (one value per n)")
-    _add_value_flags(seq, SEQUENCE_FAMILIES, "--terms")
-
-    ver = sub.add_parser("verify", help="run a cross-route verification scope")
-    ver.add_argument("scope", choices=SCOPES)
-    ver.add_argument("--max-n", dest="max_n", type=int, default=None)
-    ver.add_argument("--max-r", dest="max_r", type=int, default=None)
-    ver.add_argument("--seed", type=int, default=None)
-    ver.add_argument("--samples", type=int, default=None)
-    ver.add_argument("--max-enum", dest="bound", metavar="MAX_ENUM", type=int, default=None)
-    ver.add_argument(
-        "--precision",
-        type=int,
-        default=None,
-        help="decimal digits when reporting asymptotic ratios",
-    )
-    ver.set_defaults(run=_cmd_verify)
-
-    orc = sub.add_parser("oracle", help="brute-force enumeration count")
-    orc.add_argument("--n", type=int, required=True)
-    orc.add_argument("--r", type=int, default=0)
-    orc.add_argument("--mode", choices=MODES, default="assoc")
-    orc.add_argument("--m", type=int, default=2)
-    orc.add_argument("--k", type=int, default=None)
-    orc.add_argument("--max-enum", dest="max_enum", type=int, default=None)
-    orc.set_defaults(run=_cmd_oracle)
-    return parser
+def _value_arguments(families: tuple, size_flag: str) -> tuple[dict, dict]:
+    # table and seq differ only in their families and their size flag
+    arguments = {"family": ("family", families), "--m": ("m", int), "--r": ("r", int),
+                 size_flag: ("size", int), "--mode": ("mode", MODES),
+                 "--format": ("format", FORMATS)}
+    return arguments, dict(m=None, r=None, size=DEFAULT_SIZE, mode=None, format="pretty",
+                           size_flag=size_flag)
 
 
-def _add_value_flags(cmd: argparse.ArgumentParser, families, size_flag: str) -> None:
-    cmd.add_argument("family", choices=families)
-    cmd.add_argument("--m", type=int, default=None)
-    cmd.add_argument("--r", type=int, default=None)
-    metavar = size_flag[2:].upper()
-    cmd.add_argument(size_flag, dest="size", metavar=metavar, type=int, default=DEFAULT_SIZE)
-    cmd.add_argument("--mode", choices=MODES, default=None)
-    cmd.add_argument("--format", choices=FORMATS, default="pretty")
-    cmd.set_defaults(run=_cmd_values, size_flag=size_flag)
+# command -> (the function it runs, its help line, its arguments, their
+# defaults), "" being the top level.  An argument maps to its dest and to what
+# it accepts, int or a tuple of choices; the one without leading dashes is
+# positional.  An argument whose dest has no default is required.
+_COMMANDS = {
+    "table": (_cmd_values, "emit a triangle or sequence family",
+              *_value_arguments(FAMILIES, "--rows")),
+    "seq": (_cmd_values, "emit a sequence family (one value per n)",
+            *_value_arguments(SEQUENCE_FAMILIES, "--terms")),
+    "verify": (_cmd_verify, "run a cross-route verification scope", {
+        "scope": ("scope", SCOPES), "--max-n": ("max_n", int), "--max-r": ("max_r", int),
+        "--seed": ("seed", int), "--samples": ("samples", int), "--max-enum": ("bound", int),
+        "--precision": ("precision", int),
+    }, dict.fromkeys(("max_n", "max_r", "seed", "samples", "bound", "precision"))),
+    "oracle": (_cmd_oracle, "brute-force enumeration count", {
+        "--n": ("n", int), "--r": ("r", int), "--mode": ("mode", MODES), "--m": ("m", int),
+        "--k": ("k", int), "--max-enum": ("max_enum", int),
+    }, dict(r=0, mode="assoc", m=2, k=None, max_enum=None)),
+}
+_COMMANDS[""] = (None, "Exact tables, sequences and cross-checks for signed-permutation "
+                 "cycle statistics.", {"command": ("command", tuple(_COMMANDS))}, {})
+
+
+def _usage(command: str) -> str:
+    _, _, arguments, defaults = _COMMANDS[command]
+    words = ["usage:", ("stirlingb " + command).rstrip(), "[-h]"]
+    for name, (dest, accepts) in arguments.items():
+        word = ("{%s}" % ",".join(accepts) if accepts is not int
+                else name[2:].replace("-", "_").upper())
+        word = name + " " + word if name[0] == "-" else word
+        words.append("[%s]" % word if dest in defaults else word)
+    return " ".join(words)
+
+
+def _fail(command: str, message: str):
+    prog = ("stirlingb " + command).rstrip()
+    sys.stderr.write("%s\n%s: error: %s\n" % (_usage(command), prog, message))
+    raise SystemExit(2)
+
+
+def _option(arg: str, names: tuple, command: str):
+    """arg as argparse reads it against the option names: (name, the value
+    joined to it by '=' or None), (None, None) if unknown, None if a value."""
+    if len(arg) < 2 or arg[0] != "-" or arg == "--":
+        return None
+    name, eq, value = arg.partition("=")
+    matches = [name] if name in names else [n for n in names if n.startswith(name)]
+    if len(matches) > 1:
+        _fail(command, "ambiguous option: %s could match %s" % (arg, ", ".join(matches)))
+    if matches:
+        return matches[0], value if eq else None
+    # a negative number, or anything with a space, is a value
+    number = arg[1:].replace(".", "", 1).isdecimal() and arg[-1] != "."
+    return None if number or " " in arg else (None, None)
+
+
+def _parse(command: str, argv: list, extra: list) -> types.SimpleNamespace:
+    """argv read as command's arguments; at the top level, the command named
+    reads the rest.  extra gathers the arguments no one reads."""
+    run, about, arguments, defaults = _COMMANDS[command]
+    names = ("-h", "--help", *arguments)  # no option matches the positional's name
+    positional = next((n for n in arguments if n[0] != "-"), None)
+    # after a command's first "--" every argument is a value
+    end = argv.index("--") if command and "--" in argv else len(argv)
+    # argparse reads every option before it acts on one: an ambiguous one fails first
+    kinds = [_option(arg, names, command) for arg in argv[:end]] + [None] * (len(argv) - end)
+    values, i, at = dict(defaults), 0, None  # at: where the positional was read
+    while i < len(argv):
+        arg, kind, i = argv[i], kinds[i], i + 1
+        name, value = kind or (positional if positional not in values else None, arg)
+        if i - 1 == end and (at == end - 1 or name and i < len(argv)):
+            continue  # argparse drops that "--" only beside the positional's value
+        if name is None:
+            extra.append(arg)
+        elif name in ("-h", "--help"):
+            if value is not None:
+                _fail(command, "argument -h/--help: ignored explicit argument %r" % value)
+            lines = [_usage(command), "", about]
+            if not command:  # the top level lists the commands
+                lines += ["  %-8s %s" % (c, row[1]) for c, row in _COMMANDS.items() if c]
+            print("\n".join(lines))
+            raise SystemExit(0)
+        else:
+            if value is None:
+                if i in (len(argv), end) or kinds[i] is not None:
+                    _fail(command, "argument %s: expected one argument" % name)
+                value, i = argv[i], i + 1
+            dest, accepts = arguments[name]
+            if accepts is not int and value not in accepts:
+                choices = "%r (choose from %s)" % (value, ", ".join(map(repr, accepts)))
+                _fail(command, "argument %s: invalid choice: %s" % (name, choices))
+            try:
+                values[dest] = int(value) if accepts is int else value
+            except ValueError:
+                _fail(command, "argument %s: invalid int value: %r" % (name, value))
+            at = i - 1 if name == positional else at
+            if not command:
+                return _parse(value, argv[i:], extra)
+    missing = [name for name, (dest, _) in arguments.items() if dest not in values]
+    if missing:
+        _fail(command, "the following arguments are required: %s" % ", ".join(missing))
+    if extra:
+        _fail("", "unrecognized arguments: %s" % " ".join(extra))
+    return types.SimpleNamespace(command=command, run=run, **values)
+
+
+def parse_args(argv=None) -> types.SimpleNamespace:
+    """argv (sys.argv[1:] by default) read against _COMMANDS by argparse's
+    rules.  -h prints the help and exits 0; a usage error prints the usage
+    and the error to stderr and exits 2."""
+    return _parse("", sys.argv[1:] if argv is None else list(argv), [])
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     # exact terms may pass the int-to-str digit limit; lift it for this call
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)

@@ -29,8 +29,6 @@ tested against, and shares no counting code with them: it imports only the
 standard library and the record base.
 """
 
-from __future__ import annotations
-
 import itertools
 from functools import lru_cache
 

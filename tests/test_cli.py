@@ -17,6 +17,8 @@ from stirlingb.cli import FAMILIES, main
 from stirlingb.permcore import oracle_triangle
 from stirlingb.verify import SCOPES
 
+from argparse_reference import build_parser
+
 
 def _run(capsys, argv):
     code = main(argv)
@@ -440,11 +442,11 @@ LIBRARY_CALLS = {
     "stirling-b": "triangle_gem_rows",
     "inverse": "make_triangle_B",
     "stirling-a": "stirlingA_rows",
-    "d": "d_rec",
+    "d": "d_rec_terms",
     "lattice": "lattice_terms",
     "tree": "tree_terms",
-    "incomplete": "incomplete_factorial",
-    "typeb-factorial": "typeB_factorial_conv",
+    "incomplete": "incomplete_factorial_terms",
+    "typeb-factorial": "typeB_factorial_terms",
 }
 
 
@@ -461,10 +463,18 @@ def test_families_look_the_library_up_at_call_time(capsys, monkeypatch, family):
     assert LIBRARY_CALLS[family] in calls
 
 
-@pytest.mark.parametrize("family", ["stirling-a", "stirling-b"])
-@pytest.mark.parametrize("argv", [[], ["--m", "3"], ["--rows", "40", "--format", "json"]])
+@pytest.mark.parametrize(
+    "family, argv",
+    [
+        (family, argv)
+        for family in ("stirling-a", "stirling-b", "incomplete", "typeb-factorial")
+        for argv in ([], ["--m", "3"], ["--rows", "40", "--format", "json"])
+    ]
+    + [("d", []), ("d", ["--r", "2", "--rows", "40"])],
+)
 def test_recurrence_tables_make_one_library_call(capsys, monkeypatch, family, argv):
-    # a whole triangle is one row call, not one point query per cell
+    # a whole triangle or sequence is one call, not one point query per cell
+    # or term
     calls = []
     monkeypatch.setattr(cli, "sequences", _counting_proxy(sequences, calls))
     code, _, err = _run(capsys, ["table", family, *argv])
@@ -561,11 +571,10 @@ def test_bench_jobs_give_each_family_and_scope_only_what_it_reads(monkeypatch):
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses looks it up
     spec.loader.exec_module(workloads)
-    parser = cli.build_parser()
     for name in workloads.WORKLOADS:
         for seed in range(1, 11):
             for job in workloads.job_list(name, seed):
-                args = parser.parse_args(job.argv)
+                args = cli.parse_args(job.argv)
                 if args.command in ("table", "seq"):
                     reads, names = cli._FAMILIES[args.family][2], ("m", "r", "mode")
                 elif args.command == "verify" and args.scope != "all":
@@ -666,9 +675,12 @@ def test_importing_cli_from_the_package_runs_no_fraction_layer():
     assert _fresh(["-c", script]).split() == ["False"]
 
 
-# the Fraction layers, the stdlib modules only they import, and json
-NOT_FOR_ORACLE = {
-    "fractions", "decimal", "json",
+# argparse and the translation and locale modules it loads; no command reads them
+NOT_FOR_ANY = {"argparse", "gettext", "locale"}
+# the Fraction layers, the stdlib modules only they import, json, and the
+# __future__ module that only the Fraction layers import
+NOT_FOR_ORACLE = NOT_FOR_ANY | {
+    "fractions", "decimal", "json", "__future__",
     "stirlingb.fps", "stirlingb.sequences", "stirlingb.riordan", "stirlingb.verify",
 }
 
@@ -678,7 +690,9 @@ NOT_FOR_ORACLE = {
     [
         ("oracle --n 3", NOT_FOR_ORACLE),
         ("--help", NOT_FOR_ORACLE),
-        ("table stirling-b --format csv", {"json", "stirlingb.riordan", "stirlingb.verify"}),
+        ("table stirling-b --format csv",
+         NOT_FOR_ANY | {"json", "stirlingb.riordan", "stirlingb.verify"}),
+        ("verify riordan --max-n 2 --max-r 1", NOT_FOR_ANY),
     ],
 )
 def test_each_command_runs_only_the_modules_it_reads(argv, unread):
@@ -800,3 +814,129 @@ def test_fuzzed_argv_exits_cleanly(argv):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def _outcome(parse, argv):
+    """("parsed", the namespace's fields), ("help", None) or ("usage error",
+    None), with what parse wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = ("parsed", vars(parse(argv)))
+        except SystemExit as exc:
+            assert exc.code in (0, 2), (argv, exc.code)
+            result = ("help" if exc.code == 0 else "usage error", None)
+    return result, out.getvalue(), err.getvalue()
+
+
+# tokens argparse reads in ways of their own: help, "--", negative numbers,
+# strings with a space, the empty string, unknown and ambiguous options and
+# '=' values on help or on a prefix of every flag
+NOISE = [
+    "-h", "--help", "--he", "--help=1", "--", "--", "-1", "-2.5", "-.5", "-1.", "-x", "x y",
+    "-x y", "", "-", "--max", "--m", "--mo", "--=3", "--bogus=1", "7", "--n", "--r=-1",
+]
+
+
+@st.composite
+def argparse_argv(draw):
+    """A fuzzed_argv with its flags moved before or after the positional, some
+    shortened to a prefix, some given their value with '=', and noise tokens
+    put anywhere, the command's place included."""
+    command, *rest = draw(fuzzed_argv())
+    units, i = [], 0
+    while i < len(rest):
+        if rest[i].startswith("--") and i + 1 < len(rest) and not rest[i + 1].startswith("--"):
+            units.append(rest[i:i + 2])
+            i += 2
+        else:
+            units.append(rest[i:i + 1])
+            i += 1
+    for unit in units:
+        flag = unit[0]
+        if flag.startswith("--") and draw(st.booleans()):
+            unit[0] = flag[:draw(st.integers(3, len(flag)))]
+        if len(unit) == 2 and draw(st.booleans()):
+            unit[:] = ["%s=%s" % tuple(unit)]
+    argv = [command] + [arg for unit in draw(st.permutations(units)) for arg in unit]
+    for token in draw(st.lists(st.sampled_from(NOISE), max_size=2)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+# the argparse parser the CLI used before
+REFERENCE = build_parser()
+
+
+@settings(max_examples=600, deadline=None)
+@given(argparse_argv())
+def test_parse_args_agrees_with_the_argparse_parser(argv):
+    # each argv parses to the same fields in both, asks both for help, or is
+    # a usage error in both
+    want, _, _ = _outcome(REFERENCE.parse_args, argv)
+    got, out, err = _outcome(cli.parse_args, argv)
+    assert got == want, argv
+    if got[0] == "help":
+        assert out.startswith("usage: stirlingb") and err == ""
+    elif got[0] == "usage error":
+        usage, message = err.splitlines()
+        assert out == "" and usage.startswith("usage: stirlingb")
+        progs = {("stirlingb " + command).rstrip() for command in cli._COMMANDS}
+        assert message.split(": error: ")[0] in progs
+
+
+@pytest.mark.parametrize(
+    "argv, fields",
+    [
+        ("table d --ro 5", dict(family="d", size=5)),
+        ("table --rows=5 --r=-1 d", dict(family="d", size=5, r=-1)),
+        ("seq --te 3 --r 1 --r 2 tree", dict(family="tree", size=3, r=2)),
+        ("table -- d", dict(family="d")),
+        ("table d --", dict(family="d")),
+        ("verify --max-e=-3 all --p 4", dict(scope="all", bound=-3, precision=4)),
+        ("oracle --mo restr --n=-2 --ma 9", dict(n=-2, mode="restr", max_enum=9)),
+    ],
+)
+def test_parse_args_reads_argparse_forms(argv, fields):
+    # '=' values, unique prefixes, negative values, flags on either side of
+    # the positional, the last repeat winning and "--" before a positional
+    args = vars(cli.parse_args(argv.split()))
+    assert {name: args[name] for name in fields} == fields
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("verify all --max 3",
+         "ambiguous option: --max could match --max-n, --max-r, --max-enum"),
+        ("verify --help --s 1 all", "ambiguous option: --s could match --seed, --samples"),
+        ("table d --m", "argument --m: expected one argument"),
+        ("table d --m -- 3", "argument --m: expected one argument"),
+        # argparse read "--" after "=" as no value at all, and --r reached
+        # _cmd_values as [], which raised TypeError
+        ("seq d --r=--", "argument --r: invalid int value: '--'"),
+        ("oracle --r 1", "the following arguments are required: --n"),
+        ("--help=1", "argument -h/--help: ignored explicit argument '1'"),
+        ("-- table d", "argument command: invalid choice: '--' (choose from 'table', 'seq', "
+                       "'verify', 'oracle')"),
+        ("--bogus table d", "unrecognized arguments: --bogus"),
+        # argparse drops "--" only beside the positional's value
+        ("oracle --n 0 --", "unrecognized arguments: --"),
+        ("table d --rows 3 --", "unrecognized arguments: --"),
+    ],
+)
+def test_parse_args_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines()[1].endswith(": error: " + message)
+
+
+@pytest.mark.parametrize("argv", ["-h", "--he", "table -h", "oracle --help", "seq d --x -h"])
+def test_parse_args_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(argv.split())
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: stirlingb") and captured.err == ""

@@ -44,15 +44,21 @@ def test_no_assert_statements(name):
     assert lines == [], "%s has assert statements at lines %s" % (name, lines)
 
 
-def _imports_beyond_stdlib(name):
-    """The modules that module `name` imports outside the standard library."""
+def _imports(name):
+    """The modules that module `name` imports, anywhere in it."""
     imported = []
     for node in ast.walk(_tree(name)):
         if isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             imported.append("." * node.level + (node.module or ""))
-    return {name for name in imported if name.split(".")[0] not in sys.stdlib_module_names}
+    return imported
+
+
+def _imports_beyond_stdlib(name):
+    """The modules that module `name` imports outside the standard library."""
+    stdlib = sys.stdlib_module_names
+    return {name for name in _imports(name) if name.split(".")[0] not in stdlib}
 
 
 def test_oracle_imports_only_stdlib_and_the_record_base():
@@ -91,3 +97,10 @@ def test_every_private_helper_is_used():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert sorted(pair for pair in defined if pair[1] not in used) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_argparse(name):
+    # the CLI reads argv from its own command table: argparse, and the gettext
+    # and locale modules it loads, cost every command's start-up
+    assert "argparse" not in {module.split(".")[0] for module in _imports(name)}
