@@ -88,7 +88,6 @@ _FAMILIES = {
 }
 
 FAMILIES = tuple(_FAMILIES)
-TRIANGLE_FAMILIES = tuple(f for f in FAMILIES if _FAMILIES[f][0] == "rows")
 SEQUENCE_FAMILIES = tuple(f for f in FAMILIES if _FAMILIES[f][0] == "terms")
 
 

@@ -335,10 +335,6 @@ class FormalPowerSeries(Record):
 
     # -- misc -----------------------------------------------------------------
 
-    def prefix(self, n: int) -> tuple:
-        """Coefficients 0..n as a tuple (for comparisons in tests)."""
-        return tuple(self.coeff(k) for k in range(n + 1))
-
     def __repr__(self) -> str:
         shown = ", ".join(str(c) for c in self.coeffs[:8])
         if self.order >= 8:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import stirlingb
+from stirlingb import permcore
 
 MODULES = ["stirlingb"] + [
     "stirlingb." + info.name for info in pkgutil.iter_modules(stirlingb.__path__)
@@ -61,10 +62,21 @@ def _imports_beyond_stdlib(name):
     return {name for name in _imports(name) if name.split(".")[0] not in stdlib}
 
 
-def test_oracle_imports_only_stdlib_and_the_record_base():
-    # the oracle is the route every other one is checked against, so it may
-    # share the record base with them and nothing else
-    assert _imports_beyond_stdlib("stirlingb.permcore") == {"._record"}
+def test_oracle_imports_only_stdlib():
+    # the oracle is the route every other one is checked against, so it
+    # shares no code with them, not even the record base
+    assert _imports_beyond_stdlib("stirlingb.permcore") == set()
+
+
+def test_oracle_exports_only_the_oracle():
+    # the naive object model is the tests' reference (tests/naive.py), not API
+    assert sorted(permcore.__all__) == [
+        "DEFAULT_MAX_ENUM",
+        "EnumerationLimitError",
+        "check_bound",
+        "oracle_total",
+        "oracle_triangle",
+    ]
 
 
 def test_sequences_imports_only_stdlib_the_record_base_and_fps():
@@ -97,6 +109,50 @@ def test_every_private_helper_is_used():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert sorted(pair for pair in defined if pair[1] not in used) == []
+
+
+def _module_level_names(tree):
+    """(name, node) for each module-level def, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id, node
+
+
+def _reads(tree):
+    """Each node of `tree` that reads a name, as (name, node)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node
+        elif isinstance(node, ast.alias):
+            yield node.name, node
+
+
+def test_every_unexported_name_is_read():
+    # a module-level name outside its module's __all__ is not API: if no code
+    # in the package reads it, other than its own definition, it is dead
+    trees = {name: _tree(name) for name in MODULES}
+    reads = {}
+    for tree in trees.values():
+        for name, node in _reads(tree):
+            reads.setdefault(name, []).append(node)
+    dead = []
+    for module, tree in trees.items():
+        exported = set(getattr(importlib.import_module(module), "__all__", ()))
+        for name, node in _module_level_names(tree):
+            if name in exported or (name.startswith("__") and name.endswith("__")):
+                continue
+            own = set(map(id, ast.walk(node)))
+            if all(id(read) in own for read in reads.get(name, ())):
+                dead.append((module, name))
+    assert dead == []
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -6,18 +6,21 @@ import pytest
 
 from stirlingb import permcore
 from stirlingb.permcore import (
-    Cycle,
     EnumerationLimitError,
-    SignedPermutation,
     _census,
     _tally,
-    cycle_decompose,
-    enumerate_signed,
-    is_derangement_B,
     oracle_total,
     oracle_triangle,
 )
 from stirlingb.sequences import rstirling1, stirlingA
+
+from naive import (
+    Cycle,
+    SignedPermutation,
+    cycle_decompose,
+    enumerate_signed,
+    is_derangement_B,
+)
 
 
 def test_enumerate_counts():

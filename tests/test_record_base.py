@@ -10,17 +10,19 @@ import pytest
 from stirlingb import fps, permcore, riordan, sequences, verify  # noqa: F401
 from stirlingb._record import Record
 
+import naive
+
 RECORD_CLASSES = {
     "stirlingb.fps.FormalPowerSeries",
     "stirlingb.riordan.ExpRiordanArray",
     "stirlingb.sequences.RPolynomial",
-    "stirlingb.permcore.SignedPermutation",
-    "stirlingb.permcore.Cycle",
-    "stirlingb.permcore.CycleDecomposition",
     "stirlingb.verify.Mismatch",
     "stirlingb.verify.CheckResult",
     "stirlingb.verify.VerificationReport",
 }
+
+# the tests' naive model is built on the same base
+NAIVE_RECORDS = [naive.Cycle, naive.CycleDecomposition, naive.SignedPermutation]
 
 
 def _subclasses(cls):
@@ -29,14 +31,19 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
-RECORDS = sorted(_subclasses(Record), key=lambda cls: cls.__qualname__)
+# the package's own: a test module that defines records of its own must not
+# change this list, whichever modules the run has imported before this one
+RECORDS = sorted(
+    (cls for cls in _subclasses(Record) if cls.__module__.startswith("stirlingb.")),
+    key=lambda cls: cls.__qualname__,
+)
 
 
-def test_the_records_are_the_nine_classes():
+def test_the_records_are_the_six_classes():
     assert {"%s.%s" % (c.__module__, c.__qualname__) for c in RECORDS} == RECORD_CLASSES
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+@pytest.mark.parametrize("cls", RECORDS + NAIVE_RECORDS, ids=lambda cls: cls.__qualname__)
 def test_fields_are_the_constructor_parameters(cls):
     # a field missing from `_fields` would be ignored by equality and hashing
     params = list(inspect.signature(cls.__init__).parameters)

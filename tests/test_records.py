@@ -1,5 +1,5 @@
-"""The package's record classes: constructors, equality, hashing, repr and
-their cached properties."""
+"""The package's record classes, and the naive model's built on the same
+base: constructors, equality, hashing, repr and cached properties."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -7,16 +7,17 @@ from itertools import combinations
 import pytest
 
 from stirlingb.fps import FormalPowerSeries as FPS
-from stirlingb.permcore import (
+from stirlingb.riordan import ExpRiordanArray, make_triangle_B
+from stirlingb.sequences import RPolynomial, d_poly
+from stirlingb.verify import CheckResult, Mismatch, VerificationReport
+
+from naive import (
     Cycle,
     CycleDecomposition,
     SignedPermutation,
     cycle_decompose,
     enumerate_signed,
 )
-from stirlingb.riordan import ExpRiordanArray, make_triangle_B
-from stirlingb.sequences import RPolynomial, d_poly
-from stirlingb.verify import CheckResult, Mismatch, VerificationReport
 
 # the classes whose one field is a tuple, so one value fits all of them
 ONE_TUPLE_FIELD = [FPS, RPolynomial, SignedPermutation, Cycle, CycleDecomposition]
