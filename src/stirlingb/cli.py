@@ -74,16 +74,18 @@ _FAMILIES = {
     "stirling-a": ("rows", "recurrence", {"m": 2, "mode": "assoc"}, lambda size, m, mode: (
         sequences.stirlingA_rows(size, mode, m)
     )),
-    "d": ("terms", "recurrence", {"r": 0}, lambda size, r: sequences.d_rec_terms(size, r)),
+    "d": ("terms", "recurrence", {"r": 0}, lambda size, r: (
+        [sequences.d_rec(r, n) for n in range(size)]
+    )),
     "lattice": (
         "terms", "explicit", {"r": 0}, lambda size, r: sequences.lattice_terms(r, size)
     ),
     "tree": ("terms", "riordan", {}, lambda size: sequences.tree_terms(size)),
     "incomplete": ("terms", "recurrence", {"m": 2, "mode": "assoc"}, lambda size, m, mode: (
-        sequences.incomplete_factorial_terms(size, mode, m)
+        [sequences.incomplete_factorial(n, mode, m) for n in range(size)]
     )),
     "typeb-factorial": ("terms", "explicit", {"m": 2, "mode": "assoc"}, lambda size, m, mode: (
-        sequences.typeB_factorial_terms(size, mode, m)
+        [sequences.typeB_factorial_conv(n, mode, m) for n in range(size)]
     )),
 }
 
@@ -132,9 +134,9 @@ def _flag(name: str) -> str:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
-    # options left unset take their SCOPE_TABLE defaults, the only ones there are
-    names = ("max_n", "max_r", "seed", "samples", "bound", "precision")
-    options = {name: v for name in names if (v := getattr(args, name)) is not None}
+    # the parser defaults every option to None: one left unset takes its SCOPE_TABLE default
+    options = {name: v for name in _COMMANDS["verify"][3]
+               if (v := getattr(args, name)) is not None}
     for name, low in (("max_n", 0), ("max_r", 0), ("samples", 0), ("precision", 1)):
         value = options.get(name, low)
         if value < low:

@@ -54,12 +54,10 @@ __all__ = [
     "d_explicit",
     "d_poly",
     "d_rec",
-    "d_rec_terms",
     "diagonals",
     "diagonals_delta",
     "free_sign_howard",
     "incomplete_factorial",
-    "incomplete_factorial_terms",
     "inverse_triangle_rec",
     "lattice_terms",
     "rstirling1",
@@ -74,7 +72,6 @@ __all__ = [
     "triangle_gem_rec",
     "triangle_gem_rows",
     "typeB_factorial_conv",
-    "typeB_factorial_terms",
 ]
 
 
@@ -127,17 +124,13 @@ class _Rows:
         """Entry k of row n of a triangle; 0 outside 0 <= k <= n."""
         return self.row(n)[k] if 0 <= k <= n else 0
 
-    def head(self, size: int) -> list:
-        """Rows 0..size-1, the table's own rows in a new list."""
+    def copies(self, size: int) -> list[list]:
+        """Fresh copies of rows 0..size-1 of a triangle."""
         if size < 0:
             raise ValueError("size must be >= 0, got %d" % (size,))
         if size:
             self.row(size - 1)
-        return self.rows[:size]
-
-    def copies(self, size: int) -> list[list]:
-        """Fresh copies of rows 0..size-1 of a triangle."""
-        return [list(row) for row in self.head(size)]
+        return [list(row) for row in self.rows[:size]]
 
     def _next(self, n: int):
         raise NotImplementedError
@@ -401,13 +394,6 @@ def incomplete_factorial(n: int, mode: str, m: int) -> int:
     return _type_a(mode, m).total(n)
 
 
-def incomplete_factorial_terms(size: int, mode: str, m: int) -> list[int]:
-    """incomplete_factorial(n, mode, m) for n < size, from its one table."""
-    table = _type_a(mode, m)
-    table.head(size)  # checks size and makes the rows whose totals are read
-    return [table.total(n) for n in range(size)]
-
-
 def typeB_factorial_conv(n: int, mode: str, m: int) -> int:
     """Total signed permutations of [n] whose cycles obey the window-or-
     all-barred rule, by convolving the two type A totals: the elements in
@@ -419,12 +405,6 @@ def typeB_factorial_conv(n: int, mode: str, m: int) -> int:
     return sum(
         comb(n, i) * 2**i * inside.total(i) * outside.total(n - i) for i in range(n + 1)
     )
-
-
-def typeB_factorial_terms(size: int, mode: str, m: int) -> list[int]:
-    """typeB_factorial_conv(n, mode, m) for n < size."""
-    _type_a(mode, m).head(size)  # checks mode, m and size before the first term
-    return [typeB_factorial_conv(n, mode, m) for n in range(size)]
 
 
 # -- the d-family (no-unbarred-fixed-point counts with specials) ----------------
@@ -451,13 +431,6 @@ def d_rec(r: int, n: int) -> int:
     if r < 0 or n < 0:
         raise ValueError("r and n must be >= 0")
     return _r_table(_DRows, r).row(n)
-
-
-def d_rec_terms(size: int, r: int) -> list[int]:
-    """d_rec(r, n) for n < size, from the same table."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    return _r_table(_DRows, r).head(size)
 
 
 def d_explicit(r: int, n: int) -> int:

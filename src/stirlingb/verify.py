@@ -36,10 +36,6 @@ __all__ = [
     "CheckResult",
     "Mismatch",
     "VerificationReport",
-    "check_asymptotic",
-    "check_howard",
-    "check_oracle",
-    "check_riordan",
     "inv_sqrt_e",
     "run_scope",
 ]
@@ -166,7 +162,7 @@ def _random_array(rng: random.Random, order: int) -> ExpRiordanArray:
     )
 
 
-def check_riordan(*, max_n: int, max_r: int, seed: int, samples: int) -> VerificationReport:
+def _check_riordan(*, max_n: int, max_r: int, seed: int, samples: int) -> VerificationReport:
     order = max(max_n, 1)
     inv_order = min(order, 10)
     law_order = min(max(max_n, 2), 8)
@@ -252,7 +248,7 @@ def check_riordan(*, max_n: int, max_r: int, seed: int, samples: int) -> Verific
 # -- oracle scope ----------------------------------------------------------------
 
 
-def check_oracle(*, max_n: int, max_r: int, bound: int | None) -> VerificationReport:
+def _check_oracle(*, max_n: int, max_r: int, bound: int | None) -> VerificationReport:
     rs = ("r", range(max_r + 1))
     delta_forms = cache(sequences.diagonals_delta)  # both entries of an (m, r, n) in one call
     entries = ("(n+1,n)", "(n+2,n)")
@@ -297,7 +293,7 @@ def check_oracle(*, max_n: int, max_r: int, bound: int | None) -> VerificationRe
 # -- howard scope ----------------------------------------------------------------
 
 
-def check_howard(*, max_n: int, max_r: int) -> VerificationReport:
+def _check_howard(*, max_n: int, max_r: int) -> VerificationReport:
     labels, rs, n_k = ("recurrence", "explicit"), ("r", range(max_r + 1)), _n_k(max_n)
     return _collect(
         "howard",
@@ -347,7 +343,7 @@ def _format_fraction(value: Fraction, precision: int) -> str:
 _ASYMPTOTIC_MAX_R = 2
 
 
-def check_asymptotic(*, max_n: int, max_r: int, precision: int) -> VerificationReport:
+def _check_asymptotic(*, max_n: int, max_r: int, precision: int) -> VerificationReport:
     target = inv_sqrt_e()
     grid = [n for n in (10, 20, 30) if n <= max_n]
     checked_r = range(min(max_r, _ASYMPTOTIC_MAX_R) + 1)
@@ -411,10 +407,10 @@ def check_asymptotic(*, max_n: int, max_r: int, precision: int) -> VerificationR
 # the only defaults and the only record of which options a scope reads:
 # run_scope hands each check its own, and the CLI rejects any other.
 SCOPE_TABLE = {
-    "riordan": (check_riordan, {"max_n": 8, "max_r": 3, "seed": 20240801, "samples": 12}),
-    "oracle": (check_oracle, {"max_n": 4, "max_r": 2, "bound": None}),
-    "howard": (check_howard, {"max_n": 5, "max_r": 2}),
-    "asymptotic": (check_asymptotic, {"max_n": 30, "max_r": 2, "precision": 30}),
+    "riordan": (_check_riordan, {"max_n": 8, "max_r": 3, "seed": 20240801, "samples": 12}),
+    "oracle": (_check_oracle, {"max_n": 4, "max_r": 2, "bound": None}),
+    "howard": (_check_howard, {"max_n": 5, "max_r": 2}),
+    "asymptotic": (_check_asymptotic, {"max_n": 30, "max_r": 2, "precision": 30}),
 }
 
 SCOPES = ("all",) + tuple(SCOPE_TABLE)

@@ -91,26 +91,6 @@ def test_riordan_imports_only_stdlib_the_record_base_and_fps():
     assert _imports_beyond_stdlib("stirlingb.riordan") == {"._record", ".fps"}
 
 
-def test_every_private_helper_is_used():
-    # a module-level _name function or class that no code in the package
-    # reads is dead: nothing outside the package may rely on it
-    defined, used = set(), set()
-    for name in MODULES:
-        tree = _tree(name)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not node.name.startswith("__"):
-                    defined.add((name, node.name))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
-    assert sorted(pair for pair in defined if pair[1] not in used) == []
-
-
 def _module_level_names(tree):
     """(name, node) for each module-level def, class and assigned name."""
     for node in tree.body:

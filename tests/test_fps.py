@@ -389,3 +389,34 @@ def test_integer_kernels_form_no_fraction(fractions_formed):
     assert "coeffs" not in vars(product)
     assert fractions_formed(lambda: product.coeffs) == product.order + 1
     assert product == schoolbook_mul(a, inner)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: FPS.from_coeffs([0.5]), TypeError,
+         r"^exact coefficient expected \(int or Fraction\), got 0\.5$"),
+        (lambda: FPS.from_coeffs([]), ValueError, r"^empty coefficient list and no order$"),
+        (lambda: FPS.from_coeffs([1], -1), ValueError, r"^order must be >= 0$"),
+        # the operators return NotImplemented, so Python raises for both sides
+        (lambda: FPS.x(2) + "x", TypeError,
+         r"^unsupported operand type\(s\) for \+: 'FormalPowerSeries' and 'str'$"),
+        (lambda: "x" - FPS.x(2), TypeError,
+         r"^unsupported operand type\(s\) for -: 'str' and 'FormalPowerSeries'$"),
+        (lambda: FPS.x(2) * "x", TypeError,
+         r"^can't multiply sequence by non-int of type 'FormalPowerSeries'$"),
+        (lambda: FPS.x(2) ** 1.5, TypeError, r"^unsupported operand type\(s\) for \*\* "
+         r"or pow\(\): 'FormalPowerSeries' and 'float'$"),
+        (lambda: FPS.from_coeffs([2, 1], 3).log(), ValueError,
+         r"^log requires constant term 1$"),
+        (lambda: FPS.from_coeffs([1, 1], 3).exp(), ValueError,
+         r"^exp requires constant term 0$"),
+        (lambda: FPS.one(0).derivative(), ValueError,
+         r"^derivative of an order-0 truncation is undefined$"),
+    ],
+    ids=["float-coefficient", "empty", "negative-order", "add-str", "str-sub", "mul-str",
+         "float-power", "log", "exp", "derivative-order-0"],
+)
+def test_invalid_input_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -62,6 +62,21 @@ def test_entry_validation():
         ident.entry(-1, 0)
 
 
+@pytest.mark.parametrize(
+    "array",
+    [
+        ExpRiordanArray.identity(4),
+        make_triangle_B(2, 3, order=6),
+        make_triangle_B(3, 1, order=5),
+    ],
+    ids=["identity", "m2-r3", "m3-r1"],
+)
+def test_row_is_the_entries_up_to_the_diagonal(array):
+    # the benchmark's table gate reads arrays a row at a time
+    for n in range(array.order + 1):
+        assert array.row(n) == tuple(array.entry(n, k) for k in range(n + 1))
+
+
 def test_constructor_invariants():
     with pytest.raises(ValueError):
         ExpRiordanArray(FPS.x(3), FPS.x(3))  # g(0) = 0

@@ -18,12 +18,10 @@ from stirlingb.sequences import (
     d_explicit,
     d_poly,
     d_rec,
-    d_rec_terms,
     diagonals,
     diagonals_delta,
     free_sign_howard,
     incomplete_factorial,
-    incomplete_factorial_terms,
     inverse_triangle_rec,
     lattice_terms,
     rstirling1,
@@ -38,7 +36,6 @@ from stirlingb.sequences import (
     triangle_gem_rec,
     triangle_gem_rows,
     typeB_factorial_conv,
-    typeB_factorial_terms,
 )
 
 # -- the ord >= 2 triangle --------------------------------------------------------
@@ -197,6 +194,14 @@ def test_negative_r_is_rejected(call):
     assert not [key for key in sequences._TABLES if key[1:2] == (-1,)]
 
 
+@pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(-7, 3), Fraction(5, 4)])
+def test_a_rational_published_as_an_int_must_be_one(value):
+    # every published value is an integer, so only a direct call reaches the error
+    with pytest.raises(ArithmeticError, match=r"^x is not an integer: %s$" % value):
+        sequences._int(value, "x")
+    assert sequences._int(value * value.denominator, "x") == value.numerator
+
+
 # -- the general ord >= m triangle -------------------------------------------------
 
 
@@ -269,29 +274,6 @@ def test_stirlingA_rows_equal_the_point_function():
                 assert stirlingA_rows(size, mode, m) == want[:size], (size, mode, m)
 
 
-def test_term_functions_equal_the_point_function():
-    for r in range(5):
-        want = [d_rec(r, n) for n in range(40)]
-        for size in range(41):
-            assert d_rec_terms(size, r) == want[:size], (size, r)
-    for mode in ("assoc", "restr"):
-        for m in range(6):
-            totals = [incomplete_factorial(n, mode, m) for n in range(30)]
-            convs = [typeB_factorial_conv(n, mode, m) for n in range(30)]
-            for size in range(31):
-                assert incomplete_factorial_terms(size, mode, m) == totals[:size]
-                assert typeB_factorial_terms(size, mode, m) == convs[:size]
-
-
-def test_returned_terms_are_the_callers_own():
-    terms = d_rec_terms(10, 2)
-    terms[3] = None
-    terms.append(0)
-    assert d_rec_terms(10, 2) == [d_rec(2, n) for n in range(10)]
-    with pytest.raises(ValueError, match=r"^r must be >= 0$"):
-        d_rec_terms(3, -1)
-
-
 def _message(call):
     with pytest.raises(ValueError) as info:
         call()
@@ -308,17 +290,8 @@ def _message(call):
         (lambda: stirlingA(3, 1, "assoc", -1), lambda: stirlingA_rows(4, "assoc", -1)),
         (lambda: stirlingA(3, 1, "weird", 2), lambda: stirlingA_rows(4, "weird", 2)),
         (lambda: stirlingA(3, 1, "weird", -1), lambda: stirlingA_rows(4, "weird", -1)),
-        (lambda: incomplete_factorial(3, "weird", 2),
-         lambda: incomplete_factorial_terms(4, "weird", 2)),
-        (lambda: incomplete_factorial(3, "assoc", -1),
-         lambda: incomplete_factorial_terms(0, "assoc", -1)),
-        (lambda: typeB_factorial_conv(3, "weird", 2),
-         lambda: typeB_factorial_terms(0, "weird", 2)),
-        (lambda: typeB_factorial_conv(3, "restr", -1),
-         lambda: typeB_factorial_terms(4, "restr", -1)),
     ],
-    ids=["gem-r", "gem-r-m2", "gem-m", "gem-r-and-m", "A-m", "A-mode", "A-mode-and-m",
-         "incomplete-mode", "incomplete-m", "typeB-mode", "typeB-m"],
+    ids=["gem-r", "gem-r-m2", "gem-m", "gem-r-and-m", "A-m", "A-mode", "A-mode-and-m"],
 )
 def test_row_functions_raise_as_their_point_functions(point, rows):
     tables = set(sequences._TABLES)
@@ -331,9 +304,6 @@ def test_row_functions_raise_as_their_point_functions(point, rows):
     [
         lambda size: triangle_gem_rows(size, 1, 3),
         lambda size: stirlingA_rows(size, "restr", 2),
-        lambda size: d_rec_terms(size, 2),
-        lambda size: incomplete_factorial_terms(size, "restr", 2),
-        lambda size: typeB_factorial_terms(size, "assoc", 3),
     ],
 )
 def test_row_functions_take_any_size_from_zero(rows):

@@ -262,3 +262,11 @@ def test_each_scope_runs_what_the_bench_gate_expects(gates, scope, max_n, max_r)
     assert (len(report.results), report.comparisons) == gates.expected_verify(
         scope, max_n, max_r
     )
+
+
+@pytest.mark.parametrize("scope", verify.SCOPES)
+def test_an_option_no_scope_reads_is_a_type_error(scope):
+    with pytest.raises(
+        TypeError, match=r"^run_scope\(\) got an unexpected keyword argument 'bogus'$"
+    ):
+        verify.run_scope(scope, bogus=1)
