@@ -47,7 +47,8 @@ def _inverse_rows(size: int, m: int, r: int) -> list:
     if m != 2:
         raise UsageError("family 'inverse' supports --m 2 only")
     array = riordan.make_triangle_B(2, r, order=max(size - 1, 1))
-    conj = riordan.unsigned_conjugate(array.invert())
+    # (DAD)^-1 = D A^-1 D; inverting the conjugate forms two power tables, not three
+    conj = riordan.unsigned_conjugate(array).invert()
     rows = []
     for n in range(size):
         row = []

@@ -13,7 +13,7 @@ powers are formed: ``compose``, ``revert`` and the Riordan columns read it.
 
 ``_ints`` is a series over one denominator: ``(nums, d)`` with d > 0 the lcm
 of the coefficient denominators and coeffs[k] == nums[k] / d, which makes it
-unique.  ``*`` (by a series or a scalar), ``compose``, ``_powers``,
+unique.  ``*`` (by a series), ``compose``, ``_powers``,
 ``reciprocal`` and ``revert`` work on it alone and return a series that holds
 only ``_ints``; its ``coeffs`` tuple of Fractions is a view, formed on first
 read.  A series built from Fractions and one built from integers are the same
@@ -79,10 +79,6 @@ class FormalPowerSeries(Record):
         return cls(tuple(cs))
 
     @classmethod
-    def zero(cls, order: int) -> "FormalPowerSeries":
-        return cls.from_coeffs([0], order)
-
-    @classmethod
     def one(cls, order: int) -> "FormalPowerSeries":
         return cls.from_coeffs([1], order)
 
@@ -90,10 +86,6 @@ class FormalPowerSeries(Record):
     def x(cls, order: int) -> "FormalPowerSeries":
         """The series z (identity for composition)."""
         return cls.from_coeffs([0, 1], order)
-
-    @classmethod
-    def constant(cls, c, order: int) -> "FormalPowerSeries":
-        return cls.from_coeffs([c], order)
 
     # -- basic queries ------------------------------------------------------
 
@@ -131,45 +123,23 @@ class FormalPowerSeries(Record):
         nums, d = self._ints
         return tuple(Fraction(c, d) for c in nums)
 
-    def _coerce(self, other) -> "FormalPowerSeries | None":
-        if isinstance(other, FormalPowerSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return FormalPowerSeries.constant(other, self.order)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, FormalPowerSeries):
             return NotImplemented
-        n = min(self.order, o.order)
+        n = min(self.order, other.order)
         return FormalPowerSeries(
-            tuple(self.coeffs[k] + o.coeffs[k] for k in range(n + 1))
+            tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1))
         )
-
-    __radd__ = __add__
 
     def __neg__(self):
         return FormalPowerSeries(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, FormalPowerSeries):
             return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):  # an int has a denominator, 1
-            (nums, d), c = self._ints, other.numerator
-            return FormalPowerSeries._from_ints(
-                [c * a for a in nums], d * other.denominator
-            )
         if not isinstance(other, FormalPowerSeries):
             return NotImplemented
         n = min(self.order, other.order)
@@ -181,8 +151,6 @@ class FormalPowerSeries(Record):
                     if bj:
                         out[k] += ai * bj
         return FormalPowerSeries._from_ints(out, da * db)
-
-    __rmul__ = __mul__
 
     def reciprocal(self) -> "FormalPowerSeries":
         """Multiplicative inverse; requires a nonzero constant term.  With
@@ -293,7 +261,7 @@ class FormalPowerSeries(Record):
         if self.coeffs[0] != 1:
             raise ValueError("log requires constant term 1")
         if self.order == 0:
-            return FormalPowerSeries.zero(0)
+            return FormalPowerSeries.from_coeffs([0], 0)
         return (self.derivative() * self.reciprocal()).integral()
 
     def exp(self) -> "FormalPowerSeries":
@@ -320,10 +288,9 @@ class FormalPowerSeries(Record):
             tuple(k * self.coeffs[k] for k in range(1, self.order + 1))
         )
 
-    def integral(self, constant=0) -> "FormalPowerSeries":
-        """Antiderivative with the given constant term; order grows by one."""
-        out = [_frac(constant)]
-        out += [self.coeffs[k] / (k + 1) for k in range(self.order + 1)]
+    def integral(self) -> "FormalPowerSeries":
+        """Antiderivative with constant term 0; order grows by one."""
+        out = [Fraction(0)] + [self.coeffs[k] / (k + 1) for k in range(self.order + 1)]
         return FormalPowerSeries(tuple(out))
 
     def scale_arg(self, c) -> "FormalPowerSeries":

@@ -27,14 +27,11 @@ from ._record import Record
 from .fps import FormalPowerSeries
 
 __all__ = [
-    "DEFAULT_ORDER",
     "ExpRiordanArray",
     "make_triangle_B",
     "production_rebuild",
     "unsigned_conjugate",
 ]
-
-DEFAULT_ORDER = 16
 
 
 class ExpRiordanArray(Record):
@@ -180,7 +177,7 @@ def production_rebuild(array: ExpRiordanArray):
     ]
 
 
-def make_triangle_B(m: int, r: int, order: int = DEFAULT_ORDER) -> ExpRiordanArray:
+def make_triangle_B(m: int, r: int, order: int) -> ExpRiordanArray:
     """The exponential Riordan array whose (n, k) entry counts signed
     permutations of n + r elements with k + r cycles, every cycle of order
     at least m or fully barred, and the r special elements in distinct

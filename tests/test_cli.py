@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from stirlingb import cli, sequences, verify
 from stirlingb.cli import FAMILIES, main
+from stirlingb.fps import FormalPowerSeries as FPS
 from stirlingb.permcore import oracle_triangle
+from stirlingb.riordan import ExpRiordanArray
 from stirlingb.verify import SCOPES
 
 from argparse_reference import build_parser
@@ -62,6 +64,16 @@ def test_table_inverse_family(capsys):
     code, _, err = _run(capsys, ["table", "inverse", "--m", "3", "--rows", "3"])
     assert code == 2
     assert "supports --m 2 only" in err
+
+
+def test_table_inverse_rejects_a_non_integer_entry(capsys, monkeypatch):
+    # (1, 2z) conjugates to itself and inverts to (1, z/2): entry (1, 1) is 1/2
+    monkeypatch.setattr(cli.riordan, "make_triangle_B", lambda m, r, order: (
+        ExpRiordanArray(FPS.one(order), FPS.from_coeffs([0, 2], order))
+    ))
+    code, out, err = _run(capsys, ["table", "inverse", "--rows", "3"])
+    assert (code, out) == (2, "")
+    assert err == "error: non-integer inverse entry at (1, 1)\n"
 
 
 # sha256 of stdout for Riordan-route sizes no other test reaches

@@ -2,6 +2,7 @@ import ast
 import importlib
 import pkgutil
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +134,29 @@ def test_every_unexported_name_is_read():
             if all(id(read) in own for read in reads.get(name, ())):
                 dead.append((module, name))
     assert dead == []
+
+
+def test_every_series_method_is_read():
+    # a public method or property of the series type that no code reads is
+    # dead surface: each must be read as an attribute somewhere in the
+    # package or the benchmark, outside its own definition
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    trees = [_tree(name) for name in MODULES]
+    trees += [ast.parse(path.read_text(encoding="utf-8"), str(path))
+              for path in sorted(bench.glob("*.py"))]
+    reads = [node for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    (series,) = [node for node in _tree("stirlingb.fps").body
+                 if isinstance(node, ast.ClassDef) and node.name == "FormalPowerSeries"]
+    methods = [node for node in series.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert methods  # the walk found the class body
+    unread = []
+    for method in methods:
+        own = set(map(id, ast.walk(method)))
+        if all(id(node) in own for node in reads if node.attr == method.name):
+            unread.append(method.name)
+    assert unread == []
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -29,10 +29,8 @@ def test_coeff_bounds():
 
 
 def test_constructors():
-    assert FPS.zero(3).coeffs == (0, 0, 0, 0)
     assert FPS.one(2).coeffs == (1, 0, 0)
     assert FPS.x(2).coeffs == (0, 1, 0)
-    assert FPS.constant(Fraction(1, 3), 1).coeffs == (Fraction(1, 3), 0)
 
 
 def test_arithmetic_and_scalars():
@@ -41,9 +39,6 @@ def test_arithmetic_and_scalars():
     assert (a + b).coeffs == (1, 3, 4)
     assert (a - b).coeffs == (1, 1, 2)
     assert (-a).coeffs == (-1, -2, -3)
-    assert (2 * a).coeffs == (2, 4, 6)
-    assert (a + 1).coeffs == (2, 2, 3)
-    assert (1 - a).coeffs == (0, -2, -3)
 
 
 def test_mul_truncates_to_min_order():
@@ -154,14 +149,6 @@ def test_mul_matches_schoolbook(a, b):
     assert all(type(c) is Fraction for c in product.coeffs)
 
 
-@settings(max_examples=30, deadline=None)
-@given(operands(), st.one_of(st.integers(-7, 7), SMALL_FRACTIONS))
-def test_scalar_mul_matches_schoolbook(a, c):
-    expected = schoolbook_mul(FPS.constant(c, a.order), a)
-    assert a * c == expected
-    assert c * a == expected
-
-
 def schoolbook_reciprocal(s):
     """Reference inverse: out_n = -(1/a_0) sum_{j>=1} a_j out_(n-j), one
     Fraction multiply-add per term."""
@@ -248,9 +235,10 @@ def horner_compose(outer, inner):
     """Reference composition by Horner's rule, from the top coefficient down,
     on the schoolbook product, so it shares no kernel with ``compose``."""
     n = min(outer.order, inner.order)
-    result = FPS.constant(outer.coeffs[n], n)
+    result = FPS.from_coeffs([outer.coeffs[n]], n)
     for k in range(n - 1, -1, -1):
-        result = schoolbook_mul(result, inner.truncate(n)) + outer.coeffs[k]
+        result = schoolbook_mul(result, inner.truncate(n))
+        result += FPS.from_coeffs([outer.coeffs[k]], n)
     return result
 
 
@@ -321,7 +309,7 @@ def test_log_geometric():
 def test_derivative_integral():
     s = FPS.from_coeffs([4, 1, 2, 3], 3)
     assert s.derivative().coeffs == (1, 4, 9)
-    assert s.derivative().integral(4).coeffs == (4, 1, 2, 3)
+    assert s.derivative().integral().coeffs == (0, 1, 2, 3)
 
 
 def test_scale_arg():
@@ -373,12 +361,9 @@ def test_integer_form_is_canonical(a, b, inner):
 def test_integer_kernels_form_no_fraction(fractions_formed):
     a = FPS.from_coeffs([Fraction(1, 3), -2, 0, Fraction(5, 7), 1], 6)
     inner = FPS.from_coeffs([0, Fraction(-1, 2), 3, 0, Fraction(2, 9)], 6)
-    c = Fraction(-3, 4)
     for s in (a, inner):
         s._ints  # the operands' integer form is theirs, not the kernels'
     assert fractions_formed(lambda: a * inner) == 0
-    assert fractions_formed(lambda: a * c) == 0
-    assert fractions_formed(lambda: 5 * a) == 0
     assert fractions_formed(lambda: inner._powers) == 0
     assert fractions_formed(lambda: a.compose(inner)) == 0
     assert fractions_formed(lambda: a.reciprocal()) == 0
@@ -405,6 +390,17 @@ def test_integer_kernels_form_no_fraction(fractions_formed):
          r"^unsupported operand type\(s\) for -: 'str' and 'FormalPowerSeries'$"),
         (lambda: FPS.x(2) * "x", TypeError,
          r"^can't multiply sequence by non-int of type 'FormalPowerSeries'$"),
+        # nor do they take scalars: a series is combined with series only
+        (lambda: FPS.x(2) - "x", TypeError,
+         r"^unsupported operand type\(s\) for -: 'FormalPowerSeries' and 'str'$"),
+        (lambda: FPS.x(2) + 1, TypeError,
+         r"^unsupported operand type\(s\) for \+: 'FormalPowerSeries' and 'int'$"),
+        (lambda: 1 - FPS.x(2), TypeError,
+         r"^unsupported operand type\(s\) for -: 'int' and 'FormalPowerSeries'$"),
+        (lambda: 2 * FPS.x(2), TypeError,
+         r"^unsupported operand type\(s\) for \*: 'int' and 'FormalPowerSeries'$"),
+        (lambda: FPS.x(2) * Fraction(1, 2), TypeError,
+         r"^unsupported operand type\(s\) for \*: 'FormalPowerSeries' and 'Fraction'$"),
         (lambda: FPS.x(2) ** 1.5, TypeError, r"^unsupported operand type\(s\) for \*\* "
          r"or pow\(\): 'FormalPowerSeries' and 'float'$"),
         (lambda: FPS.from_coeffs([2, 1], 3).log(), ValueError,
@@ -415,6 +411,7 @@ def test_integer_kernels_form_no_fraction(fractions_formed):
          r"^derivative of an order-0 truncation is undefined$"),
     ],
     ids=["float-coefficient", "empty", "negative-order", "add-str", "str-sub", "mul-str",
+         "sub-str", "add-int", "int-sub", "int-mul", "mul-fraction",
          "float-power", "log", "exp", "derivative-order-0"],
 )
 def test_invalid_input_raises(call, error, message):

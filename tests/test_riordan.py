@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -17,7 +18,7 @@ from stirlingb.sequences import (
     triangle_ge2_alt_rec,
     triangle_ge2_rec,
 )
-from stirlingb.verify import run_scope
+from stirlingb.verify import _random_array, run_scope
 
 # The r=3, ord>=2 triangle with the six misprinted source entries corrected.
 # The misprints and their evidence are recorded in R3_ERRATA in
@@ -253,11 +254,13 @@ def test_apply_fte_row_sums_equal_d_egf():
 
 def test_make_triangle_B_validation():
     with pytest.raises(ValueError, match="^m must be >= 0$"):
-        make_triangle_B(-1, 0)
+        make_triangle_B(-1, 0, order=4)
     with pytest.raises(ValueError):
-        make_triangle_B(2, -1)
+        make_triangle_B(2, -1, order=4)
     with pytest.raises(ValueError):
         make_triangle_B(2, 0, order=0)
+    with pytest.raises(TypeError):  # the order has no default
+        make_triangle_B(2, 0)
 
 
 def test_make_triangle_B_r3_values():
@@ -297,6 +300,19 @@ def test_inverse_table_r3():
         for k in range(n + 1):
             assert conj.entry(n, k) == INVERSE_R3[n][k], (n, k)
             assert inverse_triangle_rec(n, k, 3) == INVERSE_R3[n][k]
+
+
+def test_conjugate_then_invert_is_invert_then_conjugate():
+    # D = D^-1 for D = diag((-1)^n), so (D A D)^-1 = D A^-1 D: `table inverse`
+    # inverts the conjugate, whose power table its own compose builds
+    rng = random.Random(0)
+    arrays = [
+        make_triangle_B(m, r, order=order)
+        for m in (0, 2, 3, 5) for r in range(4) for order in (1, 4, 10)
+    ]
+    arrays += [_random_array(rng, rng.randint(1, 8)) for _ in range(20)]
+    for array in arrays:
+        assert unsigned_conjugate(array).invert() == unsigned_conjugate(array.invert())
 
 
 # small rationals n/d with |n| <= 2 and d <= 3, drawn as two integers
