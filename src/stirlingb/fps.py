@@ -17,8 +17,7 @@ unique.  ``*`` (by a series), ``compose``, ``_powers``,
 ``reciprocal`` and ``revert`` work on it alone and return a series that holds
 only ``_ints``; its ``coeffs`` tuple of Fractions is a view, formed on first
 read.  A series built from Fractions and one built from integers are the same
-type and compare, hash and print alike.  ``exp`` and ``log`` stay on
-Fractions.
+type and compare, hash and print alike.  Only ``exp`` stays on Fractions.
 """
 
 from __future__ import annotations
@@ -102,13 +101,6 @@ class FormalPowerSeries(Record):
         """n! * [z^n], i.e. the n-th term of the sequence with this egf."""
         return factorial(n) * self.coeff(n)
 
-    def truncate(self, order: int) -> "FormalPowerSeries":
-        if order > self.order:
-            raise ValueError(
-                "cannot extend truncation order %d to %d" % (self.order, order)
-            )
-        return FormalPowerSeries(self.coeffs[: order + 1])
-
     # -- ring operations ----------------------------------------------------
 
     @cached_property
@@ -123,21 +115,8 @@ class FormalPowerSeries(Record):
         nums, d = self._ints
         return tuple(Fraction(c, d) for c in nums)
 
-    def __add__(self, other):
-        if not isinstance(other, FormalPowerSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return FormalPowerSeries(
-            tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1))
-        )
-
     def __neg__(self):
         return FormalPowerSeries(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if not isinstance(other, FormalPowerSeries):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, FormalPowerSeries):
@@ -256,14 +235,6 @@ class FormalPowerSeries(Record):
 
     # -- transcendental (exact, termwise) -------------------------------------
 
-    def log(self) -> "FormalPowerSeries":
-        """log(self); requires constant term 1.  Same order."""
-        if self.coeffs[0] != 1:
-            raise ValueError("log requires constant term 1")
-        if self.order == 0:
-            return FormalPowerSeries.from_coeffs([0], 0)
-        return (self.derivative() * self.reciprocal()).integral()
-
     def exp(self) -> "FormalPowerSeries":
         """exp(self); requires constant term 0.  Same order."""
         if self.coeffs[0] != 0:
@@ -287,11 +258,6 @@ class FormalPowerSeries(Record):
         return FormalPowerSeries(
             tuple(k * self.coeffs[k] for k in range(1, self.order + 1))
         )
-
-    def integral(self) -> "FormalPowerSeries":
-        """Antiderivative with constant term 0; order grows by one."""
-        out = [Fraction(0)] + [self.coeffs[k] / (k + 1) for k in range(self.order + 1)]
-        return FormalPowerSeries(tuple(out))
 
     def scale_arg(self, c) -> "FormalPowerSeries":
         """self(c*z): coefficient k gets multiplied by c**k."""

@@ -186,12 +186,12 @@ def make_triangle_B(m: int, r: int, order: int) -> ExpRiordanArray:
     A cycle of length L has w_L sign masks: 2^L if L >= m, 1 if it must be
     all-barred.  By the exponential formula the array is (g, f) with
 
-        f = sum_L w_L x^L / L = -log(1 - 2x) - sum_{k<m} ((2^k - 1)/k) x^k
-        g = (f')^r
+        f = sum_L w_L x^L / L,    g = (f')^r = (sum_L w_(L+1) x^L)^r
 
     since f' is the egf of one cycle through a marked element and the r
-    special elements sit in distinct cycles.  For m = 2 this is
-    g = ((1+2x)/(1-2x))^r, f = -log(1-2x) - x.
+    special elements sit in distinct cycles.  Both are read from the
+    weights; as a closed form f = -log(1 - 2x) - sum_{k<m} ((2^k - 1)/k) x^k,
+    and for m = 2 this is g = ((1+2x)/(1-2x))^r, f = -log(1-2x) - x.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -199,8 +199,9 @@ def make_triangle_B(m: int, r: int, order: int) -> ExpRiordanArray:
         raise ValueError("r must be >= 0")
     if order < 1:
         raise ValueError("order must be >= 1")
-    # f one order up, so that f' reaches the array's order
-    correction = [Fraction(0)] + [Fraction(2**k - 1, k) for k in range(1, m)]
-    f = -(FormalPowerSeries.from_coeffs([1, -2], order + 1).log())
-    f -= FormalPowerSeries.from_coeffs(correction, order + 1)
-    return ExpRiordanArray(f.derivative() ** r, f.truncate(order))
+    # w[L] for L = 1..order+1, so that f' = sum w_(L+1) x^L reaches the order
+    w = [0] + [2**L if L >= m else 1 for L in range(1, order + 2)]
+    f = [0] + [Fraction(w[L], L) for L in range(1, order + 1)]
+    return ExpRiordanArray(
+        FormalPowerSeries.from_coeffs(w[1:]) ** r, FormalPowerSeries.from_coeffs(f)
+    )

@@ -632,9 +632,9 @@ def tree_terms(count: int) -> list[int]:
     functions.
     """
     order = _series_order(count, shift=1)
-    base = -(FormalPowerSeries.from_coeffs([1, -2], order).log()) - FormalPowerSeries.x(
-        order
-    )
+    # the m = 2 cycle series sum_L w_L x^L / L: w_1 = 1 and w_L = 2^L above
+    longer = [Fraction(2**L, L) for L in range(2, order + 1)]
+    base = FormalPowerSeries.from_coeffs([0, 1] + longer)
     series = (-(base.revert().scale_arg(-1))).derivative()
     return [_int(series.egf_coeff(n), "tree_terms[%d]" % (n,)) for n in range(count)]
 

@@ -89,6 +89,12 @@ RIORDAN_GOLDEN = {
     # recorded before reciprocal and revert moved onto integer numerators
     "table inverse --rows 30 --r 2 --format pretty":
         "e4e9585a84c81a055e8e3842227ae0897b15c4502c5952c1d54700381e1fe7ff",
+    # the r = 0 and r = 1 json shapes of the bench jobs, recorded before the
+    # array was read from its cycle weights
+    "table inverse --rows 26 --r 0 --format json":
+        "70ac8ef028ea3561f25db74784e5ec05a4fbae32f1109e92d9c0d831d55fe1fb",
+    "table inverse --rows 30 --r 1 --format json":
+        "549909185e6c1a477838dbadee587030067cac2eb7f216fc3e2e0d1d4739b267",
 }
 
 

@@ -35,9 +35,6 @@ def test_constructors():
 
 def test_arithmetic_and_scalars():
     a = FPS.from_coeffs([1, 2, 3])
-    b = FPS.from_coeffs([0, 1, 1])
-    assert (a + b).coeffs == (1, 3, 4)
-    assert (a - b).coeffs == (1, 1, 2)
     assert (-a).coeffs == (-1, -2, -3)
 
 
@@ -237,8 +234,8 @@ def horner_compose(outer, inner):
     n = min(outer.order, inner.order)
     result = FPS.from_coeffs([outer.coeffs[n]], n)
     for k in range(n - 1, -1, -1):
-        result = schoolbook_mul(result, inner.truncate(n))
-        result += FPS.from_coeffs([outer.coeffs[k]], n)
+        result = schoolbook_mul(result, FPS.from_coeffs(inner.coeffs, n))
+        result = FPS((result.coeffs[0] + outer.coeffs[k],) + result.coeffs[1:])
     return result
 
 
@@ -284,15 +281,12 @@ def test_reciprocal_is_a_multiplicative_inverse(s):
 
 @settings(max_examples=30, deadline=None)
 @given(series(ZERO))
-def test_log_inverts_exp(f):
-    assert f.exp().log() == f
-
-
-def test_log_exp_roundtrip():
-    s = FPS.from_coeffs([1, 3, -2, 5], 8)
-    assert s.log().exp().coeffs == s.coeffs
-    t = FPS.from_coeffs([0, 1, 1, -4], 8)
-    assert t.exp().log().coeffs == t.coeffs
+def test_exp_solves_its_differential_equation(f):
+    # E' = f'E with E(0) = 1 determines E = exp(f)
+    e = f.exp()
+    assert e.coeffs[0] == 1
+    if f.order:
+        assert e.derivative() == f.derivative() * e
 
 
 def test_exp_series():
@@ -300,16 +294,9 @@ def test_exp_series():
     assert [e.coeff(n) for n in range(7)] == [Fraction(1, factorial(n)) for n in range(7)]
 
 
-def test_log_geometric():
-    # log(1/(1-x)) = sum x^k/k
-    s = geom(6).log()
-    assert [s.coeff(n) for n in range(1, 7)] == [Fraction(1, n) for n in range(1, 7)]
-
-
 def test_derivative_integral():
     s = FPS.from_coeffs([4, 1, 2, 3], 3)
     assert s.derivative().coeffs == (1, 4, 9)
-    assert s.derivative().integral().coeffs == (0, 1, 2, 3)
 
 
 def test_scale_arg():
@@ -325,9 +312,6 @@ def test_egf_coeff():
 
 def test_truncate_and_prefix():
     s = FPS.from_coeffs([1, 2, 3, 4], 3)
-    assert s.truncate(1).coeffs == (1, 2)
-    with pytest.raises(ValueError, match="cannot extend"):
-        s.truncate(5)
     assert s.coeffs[:3] == (1, 2, 3)
 
 
@@ -383,14 +367,15 @@ def test_integer_kernels_form_no_fraction(fractions_formed):
          r"^exact coefficient expected \(int or Fraction\), got 0\.5$"),
         (lambda: FPS.from_coeffs([]), ValueError, r"^empty coefficient list and no order$"),
         (lambda: FPS.from_coeffs([1], -1), ValueError, r"^order must be >= 0$"),
-        # the operators return NotImplemented, so Python raises for both sides
+        # there is no + or -, and * and ** return NotImplemented, so Python raises
+        # for both sides
         (lambda: FPS.x(2) + "x", TypeError,
          r"^unsupported operand type\(s\) for \+: 'FormalPowerSeries' and 'str'$"),
         (lambda: "x" - FPS.x(2), TypeError,
          r"^unsupported operand type\(s\) for -: 'str' and 'FormalPowerSeries'$"),
         (lambda: FPS.x(2) * "x", TypeError,
          r"^can't multiply sequence by non-int of type 'FormalPowerSeries'$"),
-        # nor do they take scalars: a series is combined with series only
+        # nor is a scalar taken
         (lambda: FPS.x(2) - "x", TypeError,
          r"^unsupported operand type\(s\) for -: 'FormalPowerSeries' and 'str'$"),
         (lambda: FPS.x(2) + 1, TypeError,
@@ -403,8 +388,9 @@ def test_integer_kernels_form_no_fraction(fractions_formed):
          r"^unsupported operand type\(s\) for \*: 'FormalPowerSeries' and 'Fraction'$"),
         (lambda: FPS.x(2) ** 1.5, TypeError, r"^unsupported operand type\(s\) for \*\* "
          r"or pow\(\): 'FormalPowerSeries' and 'float'$"),
-        (lambda: FPS.from_coeffs([2, 1], 3).log(), ValueError,
-         r"^log requires constant term 1$"),
+        # and series are not added or subtracted at all
+        (lambda: FPS.x(2) + FPS.x(2), TypeError, r"^unsupported operand type\(s\) for \+: "
+         r"'FormalPowerSeries' and 'FormalPowerSeries'$"),
         (lambda: FPS.from_coeffs([1, 1], 3).exp(), ValueError,
          r"^exp requires constant term 0$"),
         (lambda: FPS.one(0).derivative(), ValueError,
@@ -412,7 +398,7 @@ def test_integer_kernels_form_no_fraction(fractions_formed):
     ],
     ids=["float-coefficient", "empty", "negative-order", "add-str", "str-sub", "mul-str",
          "sub-str", "add-int", "int-sub", "int-mul", "mul-fraction",
-         "float-power", "log", "exp", "derivative-order-0"],
+         "float-power", "add-series", "exp", "derivative-order-0"],
 )
 def test_invalid_input_raises(call, error, message):
     with pytest.raises(error, match=message):

@@ -263,6 +263,23 @@ def test_make_triangle_B_validation():
         make_triangle_B(2, 0)
 
 
+def test_make_triangle_B_matches_its_closed_forms():
+    """The array is read from the cycle weights; these are the closed forms
+    g = ((1+2x)/(1-2x))^r at m = 2 and
+    (1-2x) f' = 2 - (1-2x) sum_(1<=k<m) (2^k-1) x^(k-1)."""
+    for order in (1, 4, 20):
+        ratio = FPS.from_coeffs([1, 2], order) * FPS.from_coeffs([1, -2], order).reciprocal()
+        for r in range(5):
+            assert make_triangle_B(2, r, order).g == ratio**r, (r, order)
+    for m in range(7):
+        fp = make_triangle_B(m, 0, 20).f.derivative()
+        poly = [2] + [0] * max(m - 1, 0)
+        for i, c in enumerate(2**k - 1 for k in range(1, m)):  # -(1-2x) c x^i
+            poly[i] -= c
+            poly[i + 1] += 2 * c
+        assert FPS.from_coeffs([1, -2], fp.order) * fp == FPS.from_coeffs(poly, fp.order), m
+
+
 def test_make_triangle_B_r3_values():
     arr = make_triangle_B(2, 3, order=8)
     for n in range(7):
