@@ -1,7 +1,7 @@
 """Truncated formal power series over exact rationals.
 
-A series carries its coefficients 0..order as Fractions.  Coefficients beyond
-the truncation order are *undefined*, never assumed zero: every arithmetic
+A series carries its coefficients 0..order.  Coefficients beyond the
+truncation order are *undefined*, never assumed zero: every arithmetic
 result carries the minimum order of its operands, and asking for a
 coefficient beyond the order raises.
 
@@ -11,13 +11,11 @@ has a_n = n! * [z^n] A(z), see ``egf_coeff``.
 ``_powers`` tables self^0..self^order once per series and is the one place
 powers are formed: ``compose``, ``revert`` and the Riordan columns read it.
 
-``_ints`` is a series over one denominator: ``(nums, d)`` with d > 0 the lcm
-of the coefficient denominators and coeffs[k] == nums[k] / d, which makes it
-unique.  ``*`` (by a series), ``compose``, ``_powers``,
-``reciprocal`` and ``revert`` work on it alone and return a series that holds
-only ``_ints``; its ``coeffs`` tuple of Fractions is a view, formed on first
-read.  A series built from Fractions and one built from integers are the same
-type and compare, hash and print alike.  Only ``exp`` stays on Fractions.
+A series is stored once, as integers over one denominator: ``nums`` and
+d > 0 in lowest terms, so coeffs[k] == nums[k] / d and the pair is unique.
+Equality and hashing compare the pair, and every operation but ``exp`` works
+on it.  ``from_coeffs`` is the one way in from Fractions; ``coeffs``, formed
+on first read, is the one way out.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, lcm
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from ._record import Record
 
@@ -41,21 +39,17 @@ def _frac(x) -> Fraction:
 
 
 class FormalPowerSeries(Record):
-    _fields = ("coeffs",)
+    _fields = ("nums", "d")
 
-    def __init__(self, coeffs: tuple[Fraction, ...]):
-        self.coeffs = coeffs  # coeffs[k] = [z^k]
-        self.order = len(coeffs) - 1
-
-    @classmethod
-    def _from_ints(cls, nums: list[int], d: int) -> "FormalPowerSeries":
-        """The series nums[k] / d (d > 0), kept in lowest terms as ``_ints``."""
+    def __init__(self, nums: Sequence[int], d: int):
+        """The series nums[k] / d (d > 0), kept in lowest terms."""
+        if d < 1:
+            raise ValueError("denominator must be positive")
         g = gcd(d, *nums)
         if g > 1:
             nums, d = [c // g for c in nums], d // g
-        series = cls.__new__(cls)
-        series._ints, series.order = (nums, d), len(nums) - 1
-        return series
+        self.nums, self.d = tuple(nums), d
+        self.order = len(self.nums) - 1
 
     # -- construction ------------------------------------------------------
 
@@ -75,7 +69,8 @@ class FormalPowerSeries(Record):
             raise ValueError("order must be >= 0")
         cs = cs[: order + 1]
         cs += [Fraction(0)] * (order + 1 - len(cs))
-        return cls(tuple(cs))
+        d = lcm(*(c.denominator for c in cs))
+        return cls([c.numerator * (d // c.denominator) for c in cs], d)
 
     @classmethod
     def one(cls, order: int) -> "FormalPowerSeries":
@@ -98,38 +93,32 @@ class FormalPowerSeries(Record):
         return self.coeffs[n]
 
     def egf_coeff(self, n: int):
-        """n! * [z^n], i.e. the n-th term of the sequence with this egf."""
-        return factorial(n) * self.coeff(n)
+        """n! * [z^n], i.e. the n-th term of the sequence with this egf; 0
+        for n < 0, as ``coeff``."""
+        return factorial(max(n, 0)) * self.coeff(n)
 
     # -- ring operations ----------------------------------------------------
 
     @cached_property
-    def _ints(self) -> tuple[list[int], int]:
-        """(nums, d): the coefficients as nums[k] / d, d their least common
-        denominator."""
-        d = lcm(*(c.denominator for c in self.coeffs))
-        return [c.numerator * (d // c.denominator) for c in self.coeffs], d
-
-    @cached_property
     def coeffs(self) -> tuple[Fraction, ...]:
-        nums, d = self._ints
-        return tuple(Fraction(c, d) for c in nums)
+        """coeffs[k] = [z^k] as a Fraction."""
+        return tuple(Fraction(c, self.d) for c in self.nums)
 
     def __neg__(self):
-        return FormalPowerSeries(tuple(-c for c in self.coeffs))
+        return FormalPowerSeries([-c for c in self.nums], self.d)
 
     def __mul__(self, other):
         if not isinstance(other, FormalPowerSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        (a, da), (b, db) = self._ints, other._ints
+        a, b = self.nums, other.nums
         out = [0] * (n + 1)
         for i, ai in enumerate(a[: n + 1]):
             if ai:
                 for k, bj in enumerate(b[: n + 1 - i], i):
                     if bj:
                         out[k] += ai * bj
-        return FormalPowerSeries._from_ints(out, da * db)
+        return FormalPowerSeries(out, self.d * other.d)
 
     def reciprocal(self) -> "FormalPowerSeries":
         """Multiplicative inverse; requires a nonzero constant term.  With
@@ -139,8 +128,7 @@ class FormalPowerSeries(Record):
 
         give [z^n] 1/nums = B_n / a^(n+1), so the inverse is
         d B_n a^(order-n) over a^(order+1)."""
-        nums, d = self._ints
-        a = nums[0]
+        nums, d, a = self.nums, self.d, self.nums[0]
         if not a:
             raise ValueError("series with zero constant term is not invertible")
         n, powers = self.order, [1]  # powers[j] = a^j
@@ -154,7 +142,7 @@ class FormalPowerSeries(Record):
         if den < 0:  # move the sign of a^(order+1) into the numerators
             d, den = -d, -den
         out = [d * v * p for v, p in zip(b, reversed(powers))]
-        return FormalPowerSeries._from_ints(out, den)
+        return FormalPowerSeries(out, den)
 
     def __pow__(self, k: int) -> "FormalPowerSeries":
         if not isinstance(k, int):
@@ -179,9 +167,9 @@ class FormalPowerSeries(Record):
     def _powers(self) -> tuple["FormalPowerSeries", ...]:
         """self^0..self^order; needs constant term 0, so self^k starts at z^k
         and each product skips the zeros below it."""
-        if self._ints[0][0]:
+        if self.nums[0]:
             raise ValueError("composition requires inner constant term 0")
-        powers = [FormalPowerSeries._from_ints([1] + [0] * self.order, 1)]
+        powers = [FormalPowerSeries([1] + [0] * self.order, 1)]
         for _ in range(self.order):
             powers.append(powers[-1] * self)
         return tuple(powers)
@@ -192,12 +180,11 @@ class FormalPowerSeries(Record):
         output coefficient is one integer sum over d * D, D = lcm of the d_k
         that meet a nonzero c_k."""
         powers, n = inner._powers, min(self.order, inner.order)
-        cs, d = self._ints
-        used = [(c, p._ints) for c, p in zip(cs[: n + 1], powers) if c]
-        big_d = lcm(*(dk for _, (_, dk) in used))
-        terms = [(c * (big_d // dk), nums) for c, (nums, dk) in used]
+        used = [(c, p) for c, p in zip(self.nums[: n + 1], powers) if c]
+        big_d = lcm(*(p.d for _, p in used))
+        terms = [(c * (big_d // p.d), p.nums) for c, p in used]
         out = [sum(w * p[i] for w, p in terms if p[i]) for i in range(n + 1)]
-        return FormalPowerSeries._from_ints(out, d * big_d)
+        return FormalPowerSeries(out, self.d * big_d)
 
     def revert(self) -> "FormalPowerSeries":
         """Compositional inverse fbar with self(fbar) = z = fbar(self).
@@ -210,16 +197,15 @@ class FormalPowerSeries(Record):
         """
         if self.order < 1:
             raise ValueError("reversion needs order >= 1")
-        nums = self._ints[0]
-        if nums[0]:
+        if self.nums[0]:
             raise ValueError("reversion requires constant term 0")
-        if not nums[1]:
+        if not self.nums[1]:
             raise ValueError("reversion requires nonzero linear coefficient")
         n = self.order
         resid, d = [0, 1] + [0] * (n - 1), 1  # the residual is resid / d
         inv = [(0, 1)]  # fbar_k as (numerator, denominator > 0) in lowest terms
         for k, power in enumerate(self._powers[1:], 1):
-            p, e = power._ints  # self^k = p / e, and p[k] / e = f_1^k
+            p, e = power.nums, power.d  # self^k = p / e, and p[k] / e = f_1^k
             c, lead = resid[k], p[k]
             if lead < 0:  # fbar_k = c e / (d lead) keeps d lead > 0
                 c, lead = -c, -lead
@@ -231,13 +217,15 @@ class FormalPowerSeries(Record):
                 g = gcd(den, *tail)
                 resid[k + 1 :], d = [x // g for x in tail], den // g
         big_d = lcm(*(den for _, den in inv))
-        return FormalPowerSeries._from_ints([num * (big_d // den) for num, den in inv], big_d)
+        return FormalPowerSeries([num * (big_d // den) for num, den in inv], big_d)
 
     # -- transcendental (exact, termwise) -------------------------------------
 
     def exp(self) -> "FormalPowerSeries":
-        """exp(self); requires constant term 0.  Same order."""
-        if self.coeffs[0] != 0:
+        """exp(self); requires constant term 0.  Same order.  It stays on
+        Fractions: on the assoc m = 2 cycle series at order 191 an integer loop
+        over n! d^n took 6.8 s, this one 0.22 s (Python 3.11, 2 vCPU)."""
+        if self.nums[0]:
             raise ValueError("exp requires constant term 0")
         f = self.coeffs
         out = [Fraction(1)]
@@ -248,23 +236,22 @@ class FormalPowerSeries(Record):
                 if c:
                     s += (n - i) * c * out[i]
             out.append(s / n)
-        return FormalPowerSeries(tuple(out))
+        return FormalPowerSeries.from_coeffs(out)
 
     # -- calculus -------------------------------------------------------------
 
     def derivative(self) -> "FormalPowerSeries":
         if self.order < 1:
             raise ValueError("derivative of an order-0 truncation is undefined")
-        return FormalPowerSeries(
-            tuple(k * self.coeffs[k] for k in range(1, self.order + 1))
-        )
+        return FormalPowerSeries([k * c for k, c in enumerate(self.nums)][1:], self.d)
 
     def scale_arg(self, c) -> "FormalPowerSeries":
-        """self(c*z): coefficient k gets multiplied by c**k."""
+        """self(c*z): coefficient k gets multiplied by c**k.  With c = p/q
+        that is nums[k] p^k q^(order-k) over d q^order."""
         c = _frac(c)
-        return FormalPowerSeries(
-            tuple(self.coeffs[k] * c**k for k in range(self.order + 1))
-        )
+        p, q, n = c.numerator, c.denominator, self.order
+        out = [x * p**k * q ** (n - k) for k, x in enumerate(self.nums)]
+        return FormalPowerSeries(out, self.d * q**n)
 
     # -- misc -----------------------------------------------------------------
 

@@ -13,8 +13,8 @@ triangle constructor for the signed-permutation cycle statistics: the array
 length L may carry, for every window m >= 0.  Column k is g * f^k over f's
 cached powers; the inverse (1 / g(fbar), fbar) is cached, so an array
 reverts f and composes g with fbar at most once.  The table reads the
-integer form of g * f^k (``FormalPowerSeries._ints``) and forms one Fraction
-per entry on or below the diagonal.
+integers ``nums`` over ``d`` of g * f^k and forms one Fraction per entry on
+or below the diagonal.
 """
 
 from __future__ import annotations
@@ -38,12 +38,11 @@ class ExpRiordanArray(Record):
     _fields = ("g", "f")
 
     def __init__(self, g: FormalPowerSeries, f: FormalPowerSeries):
-        # read on the integer forms, which the table needs anyway
-        if not g._ints[0][0]:
+        if not g.nums[0]:
             raise ValueError("Riordan array needs g(0) != 0")
-        if f.order < 1 or f._ints[0][0]:
+        if f.order < 1 or f.nums[0]:
             raise ValueError("Riordan array needs f(0) = 0 and order >= 1")
-        if not f._ints[0][1]:
+        if not f.nums[1]:
             raise ValueError("Riordan array needs f'(0) != 0")
         self.g, self.f = g, f
 
@@ -64,7 +63,7 @@ class ExpRiordanArray(Record):
         one Fraction(nums_k[i] * i!/k!, d_k).  Above the diagonal every
         entry is one shared zero."""
         n = self.order
-        cols = [(p * self.g)._ints for p in self.f._powers[: n + 1]]
+        cols = [(q.nums, q.d) for q in (p * self.g for p in self.f._powers[: n + 1])]
         fact = [factorial(i) for i in range(n + 1)]
         zero = Fraction(0)
         return tuple(

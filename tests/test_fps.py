@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,6 +23,7 @@ def test_from_coeffs_pads_and_truncates():
 def test_coeff_bounds():
     s = FPS.from_coeffs([1, 2, 3])
     assert s.coeff(-1) == 0
+    assert s.egf_coeff(-1) == 0
     assert s.coeff(2) == 3
     with pytest.raises(ValueError, match="beyond truncation order"):
         s.coeff(3)
@@ -116,7 +117,7 @@ def schoolbook_mul(a, b):
     for i in range(n + 1):
         for j in range(n + 1 - i):
             out[i + j] += a.coeffs[i] * b.coeffs[j]
-    return FPS(tuple(out))
+    return FPS.from_coeffs(out)
 
 
 PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, int(p**0.5) + 1))]
@@ -157,7 +158,7 @@ def schoolbook_reciprocal(s):
         for j in range(1, n + 1):
             acc += a[j] * out[n - j]
         out.append(-inv0 * acc)
-    return FPS(tuple(out))
+    return FPS.from_coeffs(out)
 
 
 def schoolbook_revert(f):
@@ -175,7 +176,7 @@ def schoolbook_revert(f):
         inv[k] = c = resid[k] / power[k]
         for i in range(k + 1, n + 1):
             resid[i] -= c * power[i]
-    return FPS(tuple(inv))
+    return FPS.from_coeffs(inv)
 
 
 @settings(max_examples=60, deadline=None)
@@ -235,7 +236,7 @@ def horner_compose(outer, inner):
     result = FPS.from_coeffs([outer.coeffs[n]], n)
     for k in range(n - 1, -1, -1):
         result = schoolbook_mul(result, FPS.from_coeffs(inner.coeffs, n))
-        result = FPS((result.coeffs[0] + outer.coeffs[k],) + result.coeffs[1:])
+        result = FPS.from_coeffs((result.coeffs[0] + outer.coeffs[k],) + result.coeffs[1:])
     return result
 
 
@@ -318,19 +319,28 @@ def test_truncate_and_prefix():
 def _is_canonical_view(s, expected):
     """``s`` holds the unique integer form of ``expected``'s coefficients,
     reads them as Fractions, and equals and hashes like a Fraction-built twin."""
-    nums, d = s._ints
-    assert d > 0
-    assert FPS(s.coeffs)._ints == (nums, d)
+    nums, d = s.nums, s.d
+    assert d > 0 and gcd(d, *nums) == 1
     assert type(s.coeffs) is tuple and all(type(c) is Fraction for c in s.coeffs)
     assert s.coeffs == expected.coeffs
-    twin = FPS(tuple(expected.coeffs))
+    twin = FPS.from_coeffs(expected.coeffs)  # equal pairs (nums, d)
     assert s == twin and hash(s) == hash(twin)
 
 
 @settings(max_examples=30, deadline=None)
-@given(operands(), operands(), inners())
-def test_integer_form_is_canonical(a, b, inner):
+@given(operands(), operands(), inners(), SMALL_FRACTIONS)
+@example(FPS.from_coeffs([Fraction(1, 2), 3, Fraction(-5, 4)], 2),
+         FPS.one(0), FPS.x(1), Fraction(0))
+@example(FPS.from_coeffs([Fraction(1, 2), 3, Fraction(-5, 4)], 2),
+         FPS.one(0), FPS.x(1), Fraction(-2, 3))
+def test_integer_form_is_canonical(a, b, inner, c):
     _is_canonical_view(a * b, schoolbook_mul(a, b))
+    _is_canonical_view(-a, FPS.from_coeffs([-x for x in a.coeffs]))
+    if a.order:
+        _is_canonical_view(a.derivative(),
+                           FPS.from_coeffs([k * x for k, x in enumerate(a.coeffs)][1:]))
+    _is_canonical_view(a.scale_arg(c),
+                       FPS.from_coeffs([c**k * x for k, x in enumerate(a.coeffs)]))
     _is_canonical_view(a.compose(inner), horner_compose(a, inner))
     if a.coeffs[0]:
         _is_canonical_view(a.reciprocal(), schoolbook_reciprocal(a))
@@ -345,8 +355,6 @@ def test_integer_form_is_canonical(a, b, inner):
 def test_integer_kernels_form_no_fraction(fractions_formed):
     a = FPS.from_coeffs([Fraction(1, 3), -2, 0, Fraction(5, 7), 1], 6)
     inner = FPS.from_coeffs([0, Fraction(-1, 2), 3, 0, Fraction(2, 9)], 6)
-    for s in (a, inner):
-        s._ints  # the operands' integer form is theirs, not the kernels'
     assert fractions_formed(lambda: a * inner) == 0
     assert fractions_formed(lambda: inner._powers) == 0
     assert fractions_formed(lambda: a.compose(inner)) == 0
@@ -356,6 +364,15 @@ def test_integer_kernels_form_no_fraction(fractions_formed):
         assert "coeffs" not in vars(result)
     product = a * inner
     assert "coeffs" not in vars(product)
+    # negation, the derivative, equality and hashing stay on the integers;
+    # scale_arg forms at most the Fraction of its argument
+    other, c = a.compose(inner), Fraction(-1, 2)
+    assert fractions_formed(lambda: -product) == 0
+    assert fractions_formed(lambda: product.derivative()) == 0
+    assert fractions_formed(lambda: product == other) == 0
+    assert fractions_formed(lambda: hash(product)) == 0
+    assert fractions_formed(lambda: product.scale_arg(c)) == 0
+    assert fractions_formed(lambda: product.scale_arg(-1)) <= 1
     assert fractions_formed(lambda: product.coeffs) == product.order + 1
     assert product == schoolbook_mul(a, inner)
 
@@ -367,6 +384,7 @@ def test_integer_kernels_form_no_fraction(fractions_formed):
          r"^exact coefficient expected \(int or Fraction\), got 0\.5$"),
         (lambda: FPS.from_coeffs([]), ValueError, r"^empty coefficient list and no order$"),
         (lambda: FPS.from_coeffs([1], -1), ValueError, r"^order must be >= 0$"),
+        (lambda: FPS((1,), 0), ValueError, r"^denominator must be positive$"),
         # there is no + or -, and * and ** return NotImplemented, so Python raises
         # for both sides
         (lambda: FPS.x(2) + "x", TypeError,
@@ -396,8 +414,8 @@ def test_integer_kernels_form_no_fraction(fractions_formed):
         (lambda: FPS.one(0).derivative(), ValueError,
          r"^derivative of an order-0 truncation is undefined$"),
     ],
-    ids=["float-coefficient", "empty", "negative-order", "add-str", "str-sub", "mul-str",
-         "sub-str", "add-int", "int-sub", "int-mul", "mul-fraction",
+    ids=["float-coefficient", "empty", "negative-order", "zero-denominator", "add-str",
+         "str-sub", "mul-str", "sub-str", "add-int", "int-sub", "int-mul", "mul-fraction",
          "float-power", "add-series", "exp", "derivative-order-0"],
 )
 def test_invalid_input_raises(call, error, message):

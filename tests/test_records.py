@@ -20,7 +20,7 @@ from naive import (
 )
 
 # the classes whose one field is a tuple, so one value fits all of them
-ONE_TUPLE_FIELD = [FPS, RPolynomial, SignedPermutation, Cycle, CycleDecomposition]
+ONE_TUPLE_FIELD = [RPolynomial, SignedPermutation, Cycle, CycleDecomposition]
 
 
 @pytest.mark.parametrize(
@@ -33,7 +33,9 @@ def test_equal_fields_of_different_classes_are_unequal(left, right):
 
 
 def test_cross_class_inequality_with_matching_fields():
-    assert FPS((Fraction(1),)) != RPolynomial((1,))
+    # a series has two fields, and no one-tuple-field record equals it
+    for cls in ONE_TUPLE_FIELD:
+        assert FPS((1,), 1) != cls((1,)) and cls((1,)) != FPS((1,), 1)
     assert Cycle((1,)) != (1,) and (1,) != Cycle((1,))
     fields = ("check", (("n", 1),), ("a", 1), ("b", 2))
     assert Mismatch(*fields) != fields
@@ -48,6 +50,11 @@ def test_same_class_equality_follows_the_field(cls):
 
 
 def test_multi_field_equality():
+    # a series is its numerators over one denominator, kept in lowest terms
+    assert FPS((2, 4, 6), 2) == FPS.from_coeffs([1, 2, 3])
+    assert hash(FPS((2, 4, 6), 2)) == hash(FPS.from_coeffs([1, 2, 3]))
+    assert FPS((1, 2), 3) != FPS((1, 2), 1)
+    assert FPS((1,), 1) != FPS((-1,), 1)
     g, f = FPS.one(3), FPS.x(3)
     assert ExpRiordanArray(g, f) == ExpRiordanArray.identity(3)
     assert ExpRiordanArray(g, FPS.from_coeffs([0, 2], 3)) != ExpRiordanArray(g, f)
@@ -180,7 +187,7 @@ def test_cached_properties_are_computed_once_per_instance(monkeypatch):
     assert len(products) == 5
     assert series._powers is powers and len(products) == 5
     # an equal series is another instance with its own table
-    twin = FPS(series.coeffs)
+    twin = FPS(series.nums, series.d)
     assert twin == series and twin._powers == powers and twin._powers is not powers
     assert len(products) == 10
 
