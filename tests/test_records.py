@@ -19,23 +19,27 @@ from naive import (
     enumerate_signed,
 )
 
-# the classes whose one field is a tuple, so one value fits all of them
-ONE_TUPLE_FIELD = [RPolynomial, SignedPermutation, Cycle, CycleDecomposition]
+# the classes whose records are built from one tuple, so one value fits all of them
+ONE_TUPLE_FIELD = [FPS, RPolynomial, SignedPermutation, Cycle, CycleDecomposition]
+
+
+def from_value(cls, v):
+    """The record of ``cls`` built from the one-entry tuple (v,); a series
+    takes it as its coefficients."""
+    return FPS.from_coeffs((v,)) if cls is FPS else cls((v,))
 
 
 @pytest.mark.parametrize(
     "left, right", list(combinations(ONE_TUPLE_FIELD, 2)), ids=lambda c: c.__name__
 )
 def test_equal_fields_of_different_classes_are_unequal(left, right):
-    a, b = left((Fraction(1),)), right((1,))
+    a, b = from_value(left, Fraction(1)), from_value(right, 1)
     assert a != b and b != a
     assert not a == b
 
 
 def test_cross_class_inequality_with_matching_fields():
-    # a series has two fields, and no one-tuple-field record equals it
-    for cls in ONE_TUPLE_FIELD:
-        assert FPS((1,), 1) != cls((1,)) and cls((1,)) != FPS((1,), 1)
+    assert FPS((1,), 1) != RPolynomial((1,))
     assert Cycle((1,)) != (1,) and (1,) != Cycle((1,))
     fields = ("check", (("n", 1),), ("a", 1), ("b", 2))
     assert Mismatch(*fields) != fields
@@ -44,9 +48,9 @@ def test_cross_class_inequality_with_matching_fields():
 
 @pytest.mark.parametrize("cls", ONE_TUPLE_FIELD, ids=lambda c: c.__name__)
 def test_same_class_equality_follows_the_field(cls):
-    assert cls((1,)) == cls((1,))
-    assert hash(cls((1,))) == hash(cls((1,)))
-    assert cls((1,)) != cls((-1,))
+    assert from_value(cls, 1) == from_value(cls, 1)
+    assert hash(from_value(cls, 1)) == hash(from_value(cls, 1))
+    assert from_value(cls, 1) != from_value(cls, -1)
 
 
 def test_multi_field_equality():
