@@ -47,17 +47,13 @@ def _inverse_rows(size: int, m: int, r: int) -> list:
     if m != 2:
         raise UsageError("family 'inverse' supports --m 2 only")
     array = riordan.make_triangle_B(2, r, order=max(size - 1, 1))
-    # (DAD)^-1 = D A^-1 D; inverting the conjugate forms two power tables, not three
+    # (DAD)^-1 = D A^-1 D: the inverse of the conjugate is the conjugated inverse
     conj = riordan.unsigned_conjugate(array).invert()
-    rows = []
-    for n in range(size):
-        row = []
-        for k in range(n + 1):
-            v = conj.entry(n, k)
-            if v.denominator != 1:
+    rows = [conj.row(n) for n in range(size)]
+    for n, row in enumerate(rows):
+        for k, v in enumerate(row):
+            if type(v) is not int:
                 raise UsageError("non-integer inverse entry at (%d, %d)" % (n, k))
-            row.append(int(v))
-        rows.append(row)
     return rows
 
 

@@ -10,18 +10,19 @@ lower triangular with l(n, n) = g(0) * f'(0)**n.  The group operations
 and the sign-conjugated companion array live here, together with the concrete
 triangle constructor for the signed-permutation cycle statistics: the array
 ((f')^r, f) with f = sum_L w_L x^L / L, w_L being the sign masks a cycle of
-length L may carry, for every window m >= 0.  Column k is g * f^k over f's
-cached powers; the inverse (1 / g(fbar), fbar) is cached, so an array
-reverts f and composes g with fbar at most once.  The table reads the
-integers ``nums`` over ``d`` of g * f^k and forms one Fraction per entry on
-or below the diagonal.
+length L may carry, for every window m >= 0.  The table builds column k + 1
+as column k times f, one convolution of integer numerators per column; the
+inverse (1 / g(fbar), fbar) is cached, so an array reverts f and composes g
+with fbar at most once.  Entries, of the table and of production_rebuild,
+are ints when integral and reduced Fractions otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm
+from math import factorial, gcd, lcm
+from operator import mul
 
 from ._record import Record
 from .fps import FormalPowerSeries
@@ -58,25 +59,29 @@ class ExpRiordanArray(Record):
         return cls(FormalPowerSeries.one(order), FormalPowerSeries.x(order))
 
     @cached_property
-    def _table(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Rows 0..order; column k is g * f^k = nums_k / d_k, so l(i, k) is
-        one Fraction(nums_k[i] * i!/k!, d_k).  Above the diagonal every
-        entry is one shared zero."""
-        n = self.order
-        cols = [(q.nums, q.d) for q in (p * self.g for p in self.f._powers[: n + 1])]
+    def _table(self) -> tuple[tuple[int | Fraction, ...], ...]:
+        """Rows 0..order, each entry an int when integral and a reduced
+        Fraction otherwise, 0 above the diagonal.  Column k is g * f^k =
+        col_k / d_k on integers in lowest terms, col_(k+1) is col_k convolved
+        with f's numerators over d_k d_f, and l(i, k) = col_k[i] i!/k! / d_k."""
+        n, f = self.order, self.f.nums
+        col, den = self.g.nums[: n + 1], self.g.d
         fact = [factorial(i) for i in range(n + 1)]
-        zero = Fraction(0)
-        return tuple(
-            tuple(
-                Fraction(nums[i] * (fact[i] // fact[k]), d)
-                for k, (nums, d) in enumerate(cols[: i + 1])
-            )
-            + (zero,) * (n - i)
-            for i in range(n + 1)
-        )
+        cols = []
+        for k in range(n + 1):
+            cols.append([_exact(c * (fact[i] // fact[k]), den) for i, c in enumerate(col)])
+            # col_(k+1)[i] = sum_(k<=j<i) col_k[j] f[i-j], col_k starting at z^k
+            col = [0] * (k + 1) + [
+                sum(map(mul, col[k:i], f[i - k : 0 : -1])) for i in range(k + 1, n + 1)
+            ]
+            den *= self.f.d
+            common = gcd(den, *col)
+            if common > 1:
+                col, den = [c // common for c in col], den // common
+        return tuple(zip(*cols))
 
-    def entry(self, n: int, k: int) -> Fraction:
-        """l(n, k) = n!/k! [z^n] g f^k as an exact rational."""
+    def entry(self, n: int, k: int) -> int | Fraction:
+        """l(n, k) = n!/k! [z^n] g f^k, an int when integral."""
         if n < 0 or k < 0:
             raise ValueError("entry indices must be nonnegative")
         table = self._table
@@ -86,8 +91,11 @@ class ExpRiordanArray(Record):
             )
         return table[n][k]
 
-    def row(self, n: int) -> tuple[Fraction, ...]:
-        return tuple(self.entry(n, k) for k in range(n + 1))
+    def row(self, n: int) -> tuple[int | Fraction, ...]:
+        """l(n, 0..n), a slice of the table."""
+        if not 0 <= n < len(self._table):
+            self.entry(n, 0)  # raises entry's error for this n
+        return self._table[n][: n + 1]
 
     # -- group structure -----------------------------------------------------
 
@@ -110,15 +118,24 @@ class ExpRiordanArray(Record):
         """Fundamental theorem: the array applied to a column egf h."""
         return self.g * h.compose(self.f)
 
+    def _production_series(self) -> tuple[FormalPowerSeries, FormalPowerSeries]:
+        inv = self._inverse
+        a = self.f.derivative().compose(inv.f)
+        return a, self.g.derivative().compose(inv.f) * inv.g
+
     def production_sequences(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
         """Coefficients of A(t) = f'(fbar(t)) and Z(t) = g'(fbar(t))/g(fbar(t)).
 
         Both are truncated at order one less than the array's order.
         """
-        inv = self._inverse
-        a = self.f.derivative().compose(inv.f)
-        z = self.g.derivative().compose(inv.f) * inv.g
+        a, z = self._production_series()
         return a.coeffs, z.coeffs
+
+
+def _exact(num: int, den: int) -> int | Fraction:
+    """num / den (den > 0): an int when integral, else a reduced Fraction."""
+    q, rem = divmod(num, den)
+    return Fraction(num, den) if rem else q
 
 
 def unsigned_conjugate(array: ExpRiordanArray) -> ExpRiordanArray:
@@ -138,7 +155,8 @@ def production_rebuild(array: ExpRiordanArray):
         P[i][k] = (i!/k!) * (z_{i-k} + k * a_{i-k+1})    (k <= i)
         P[i][i+1] = a_0
 
-    Returns a list of order+1 lists of Fractions, each of length order+1.
+    Returns a list of order+1 lists, each of length order+1, whose entries
+    are ints when integral and reduced Fractions otherwise, as entry()'s.
     The caller compares against entry() to validate an array.
 
     With A and Z over one denominator D, P = Q / D for an integer matrix Q.
@@ -146,9 +164,9 @@ def production_rebuild(array: ExpRiordanArray):
     and N_{n+1} = N_n Q, all in integers.
     """
     order = array.order
-    a, z = array.production_sequences()
-    d = lcm(*(c.denominator for c in a + z))
-    a, z = ([c.numerator * (d // c.denominator) for c in s] for s in (a, z))
+    a, z = array._production_series()
+    d = lcm(a.d, z.d)
+    a, z = ([c * (d // s.d) for c in s.nums] for s in (a, z))
     # column 0 is i! z_i: a_{i+1} has weight 0 there, and at i = order-1 it
     # lies past a's truncation
     prod = [
@@ -169,11 +187,8 @@ def production_rebuild(array: ExpRiordanArray):
                 for k, q in enumerate(prod[i]):
                     new[k] += q * w
         rows.append(new)
-    zero = Fraction(0)
-    return [
-        [Fraction(c, start.denominator * d**n) if c else zero for c in row]
-        for n, row in enumerate(rows)
-    ]
+    dens = [start.denominator * d**n for n in range(order + 1)]
+    return [[_exact(c, den) for c in row] for row, den in zip(rows, dens)]
 
 
 def make_triangle_B(m: int, r: int, order: int) -> ExpRiordanArray:

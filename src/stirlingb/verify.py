@@ -227,8 +227,7 @@ def _check_riordan(*, max_n: int, max_r: int, seed: int, samples: int) -> Verifi
             )),
             ("inverse-recurrence-vs-conjugate", _cells(
                 lambda r, n, k: (
-                    Fraction(sequences.inverse_triangle_rec(n, k, r)),
-                    conjugate_inverse(r).entry(n, k),
+                    sequences.inverse_triangle_rec(n, k, r), conjugate_inverse(r).entry(n, k)
                 ),
                 ("recurrence", "riordan"), rs, *_n_k(max_n),
             )),

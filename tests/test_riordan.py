@@ -4,6 +4,7 @@ from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_fps import schoolbook_mul
 
 from stirlingb.fps import FormalPowerSeries as FPS
 from stirlingb.riordan import (
@@ -61,6 +62,10 @@ def test_entry_validation():
         ident.entry(3, 5)
     with pytest.raises(ValueError):
         ident.entry(-1, 0)
+    with pytest.raises(ValueError, match="^entry indices must be nonnegative$"):
+        ident.row(-1)
+    with pytest.raises(ValueError, match=r"^entry \(4, 0\) beyond truncation order 3$"):
+        ident.row(4)
 
 
 @pytest.mark.parametrize(
@@ -179,12 +184,17 @@ def _fraction_rebuild(array):
     return out
 
 
+def _int_when_integral(v):
+    """An int exactly when v is integral, else a Fraction that is not."""
+    return type(v) is int or (type(v) is Fraction and v.denominator > 1)
+
+
 def _same_cells(got, want):
     assert len(got) == len(want)
     for got_row, want_row in zip(got, want):
         assert len(got_row) == len(want_row)
         for x, y in zip(got_row, want_row):
-            assert type(x) is Fraction and x == y
+            assert _int_when_integral(x) and x == y
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -207,11 +217,18 @@ def test_production_rebuild_on_random_fractional_arrays(order, g0, rest):
     _same_cells(production_rebuild(arr), _fraction_rebuild(arr))
 
 
-def test_table_forms_one_fraction_per_lower_entry(fractions_formed):
+def test_table_forms_a_fraction_only_per_non_integral_entry(fractions_formed):
     arr = make_triangle_B(2, 3, order=10)
-    arr.f._powers  # f's power table belongs to f, not to the table
-    # 66 lower-triangle entries and the one shared zero above them
-    assert fractions_formed(lambda: arr._table) <= 66 + 1
+    assert fractions_formed(lambda: arr._table) == 0
+    g = FPS.from_coeffs([Fraction(1, k) for k in range(1, 10)])
+    arr = ExpRiordanArray(g, FPS.from_coeffs([0, Fraction(1, 2)] + [1] * 7))
+    formed = fractions_formed(lambda: arr._table)
+    assert 0 < formed <= sum(type(v) is Fraction for row in arr._table for v in row)
+
+
+def test_production_rebuild_forms_no_fraction_on_an_integer_array(fractions_formed):
+    arr = make_triangle_B(2, 2, order=8)
+    assert fractions_formed(lambda: production_rebuild(arr)) == 0
 
 
 def test_table_is_zero_above_the_diagonal_and_bounded_by_order():
@@ -321,7 +338,7 @@ def test_inverse_table_r3():
 
 def test_conjugate_then_invert_is_invert_then_conjugate():
     # D = D^-1 for D = diag((-1)^n), so (D A D)^-1 = D A^-1 D: `table inverse`
-    # inverts the conjugate, whose power table its own compose builds
+    # inverts the conjugate
     rng = random.Random(0)
     arrays = [
         make_triangle_B(m, r, order=order)
@@ -361,3 +378,34 @@ def test_group_laws_on_random_arrays(triple):
     assert a.invert().multiply(a) == ident
     assert a.invert().invert() == a
     assert a.multiply(ident) == a == ident.multiply(a)
+
+
+def _reference_table(array):
+    """l(n, k) = n!/k! [z^n] g f^k on Fractions, column k + 1 being the
+    schoolbook product of column k and f."""
+    n = array.order
+    col = FPS.from_coeffs(array.g.coeffs[: n + 1])
+    table = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    for k in range(n + 1):
+        for i in range(k, n + 1):
+            table[i][k] = Fraction(factorial(i), factorial(k)) * col.coeffs[i]
+        col = schoolbook_mul(col, array.f)
+    return table
+
+
+@st.composite
+def random_arrays(draw):
+    """An array of order 1..10 over small integers or small fractions."""
+    order = draw(st.integers(1, 10))
+    coeffs = draw(st.sampled_from([st.integers(-3, 3), SMALL_FRACTIONS]))
+    g = draw(st.lists(coeffs, min_size=order + 1, max_size=order + 1))
+    f = draw(st.lists(coeffs, min_size=order + 1, max_size=order + 1))
+    g[0], f[0], f[1] = g[0] or 1, 0, f[1] or -1
+    return ExpRiordanArray(FPS.from_coeffs(g), FPS.from_coeffs(f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_arrays())
+def test_table_matches_fraction_reference(array):
+    for arr in (array, array.invert(), unsigned_conjugate(array)):
+        _same_cells(arr._table, _reference_table(arr))
