@@ -13,13 +13,14 @@ choices: a cycle outside the window is forced all-barred, any other bar is
 free, so that is the number of sign masks an exhaustive count over all 2^n
 of them would accept.  Whether a permutation qualifies, and for which k,
 depends only on its sorted cycle lengths and on how many leading elements
-lie in distinct cycles.  So one walk per size builds every permutation once,
-directly in cycle form, and tallies it by those two facts (`_tally`); every
-census of that size, for any r, mode and m, is read off the tally.  Both
-are cached: the tally per size, the census per query.  The oracle is the
-ground truth the closed forms, recurrences and Riordan constructions are
-tested against, and shares no counting code with them: it imports only the
-standard library.
+lie in distinct cycles, and both are fixed by its set partition into
+cycles.  So one walk per size visits each set partition once, credits it
+the (L-1)! cyclic orders of each block of L elements, and tallies it by
+those two facts (`_tally`); every census of that size, for any r, mode and
+m, is read off the tally.  Both are cached: the tally per size, the census
+per query.  The oracle is the ground truth the closed forms, recurrences
+and Riordan constructions are tested against, and shares no counting code
+with them: it imports only the standard library.
 """
 
 from functools import lru_cache
@@ -75,46 +76,45 @@ def _tally(size: int) -> dict[tuple[tuple[int, ...], int], int]:
     """(sorted cycle lengths, R) -> number of permutations of 0..size-1, R
     the largest r with 0..r-1 in distinct cycles.  Callers share the dict.
 
-    The walk builds each permutation once, in cycle form: element j opens a
-    new cycle or goes right after one of 0..j-1, and each of those j+1
-    choices gives a distinct permutation.  Insertions never merge cycles, so
-    R is the first element that joins a cycle (size if none does).  A leaf's
-    key is R plus (size+1)^L summed over the cycles, L their lengths: digit
-    L in base size+1 counts cycles of length L, and digit 0 is R.
+    The walk builds each set partition once, its blocks the cycles: element
+    j opens a new block or joins one.  Inserting j after any of the L
+    elements of a block gives L permutations with the same key, so a join
+    counts them at once: `weight`, the product of L over the joins, is
+    prod (L_B - 1)!, the permutations with those blocks as cycles.  Joins
+    never merge blocks, so R is the first element that joins a block (size
+    if none does).  A leaf adds `weight` to its key, R plus (size+1)^L over
+    the blocks: digit L in base size+1 counts cycles of length L.
     """
     base = size + 1
     grow = [base ** (length + 1) - base**length for length in range(size)]
-    owner = [0] * size  # the cycle of each placed element
-    lens = [0] * size  # the length of each open cycle
+    lens = [0] * size  # the length of each open block
     keys: dict[int, int] = {}
     last = size - 1
 
-    def walk(j: int, cycles: int, key: int) -> None:
-        # elements 0..j-1 are placed in `cycles` cycles; while each of them
-        # opened its own (cycles == j), placing j in a cycle fixes R = j
+    def walk(j: int, cycles: int, key: int, weight: int) -> None:
+        # elements 0..j-1 are placed in `cycles` blocks; while each of them
+        # opened its own (cycles == j), placing j in a block fixes R = j
         leading = cycles == j
         joined = key + j if leading else key
         if j == last:
             leaf = key + base + (size if leading else 0)
-            keys[leaf] = keys.get(leaf, 0) + 1
-            for c in owner[:j]:
-                leaf = joined + grow[lens[c]]
-                keys[leaf] = keys.get(leaf, 0) + 1
+            keys[leaf] = keys.get(leaf, 0) + weight
+            for length in lens[:cycles]:
+                leaf = joined + grow[length]
+                keys[leaf] = keys.get(leaf, 0) + weight * length
             return
-        owner[j] = cycles
         lens[cycles] = 1
-        walk(j + 1, cycles + 1, key + base)
-        for c in owner[:j]:
+        walk(j + 1, cycles + 1, key + base, weight)
+        for c in range(cycles):
             length = lens[c]
-            owner[j] = c
             lens[c] = length + 1
-            walk(j + 1, cycles, joined + grow[length])
+            walk(j + 1, cycles, joined + grow[length], weight * length)
             lens[c] = length
 
     if size == 0:
         keys[0] = 1
     else:
-        walk(0, 0, 0)
+        walk(0, 0, 0, 1)
     tally = {}
     for key, count in keys.items():
         code, lead = divmod(key, base)

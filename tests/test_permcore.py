@@ -159,19 +159,31 @@ def _orbit_tally(size):
 
 
 def test_tally_matches_orbit_walk():
-    # the cycle-form walk is a bijection onto the permutations: same keys,
-    # same counts, size! in all
-    for size in range(8):
+    # the walk is a bijection between the permutations and the pairs (set
+    # partition, insertion point per join), each join crediting its points
+    # at once: same keys, same counts, size! in all
+    for size in range(9):
         tally = _tally(size)
         assert tally == _orbit_tally(size), size
         assert sum(tally.values()) == factorial(size)
+
+
+def test_tally_counts_by_leading_run():
+    # 0..r-1 in distinct cycles leaves element j >= r its j+1 choices, so the
+    # keys with R >= r count size!/r! permutations
+    for size in range(11):
+        tally = _tally(size)
+        for r in range(size + 1):
+            total = sum(count for (_, lead), count in tally.items() if lead >= r)
+            assert total == factorial(size) // factorial(r), (size, r)
+    assert (len(_tally(8)), len(_tally(9))) == (79, 120)
 
 
 def test_type_a_families_against_tally():
     # unsigned counts, so every qualifying permutation weighs 1: stirlingA
     # takes the keys with k cycles all inside the window, rstirling1 the keys
     # with R >= r and k + r cycles
-    for size in range(9):
+    for size in range(10):
         tally = _tally(size)
         for mode in NAIVE_MODES:
             for m in range(1, 6):
