@@ -6,12 +6,14 @@ sized by `--rows`, and `seq` the sequence families, sized by `--terms`.
 Another, `_COMMANDS`, reads argv by argparse's rules and writes the help.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including
-enumeration bound violations).
+enumeration bound violations), 141 when the reader closes stdout early.
 """
 
 import importlib.util
+import os
 import sys
 import types
+from collections.abc import Iterable
 
 from .permcore import EnumerationLimitError, MODES, oracle_total, oracle_triangle
 
@@ -90,22 +92,30 @@ FAMILIES = tuple(_FAMILIES)
 SEQUENCE_FAMILIES = tuple(f for f in FAMILIES if _FAMILIES[f][0] == "terms")
 
 
-def _render(kind: str, values: list, fmt: str, payload: dict) -> str:
+def _render(kind: str, values, fmt: str, payload: dict):
+    """The output in pieces, without its last newline; a triangle's rows come
+    from an iterator, and each is rendered as it comes."""
     rows = values
     if kind == "terms":
         # a sequence is rows of one term, but pretty prints them on one line,
         # and its json also carries the terms
         payload["terms"] = values
         rows = [values] if fmt == "pretty" else [[v] for v in values]
-    if fmt == "json":
-        import json
-        payload["rows"] = rows
-        return json.dumps(payload, sort_keys=True)
-    sep = "," if fmt == "csv" else " "
-    return "\n".join(sep.join(map(str, row)) for row in rows)
+    if fmt != "json":
+        sep = "," if fmt == "csv" else " "
+        for i, row in enumerate(rows):
+            yield ("\n" if i else "") + sep.join(map(str, row))
+        return
+    import json
+    # the rows go where json.dumps puts them (its keys are sorted), each as it comes
+    head, tail = json.dumps(dict(payload, rows=[]), sort_keys=True).split('"rows": []')
+    yield head + '"rows": ['
+    for i, row in enumerate(rows):
+        yield (", [" if i else "[") + ", ".join(map(str, row)) + "]"
+    yield "]" + tail
 
 
-def _cmd_values(args) -> tuple[str, int]:
+def _cmd_values(args) -> tuple[Iterable[str], int]:
     family = args.family
     kind, provenance, reads, values = _FAMILIES[family]
     given = {f: v for f in ("m", "r", "mode") if (v := getattr(args, f)) is not None}
@@ -130,7 +140,7 @@ def _flag(name: str) -> str:
     return "--max-enum" if name == "bound" else "--" + name.replace("_", "-")
 
 
-def _cmd_verify(args) -> tuple[str, int]:
+def _cmd_verify(args) -> tuple[Iterable[str], int]:
     # the parser defaults every option to None: one left unset takes its SCOPE_TABLE default
     options = {name: v for name in _COMMANDS["verify"][3]
                if (v := getattr(args, name)) is not None}
@@ -146,10 +156,10 @@ def _cmd_verify(args) -> tuple[str, int]:
     if options.get("bound", 0) < 0:
         raise UsageError("--max-enum must be >= 0, got %d" % options["bound"])
     report = verify.run_scope(args.scope, **options)
-    return "\n".join(report.lines()), 0 if report.ok else 1
+    return ["\n".join(report.lines())], 0 if report.ok else 1
 
 
-def _cmd_oracle(args) -> tuple[str, int]:
+def _cmd_oracle(args) -> tuple[Iterable[str], int]:
     for flag in ("n", "r", "m", "k", "max_enum"):
         if (value := getattr(args, flag)) is not None and value < 0:
             raise UsageError("%s must be >= 0, got %d" % (_flag(flag), value))
@@ -159,7 +169,7 @@ def _cmd_oracle(args) -> tuple[str, int]:
         value = oracle_triangle(
             args.n, args.r, args.k, args.mode, args.m, bound=args.max_enum
         )
-    return str(value), 0
+    return [str(value)], 0
 
 
 def _value_arguments(families: tuple, size_flag: str) -> tuple[dict, dict]:
@@ -290,13 +300,19 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        text, code = args.run(args)
+        pieces, code = args.run(args)
+        for piece in pieces:  # a table's rows are written as they are made
+            print(piece, end="")
+        print(flush=True)
     except (EnumerationLimitError, UsageError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left: the flush at exit goes to devnull, and the code is SIGPIPE's
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     finally:
         sys.set_int_max_str_digits(limit)
-    print(text)
     return code
 
 

@@ -26,9 +26,10 @@ rule.  Long inner sums are carried from one row to the next as running
 sums, so a cell costs O(1) big-integer operations, plus one per explicit
 head weight (about m) for the window triangles, and nothing recurses.
 The point functions (``triangle_ge2_rec(n, k, r)`` and friends) read one
-cell of a table; the row functions (``triangle_gem_rows(size, r, m)`` and
-``stirlingA_rows(size, mode, m)``) copy its first ``size`` rows, so a whole
-triangle costs one call and the caller may change what it gets.
+cell of a table.  The row functions (``triangle_gem_rows(size, r, m)`` and
+``stirlingA_rows(size, mode, m)``) read none: they return an iterator that
+makes each row, a fresh list, when it is read, by the log-derivative rule
+(``_LogRows``), which reads a bounded number of rows back and keeps only those.
 
 The series-backed families (``d_egf``, ``lattice_terms``, ``tree_terms``)
 take a term count and read every term from one series truncated at the
@@ -41,8 +42,12 @@ exact rational published as an int goes through ``_int``, which raises
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb, factorial, perm
+from operator import add
 
 from ._record import Record
 from .fps import FormalPowerSeries
@@ -124,14 +129,6 @@ class _Rows:
         """Entry k of row n of a triangle; 0 outside 0 <= k <= n."""
         return self.row(n)[k] if 0 <= k <= n else 0
 
-    def copies(self, size: int) -> list[list]:
-        """Fresh copies of rows 0..size-1 of a triangle."""
-        if size < 0:
-            raise ValueError("size must be >= 0, got %d" % (size,))
-        if size:
-            self.row(size - 1)
-        return [list(row) for row in self.rows[:size]]
-
     def _next(self, n: int):
         raise NotImplementedError
 
@@ -156,6 +153,84 @@ def _r_table(cls, r: int, *params) -> _Rows:
             lower, table = table, _table(cls, s, *params)
             table.lower = lower
     return table
+
+
+# -- the log-derivative rule -------------------------------------------------------
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    return [sum(x * b[j - i] for i, x in enumerate(a) if 0 <= j - i < len(b))
+            for j in range(len(a) + len(b) - 1)]
+
+
+class _LogRows(_Rows):
+    """The triangle of ``_WindowRows(r, mode, m, signed)`` by one fixed-r
+    rule of bounded depth.  With (in, out) = (2, 1) signed and (1, 0)
+    unsigned, f' = N/D for
+
+        assoc: D = 1 - in x,   N = in  - D sum_(L<m)  (in^L - out^L) x^(L-1)
+        restr: D = 1 - out x,  N = out + D sum_(L<=m) (in^L - out^L) x^(L-1)
+
+    or, unsigned restr, (1 - x^m)/(1 - x): 3 products a cell, not m.  The row
+    egf S = (f')^r e^(y f) obeys P S_x = (E + y F) S with P = N D, E =
+    r (N'D - N D') and F = N^2, or P = D, E = 0 and F = N at r = 0 (Stanley,
+    "Differentiably finite power series", 1980).  So T_n(y) = n! [x^n] S,
+    from T_0 = w_1^r, has with ff(k, j) = k!/(k-j)! and P_0 = w_1 (w_1 != 0 if r > 0)
+
+        P_0 T_(k+1) = sum_(l>=1) (E_(l-1) ff(k, l-1) - P_l ff(k, l)
+                                  + y F_(l-1) ff(k, l-1)) T_(k+1-l)
+
+    Row n reads ``rows[-l]`` for l <= ``depth``, so ``rows`` may keep only those.
+    """
+
+    def __init__(self, r: int, mode: str, m: int, signed: bool):
+        super().__init__(r)
+        inside, outside = (2, 1) if signed else (1, 0)
+        if mode == "restr" and not signed:
+            n, d = ([1] + [0] * (m - 1) + [-1]) if m else [0], [1, -1]
+        else:
+            sign, top, base = (-1, m - 1, inside) if mode == "assoc" else (1, m, outside)
+            d = [1, -base]
+            n = _poly_mul(d, [sign * (inside**L - outside**L) for L in range(1, top + 1)])
+            n[0] += base
+        if r:  # r (N'D - N D') = r ((N D)' - 2 N D'), and D' is the constant d[1]
+            p, f = _poly_mul(n, d), _poly_mul(n, n)
+            e = [r * ((i + 1) * p[i + 1] - 2 * d[1] * c) for i, c in enumerate(n)]
+        else:
+            p, e, f = d, [], n
+        # (l, (E_(l-1), P_l, F_(l-1))) for the lags l = 1..depth
+        self.lags = list(enumerate(zip_longest(e, p[1:], f, fillvalue=0), 1))
+        self.first, self.lead, self.depth = n[0] ** r, p[0], len(self.lags)
+
+    def _next(self, n: int) -> list[int]:
+        if n == 0:
+            return [self.first]
+        k, rows, row = n - 1, self.rows, [0] * (n + 1)
+        for lag, (e, p, f) in self.lags[:n]:
+            ff, prev = perm(k, lag - 1), rows[-lag]
+            # row n-l times its coefficient, the y part one column right
+            for start, c in ((0, e * ff - p * ff * (k - lag + 1)), (1, f * ff)):
+                if c:
+                    end = start + len(prev)
+                    terms = prev if c == 1 else [c * v for v in prev]
+                    row[start:end] = map(add, row[start:end], terms)
+        return [v // self.lead for v in row] if self.lead != 1 else row
+
+    def advance(self, n: int) -> list[int]:
+        """Row n, appended to ``rows`` (ending at row n-1); a copy is returned."""
+        row = self._next(n)
+        self.rows.append(row)
+        return row[:]
+
+
+def _stream(size: int, *params) -> Iterator[list[int]]:
+    """Rows 0..size-1 of ``_LogRows(*params)`` as fresh lists, each made when
+    read, by an unshared table that keeps only its last ``depth`` rows."""
+    if size < 0:
+        raise ValueError("size must be >= 0, got %d" % (size,))
+    table = _LogRows(*params)
+    table.rows = deque(maxlen=table.depth)
+    return map(table.advance, range(size))  # advance, being public, shows in a profile
 
 
 # -- the ord >= 2 triangle (signed derangement cycle counts) -------------------
@@ -205,24 +280,12 @@ def triangle_ge2_rec(n: int, k: int, r: int) -> int:
     return _r_table(_Ge2Rows, r).cell(n, k)
 
 
-class _Ge2AltRows(_Rows):
-    def _next(self, n: int) -> list[int]:
-        if n == 0:
-            return [1]
-        p = n - 1
-        prev = self.rows[p]
-        prev2 = self.rows[p - 1] if p else []
-        return [
-            2 * p * (a + b) + c
-            for a, b, c in zip(prev + [0], [0] + prev2 + [0], [0] + prev)
-        ]
-
-
 def triangle_ge2_alt_rec(n: int, k: int) -> int:
     """The r = 0 case again, via the independent three-term recurrence
-    t(n+1, k) = 2n t(n, k) + 2n t(n-1, k-1) + t(n, k-1).  Test cross-check.
+    t(n+1, k) = 2n t(n, k) + 2n t(n-1, k-1) + t(n, k-1): ``_LogRows`` at
+    signed assoc m = 2.  Test cross-check.
     """
-    return _table(_Ge2AltRows).cell(n, k)
+    return _table(_LogRows, 0, "assoc", 2, True).cell(n, k)
 
 
 # -- the window triangles and the type A Stirling numbers of the first kind ---
@@ -337,43 +400,30 @@ def triangle_gem_rec(n: int, k: int, r: int, m: int) -> int:
     return _gem(n, k, r, m)
 
 
-def triangle_gem_rows(size: int, r: int, m: int) -> list[list[int]]:
-    """Rows 0..size-1 of ``triangle_gem_rec(., ., r, m)``, copied from the
-    same table, ``triangle_ge2_rec``'s at m = 2."""
+def triangle_gem_rows(size: int, r: int, m: int) -> Iterator[list[int]]:
+    """Rows 0..size-1 of ``triangle_gem_rec(., ., r, m)``, by ``_stream``."""
     _check_gem(r, m)
-    if m == 2:
-        return _r_table(_Ge2Rows, r).copies(size)
-    return _r_table(_WindowRows, r, "assoc", m, True).copies(size)
+    return _stream(size, r, "assoc", m, True)
 
 
-def _type_a(mode: str, m: int) -> _WindowRows:
-    """The unsigned window table for one (mode, m), once both are checked."""
+def _type_a(mode: str, m: int) -> tuple:
+    """(r, mode, m, signed) of the type A triangle, once mode and m are checked."""
     if mode not in ("restr", "assoc"):
         raise ValueError("mode must be 'restr' or 'assoc', got %r" % (mode,))
     if m < 0:
         raise ValueError("m must be >= 0")
-    return _table(_WindowRows, 0, mode, m, False)
+    return 0, mode, m, False
 
 
 def stirlingA(n: int, k: int, mode: str, m: int) -> int:
     """Permutations of [n] with k cycles, all cycle sizes <= m ("restr") or
     >= m ("assoc").  No signs and no exemption here."""
-    return _type_a(mode, m).cell(n, k)
+    return _table(_WindowRows, *_type_a(mode, m)).cell(n, k)
 
 
-def stirlingA_rows(size: int, mode: str, m: int) -> list[list[int]]:
-    """Rows 0..size-1 of ``stirlingA(., ., mode, m)``, copied from its table."""
-    return _type_a(mode, m).copies(size)
-
-
-class _RStirling1Rows(_Rows):
-    """R(n, k) = R(n-1, k-1) + (n-1+r) R(n-1, k) for one r."""
-
-    def _next(self, n: int) -> list[int]:
-        if n == 0:
-            return [1]
-        prev, w = self.rows[n - 1], n - 1 + self.r
-        return [a + w * b for a, b in zip([0] + prev, prev + [0])]
+def stirlingA_rows(size: int, mode: str, m: int) -> Iterator[list[int]]:
+    """Rows 0..size-1 of ``stirlingA(., ., mode, m)``, by ``_stream``."""
+    return _stream(size, *_type_a(mode, m))
 
 
 def stirling1(n: int, k: int) -> int:
@@ -386,12 +436,13 @@ def rstirling1(n: int, k: int, r: int) -> int:
     cycles (classical r-Stirling numbers of the first kind)."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    return _table(_RStirling1Rows, r).cell(n, k)
+    # R(n, k) = R(n-1, k-1) + (n-1+r) R(n-1, k), ``_LogRows`` at unsigned assoc m = 0
+    return _table(_LogRows, r, "assoc", 0, False).cell(n, k)
 
 
 def incomplete_factorial(n: int, mode: str, m: int) -> int:
     """Row sums of stirlingA: permutations of [n] with the size window."""
-    return _type_a(mode, m).total(n)
+    return _table(_WindowRows, *_type_a(mode, m)).total(n)
 
 
 def typeB_factorial_conv(n: int, mode: str, m: int) -> int:
@@ -399,9 +450,10 @@ def typeB_factorial_conv(n: int, mode: str, m: int) -> int:
     all-barred rule, by convolving the two type A totals: the elements in
     window cycles keep free signs (2^i), the rest sit in all-barred cycles
     on the other side of the window."""
-    inside = _type_a(mode, m)
+    inside = _table(_WindowRows, *_type_a(mode, m))
     # at assoc m = 0 the other side is the empty window, restr m = 0
-    outside = _type_a("restr", max(m - 1, 0)) if mode == "assoc" else _type_a("assoc", m + 1)
+    other = ("restr", max(m - 1, 0)) if mode == "assoc" else ("assoc", m + 1)
+    outside = _table(_WindowRows, *_type_a(*other))
     return sum(
         comb(n, i) * 2**i * inside.total(i) * outside.total(n - i) for i in range(n + 1)
     )

@@ -131,6 +131,18 @@ RECURRENCE_GOLDEN = {
         "c8ada13e8e2f11e6af9069f3f5ab6d28af954c2f91cf3bb85449dbe572e3a595",
     "table stirling-a --rows 100 --m 2 --mode assoc --format pretty":
         "845e170572e34bb55b85cb5910c47cbf18c14e8333e1be731b68935d293d4223",
+    # recorded before `table` wrote its rows as they were made: the bench's
+    # peak-RSS job, one more bench shape, and the one-row edge of each format
+    "table stirling-a --rows 163 --m 5 --mode restr --format json":
+        "e3c200a6403f2353dc9ac263cadbb30d9df29fa496ac6b5b758b4f1c4bd595f5",
+    "table stirling-b --rows 78 --m 4 --r 1 --format json":
+        "1aeb4f53906cfbe11fef5f0b2c70fc9cb2d919b0934267ea1aa243a46b87e84c",
+    "table stirling-b --rows 1 --format csv":
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "table stirling-b --rows 1 --format json":
+        "b11f1596d0abfc409a1c0f05f343f3a256c505119a4e754f331b9b16d89b7c6b",
+    "table stirling-b --rows 1 --format pretty":
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
 }
 
 
@@ -139,6 +151,41 @@ def test_recurrence_table_golden(capsys, argv):
     code, out, err = _run(capsys, argv.split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == RECURRENCE_GOLDEN[argv]
+
+
+# sha256 of stdout for a 30 MB table, recorded while `table` kept every row
+# and took 139 MB to print it
+STREAMED_GOLDEN = {
+    "csv": "d795ecf9fd151bada9b30acbcf45458026d6671ce1e0b4c22f85c677d1130134",
+    "json": "6cc03c80836e775b60b4315089f8a795b11f4cb0c6a30c77531d653069b627c3",
+    "pretty": "f01499b6f063f74ff321d2d7aba4b04d919d0b41ff3282f9e73940688044b080",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(STREAMED_GOLDEN))
+def test_a_large_table_is_written_in_bounded_memory(cli_peak, fmt):
+    argv = ["table", "stirling-b", "--rows", "400", "--m", "3", "--r", "2", "--format", fmt]
+    code, peak_mb, digest, err = cli_peak(argv)
+    assert code == 0 and err == ""
+    assert digest == STREAMED_GOLDEN[fmt]
+    assert peak_mb < 32
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    # about 1 MB of rows, far more than a pipe holds: the reader leaves while
+    # the writer still has rows to write
+    argv = ["table", "stirling-a", "--rows", "200", "--m", "3", "--mode", "restr"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stirlingb.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(20) == b"1\n0 1\n0 1 1\n0 2 3 1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 # sha256 of the whole stdout of verify reports, so a check renamed, reordered

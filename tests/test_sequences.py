@@ -263,7 +263,7 @@ def test_triangle_gem_rows_equal_the_point_function():
         for r in range(4):
             want = [[triangle_gem_rec(n, k, r, m) for k in range(n + 1)] for n in range(30)]
             for size in range(1, 31):
-                assert triangle_gem_rows(size, r, m) == want[:size], (size, r, m)
+                assert list(triangle_gem_rows(size, r, m)) == want[:size], (size, r, m)
 
 
 def test_stirlingA_rows_equal_the_point_function():
@@ -271,7 +271,7 @@ def test_stirlingA_rows_equal_the_point_function():
         for m in range(6):
             want = [[stirlingA(n, k, mode, m) for k in range(n + 1)] for n in range(40)]
             for size in range(1, 41):
-                assert stirlingA_rows(size, mode, m) == want[:size], (size, mode, m)
+                assert list(stirlingA_rows(size, mode, m)) == want[:size], (size, mode, m)
 
 
 def _message(call):
@@ -307,8 +307,8 @@ def test_row_functions_raise_as_their_point_functions(point, rows):
     ],
 )
 def test_row_functions_take_any_size_from_zero(rows):
-    assert rows(0) == []
-    assert len(rows(1)) == 1
+    assert list(rows(0)) == []
+    assert len(list(rows(1))) == 1
     with pytest.raises(ValueError, match=r"^size must be >= 0, got -1$"):
         rows(-1)
 
@@ -324,18 +324,32 @@ def test_row_functions_take_any_size_from_zero(rows):
 )
 def test_returned_rows_are_the_callers_own(rows, point):
     want = [[point(n, k) for k in range(n + 1)] for n in range(12)]
-    got = rows(12)
-    for row in got:
+    got = []
+    for row in rows(12):  # each row changed before the next is made
         row[-1] += 7
+        row[0] = None
         row.append(-1)
-    got.append([5])
-    got[0] = None
-    assert rows(12) == want
+        got.append(row)
+    assert len(got) == 12
+    assert list(rows(12)) == want
     assert [[point(n, k) for k in range(n + 1)] for n in range(12)] == want
     # a short call after a long one returns only what it asks for
-    assert rows(20)[:12] == want
-    assert rows(5) == want[:5]
-    assert len(rows(3)) == 3
+    assert list(rows(20))[:12] == want
+    assert list(rows(5)) == want[:5]
+    assert len(list(rows(3))) == 3
+
+
+def test_row_functions_validate_before_they_return():
+    # the checks run at the call, not when the first row is read, and a row
+    # function makes no shared table
+    tables = set(sequences._TABLES)
+    for call in (lambda: triangle_gem_rows(4, -1, 2), lambda: stirlingA_rows(-1, "assoc", 2),
+                 lambda: stirlingA_rows(4, "free", 2)):
+        with pytest.raises(ValueError):
+            call()
+    rows = triangle_gem_rows(3, 2, 3)
+    assert next(rows) == [1] and len(list(rows)) == 2
+    assert set(sequences._TABLES) == tables
 
 
 # -- type A windowed Stirling numbers ----------------------------------------------
@@ -769,3 +783,68 @@ def test_cold_deep_queries_do_not_recurse():
         assert d_rec(2, 400) == d_explicit(2, 400)
     finally:
         sys.setrecursionlimit(limit)
+
+
+# -- the log-derivative engine against the other routes -----------------------------
+#
+# _LogRows reads one fixed-r rule from f' = N/D; the others are the removal
+# recurrences (_WindowRows, _Ge2Rows), which chain r-1 tables, and the oracle.
+
+
+def test_log_rows_match_the_window_recurrence():
+    cells = 0
+    for signed in (True, False):
+        for mode in ("assoc", "restr"):
+            for m in range(7):
+                for r in range(5) if signed else (0,):
+                    want = sequences._r_table(sequences._WindowRows, r, mode, m, signed)
+                    for n, row in enumerate(sequences._stream(61, r, mode, m, signed)):
+                        assert row == want.row(n), (signed, mode, m, r, n)
+                        cells += n + 1
+    assert cells == 158844
+
+
+def test_log_rows_match_the_ge2_recurrence():
+    for r in range(5):
+        want = sequences._r_table(sequences._Ge2Rows, r)
+        for n, row in enumerate(triangle_gem_rows(61, r, 2)):
+            assert row == want.row(n), (r, n)
+
+
+def test_log_rows_match_the_oracle():
+    cells = 0
+    for mode in ("assoc", "restr"):
+        for m in range(6):
+            for r in range(4):
+                rows = list(sequences._stream(10 - r, r, mode, m, True))
+                for n in range(10 - r):
+                    for k in range(n + 1):
+                        assert rows[n][k] == oracle_triangle(n, r, k, mode, m, bound=9), (
+                            mode, m, r, n, k)
+                        cells += 1
+    assert cells == 1968
+
+
+
+@pytest.mark.parametrize(
+    "rows, depth",
+    [
+        (lambda: triangle_gem_rows(40, 0, 2), 2),  # (1 - 2x) S_x = y (1 + 2x) S
+        (lambda: triangle_gem_rows(40, 2, 3), 5),
+        (lambda: stirlingA_rows(40, "restr", 5), 6),  # (1 - x) S_x = y (1 - x^5) S
+    ],
+    ids=["gem-m2-r0", "gem-m3-r2", "A-restr-m5"],
+)
+def test_streamed_rows_keep_only_what_the_rule_reads(monkeypatch, rows, depth):
+    held = []
+    advance = sequences._LogRows.advance
+
+    def spy(table, n):
+        row = advance(table, n)
+        held.append((len(table.rows), table.depth))
+        return row
+
+    monkeypatch.setattr(sequences._LogRows, "advance", spy)
+    assert len(list(rows())) == 40
+    assert held[-1] == (depth, depth)
+    assert max(kept for kept, _ in held) == depth
