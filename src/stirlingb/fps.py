@@ -9,7 +9,7 @@ Exponential generating function conventions: a sequence a_n with egf A(z)
 has a_n = n! * [z^n] A(z), see ``egf_coeff``.
 
 ``_powers`` tables self^0..self^order once per series, and ``compose`` and
-``revert`` read it; the Riordan table convolves its columns g * f^k itself.
+``revert`` read it; the Riordan table builds its columns g * f^k by ``*``.
 
 A series is stored once, as integers over one denominator: ``nums`` and
 d > 0 in lowest terms, so coeffs[k] == nums[k] / d and the pair is unique.

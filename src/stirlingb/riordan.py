@@ -11,18 +11,17 @@ and the sign-conjugated companion array live here, together with the concrete
 triangle constructor for the signed-permutation cycle statistics: the array
 ((f')^r, f) with f = sum_L w_L x^L / L, w_L being the sign masks a cycle of
 length L may carry, for every window m >= 0.  The table builds column k + 1
-as column k times f, one convolution of integer numerators per column; the
-inverse (1 / g(fbar), fbar) is cached, so an array reverts f and composes g
-with fbar at most once.  Entries, of the table and of production_rebuild,
-are ints when integral and reduced Fractions otherwise.
+as the series product of column k and f; the inverse (1 / g(fbar), fbar) is
+cached, so an array reverts f and composes g with fbar at most once.
+Entries, of the table and of production_rebuild, are ints when integral and
+reduced Fractions otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd, lcm
-from operator import mul
+from math import factorial, lcm
 
 from ._record import Record
 from .fps import FormalPowerSeries
@@ -61,23 +60,15 @@ class ExpRiordanArray(Record):
     @cached_property
     def _table(self) -> tuple[tuple[int | Fraction, ...], ...]:
         """Rows 0..order, each entry an int when integral and a reduced
-        Fraction otherwise, 0 above the diagonal.  Column k is g * f^k =
-        col_k / d_k on integers in lowest terms, col_(k+1) is col_k convolved
-        with f's numerators over d_k d_f, and l(i, k) = col_k[i] i!/k! / d_k."""
-        n, f = self.order, self.f.nums
-        col, den = self.g.nums[: n + 1], self.g.d
+        Fraction otherwise, 0 above the diagonal.  Column k + 1 is g f^(k+1)
+        = (g f^k) * f, a series product, and l(i, k) = i!/k! [z^i] g f^k."""
+        n = self.order
+        series = [FormalPowerSeries(self.g.nums[: n + 1], self.g.d)]  # g may reach past f
+        for _ in range(n):
+            series.append(series[-1] * self.f)
         fact = [factorial(i) for i in range(n + 1)]
-        cols = []
-        for k in range(n + 1):
-            cols.append([_exact(c * (fact[i] // fact[k]), den) for i, c in enumerate(col)])
-            # col_(k+1)[i] = sum_(k<=j<i) col_k[j] f[i-j], col_k starting at z^k
-            col = [0] * (k + 1) + [
-                sum(map(mul, col[k:i], f[i - k : 0 : -1])) for i in range(k + 1, n + 1)
-            ]
-            den *= self.f.d
-            common = gcd(den, *col)
-            if common > 1:
-                col, den = [c // common for c in col], den // common
+        cols = [[_exact(c * (fact[i] // fact[k]), col.d) for i, c in enumerate(col.nums)]
+                for k, col in enumerate(series)]
         return tuple(zip(*cols))
 
     def entry(self, n: int, k: int) -> int | Fraction:

@@ -15,7 +15,8 @@ Conventions used throughout (see also permcore):
   below ("assoc") by m, no sign, no exemption.  Here w_L is 1 inside the
   window and 0 outside it, and both triangles run one weight rule.
 * The d-family is computed four independent ways (recurrence, explicit
-  double sum, egf coefficients, Riordan row sums) so the tests can compare.
+  double sum, egf coefficients, the log-derivative rule over Z[r]) and
+  checked against the Riordan row sums, so the tests can compare.
 
 The recurrences are evaluated row by row into one table per parameter set,
 kept for the life of the process and extended in place when a query reaches
@@ -110,8 +111,8 @@ class _Rows:
 
     lower: _Rows | None = None
 
-    def __init__(self, r: int = 0):
-        self.r = r  # special elements; 0 for the recurrences without them
+    def __init__(self, r: int):
+        self.r = r  # special elements, the first parameter of every table
         self.rows: list = []
 
     def row(self, n: int):
@@ -535,28 +536,18 @@ class RPolynomial(Record):
 
 
 def d_poly(n: int) -> RPolynomial:
-    """d(., n) as a polynomial in r (degree n), from the recurrence values at
-    r = 0..n by Newton forward differences, in integers:
-
-        n! d(r, n) = sum_j (Delta^j d)(0, n) (n!/j!) r(r-1)...(r-j+1)
+    """d(., n) as a polynomial in r (degree n): the row sum T_n(1) of the
+    m = 2 triangle by ``_LogRows``' rule at y = 1 with r left free.  There
+    E = r E_1 is linear in r, and P and F hold no r, so swapping E_1 (read
+    from the r = 1 table's lags) with F turns the rule's y-shift into an
+    r-shift: row n then holds the coefficients, all integers since
+    T_0 = P_0 = 1.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    diffs = [d_rec(r, n) for r in range(n + 1)]  # diffs[0] is (Delta^j d)(0, n)
-    scaled = [0] * (n + 1)  # n! times the coefficients
-    falling = [1]  # r(r-1)...(r-j+1), ascending
-    for j in range(n + 1):
-        weight = diffs[0] * perm(n, n - j)
-        for i, c in enumerate(falling):
-            scaled[i] += weight * c
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        falling = [a - j * b for a, b in zip([0] + falling, falling + [0])]
-    return RPolynomial(
-        tuple(
-            _int(Fraction(c, factorial(n)), "d_poly(%d) coefficient %d" % (n, i))
-            for i, c in enumerate(scaled)
-        )
-    )
+    table = _LogRows(1, "assoc", 2, True)
+    table.lags = [(lag, (f, p, e)) for lag, (e, p, f) in table.lags]
+    return RPolynomial(tuple(table.row(n)))
 
 
 def d_asym(r: int, n: int) -> Fraction:

@@ -136,6 +136,26 @@ def test_every_unexported_name_is_read():
     assert dead == []
 
 
+def _imported_names(tree):
+    """Each name a module-level import of `tree` binds, but __future__'s."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_is_read(name):
+    # an imported name that its own module never reads is a stale import;
+    # reads count per module, since two modules may import the same name
+    tree = _tree(name)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= set(getattr(importlib.import_module(name), "__all__", ()))
+    assert [bound for bound in _imported_names(tree) if bound not in read] == []
+
+
 def test_every_series_method_is_read():
     # a public method or property of the series type that no code reads is
     # dead surface: each must be read as an attribute somewhere in the

@@ -395,11 +395,10 @@ def _reference_table(array):
 
 @st.composite
 def random_arrays(draw):
-    """An array of order 1..10 over small integers or small fractions."""
-    order = draw(st.integers(1, 10))
+    """An array over small integers or small fractions, g and f each of an
+    order 1..10 drawn apart, so that the two orders may differ."""
     coeffs = draw(st.sampled_from([st.integers(-3, 3), SMALL_FRACTIONS]))
-    g = draw(st.lists(coeffs, min_size=order + 1, max_size=order + 1))
-    f = draw(st.lists(coeffs, min_size=order + 1, max_size=order + 1))
+    g, f = (draw(st.lists(coeffs, min_size=2, max_size=11)) for _ in range(2))
     g[0], f[0], f[1] = g[0] or 1, 0, f[1] or -1
     return ExpRiordanArray(FPS.from_coeffs(g), FPS.from_coeffs(f))
 

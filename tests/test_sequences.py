@@ -455,6 +455,18 @@ def test_d_four_routes_agree():
             assert poly(r) == ref, (r, n, "poly")
 
 
+def test_d_poly_is_a_route_of_its_own(fractions_formed, monkeypatch):
+    # d_poly runs the log-derivative rule over Z[r]: no d_rec table, no
+    # Fraction, and degree n with n + 3 agreeing values pins every coefficient
+    monkeypatch.setattr(sequences, "_TABLES", {})
+    d_poly(12)
+    assert sequences._TABLES == {}
+    assert fractions_formed(lambda: d_poly(12)) == 0
+    for n in range(31):
+        poly = d_poly(n)
+        assert [poly(r) for r in range(n + 3)] == [d_rec(r, n) for r in range(n + 3)]
+
+
 def test_d_egf_edge_counts():
     assert d_egf(2, 0) == []
     assert d_egf(2, 1) == [1]
