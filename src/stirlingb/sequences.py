@@ -13,7 +13,9 @@ Conventions used throughout (see also permcore):
 * ``stirlingA(n, k, mode, m)`` are the plain (type A) restricted/associated
   Stirling numbers of the first kind: cycle sizes bounded above ("restr") or
   below ("assoc") by m, no sign, no exemption.  Here w_L is 1 inside the
-  window and 0 outside it, and both triangles run one weight rule.
+  window and 0 outside it, and both triangles run one weight rule.  Every
+  window function checks r, mode and m, in that order, through one key
+  (``_window``) before it makes or reads a table.
 * The d-family is computed four independent ways (recurrence, explicit
   double sum, egf coefficients, the log-derivative rule over Z[r]) and
   checked against the Riordan row sums, so the tests can compare.
@@ -284,8 +286,7 @@ def triangle_ge2_rec(n: int, k: int, r: int) -> int:
 def triangle_ge2_alt_rec(n: int, k: int) -> int:
     """The r = 0 case again, via the independent three-term recurrence
     t(n+1, k) = 2n t(n, k) + 2n t(n-1, k-1) + t(n, k-1): ``_LogRows`` at
-    signed assoc m = 2.  Test cross-check.
-    """
+    signed assoc m = 2, r = 0, a public route of its own."""
     return _table(_LogRows, 0, "assoc", 2, True).cell(n, k)
 
 
@@ -377,25 +378,27 @@ class _WindowRows(_Rows):
         return row
 
 
-def _gem(n: int, k: int, r: int, m: int) -> int:
-    return _r_table(_WindowRows, r, "assoc", m, True).cell(n, k)
-
-
-def _check_gem(r: int, m: int) -> None:
+def _window(r: int, mode: str, m: int, signed: bool) -> tuple:
+    """The key (r, mode, m, signed) of a window table, checked in that order."""
     if r < 0:
         raise ValueError("r must be >= 0")
+    if mode not in ("restr", "assoc"):
+        raise ValueError("mode must be 'restr' or 'assoc', got %r" % (mode,))
     if m < 0:
         raise ValueError("m must be >= 0")
+    return r, mode, m, signed
+
+
+def _gem(n: int, k: int, r: int, m: int) -> int:
+    return _r_table(_WindowRows, *_window(r, "assoc", m, True)).cell(n, k)
 
 
 def triangle_gem_rec(n: int, k: int, r: int, m: int) -> int:
     """Signed permutations of [n+r], k+r cycles, specials distinct, every
     cycle of order >= m or all-barred, for every m >= 0.  At m <= 1 every
-    cycle is in the window and signs are free.
-
-    m = 2 dispatches to triangle_ge2_rec, the paper's recurrence.
+    cycle is in the window and signs are free.  m = 2 dispatches to
+    triangle_ge2_rec, the paper's recurrence.
     """
-    _check_gem(r, m)
     if m == 2:
         return triangle_ge2_rec(n, k, r)
     return _gem(n, k, r, m)
@@ -403,28 +406,18 @@ def triangle_gem_rec(n: int, k: int, r: int, m: int) -> int:
 
 def triangle_gem_rows(size: int, r: int, m: int) -> Iterator[list[int]]:
     """Rows 0..size-1 of ``triangle_gem_rec(., ., r, m)``, by ``_stream``."""
-    _check_gem(r, m)
-    return _stream(size, r, "assoc", m, True)
-
-
-def _type_a(mode: str, m: int) -> tuple:
-    """(r, mode, m, signed) of the type A triangle, once mode and m are checked."""
-    if mode not in ("restr", "assoc"):
-        raise ValueError("mode must be 'restr' or 'assoc', got %r" % (mode,))
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return 0, mode, m, False
+    return _stream(size, *_window(r, "assoc", m, True))
 
 
 def stirlingA(n: int, k: int, mode: str, m: int) -> int:
     """Permutations of [n] with k cycles, all cycle sizes <= m ("restr") or
     >= m ("assoc").  No signs and no exemption here."""
-    return _table(_WindowRows, *_type_a(mode, m)).cell(n, k)
+    return _table(_WindowRows, *_window(0, mode, m, False)).cell(n, k)
 
 
 def stirlingA_rows(size: int, mode: str, m: int) -> Iterator[list[int]]:
     """Rows 0..size-1 of ``stirlingA(., ., mode, m)``, by ``_stream``."""
-    return _stream(size, *_type_a(mode, m))
+    return _stream(size, *_window(0, mode, m, False))
 
 
 def stirling1(n: int, k: int) -> int:
@@ -435,15 +428,13 @@ def stirling1(n: int, k: int) -> int:
 def rstirling1(n: int, k: int, r: int) -> int:
     """Permutations of [n+r] with k+r cycles, the elements 1..r in distinct
     cycles (classical r-Stirling numbers of the first kind)."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
     # R(n, k) = R(n-1, k-1) + (n-1+r) R(n-1, k), ``_LogRows`` at unsigned assoc m = 0
-    return _table(_LogRows, r, "assoc", 0, False).cell(n, k)
+    return _table(_LogRows, *_window(r, "assoc", 0, False)).cell(n, k)
 
 
 def incomplete_factorial(n: int, mode: str, m: int) -> int:
     """Row sums of stirlingA: permutations of [n] with the size window."""
-    return _table(_WindowRows, *_type_a(mode, m)).total(n)
+    return _table(_WindowRows, *_window(0, mode, m, False)).total(n)
 
 
 def typeB_factorial_conv(n: int, mode: str, m: int) -> int:
@@ -451,10 +442,10 @@ def typeB_factorial_conv(n: int, mode: str, m: int) -> int:
     all-barred rule, by convolving the two type A totals: the elements in
     window cycles keep free signs (2^i), the rest sit in all-barred cycles
     on the other side of the window."""
-    inside = _table(_WindowRows, *_type_a(mode, m))
+    inside = _table(_WindowRows, *_window(0, mode, m, False))
     # at assoc m = 0 the other side is the empty window, restr m = 0
     other = ("restr", max(m - 1, 0)) if mode == "assoc" else ("assoc", m + 1)
-    outside = _table(_WindowRows, *_type_a(*other))
+    outside = _table(_WindowRows, *_window(0, *other, False))
     return sum(
         comb(n, i) * 2**i * inside.total(i) * outside.total(n - i) for i in range(n + 1)
     )

@@ -146,6 +146,14 @@ def _n_k(size):
     return ("n", range(size + 1)), ("k", lambda *head: range(head[-1] + 1))
 
 
+def _recurrence_checks(name, label, rs, size, other):
+    """The checks `name % m` for m = 2, 3: `triangle_gem_rec` against `other`."""
+    def pair(m, r, n, k):
+        return sequences.triangle_gem_rec(n, k, r, m), other(m, r, n, k)
+    return [(name % m, _cells(pair, ("recurrence", label), ("m", (m,)), rs, *_n_k(size)))
+            for m in (2, 3)]
+
+
 # -- riordan scope ---------------------------------------------------------------
 
 
@@ -203,15 +211,6 @@ def _check_riordan(*, max_n: int, max_r: int, seed: int, samples: int) -> Verifi
             "production": (lambda n, k: rows[n][k], a.entry),
         }
 
-    def triangle_vs_riordan(m):
-        return _cells(
-            lambda m, r, n, k: (
-                sequences.triangle_gem_rec(n, k, r, m),
-                triangle(m, r, order).entry(n, k),
-            ),
-            ("recurrence", "riordan"), ("m", (m,)), rs, *_n_k(max_n),
-        )
-
     def law(sample, n, k, name):
         got, want = laws(sample)[name]
         return got(n, k), want(n, k)
@@ -219,8 +218,8 @@ def _check_riordan(*, max_n: int, max_r: int, seed: int, samples: int) -> Verifi
     return _collect(
         "riordan",
         [
-            ("triangle-recurrence-vs-riordan[m=2]", triangle_vs_riordan(2)),
-            ("triangle-recurrence-vs-riordan[m=3]", triangle_vs_riordan(3)),
+            *_recurrence_checks("triangle-recurrence-vs-riordan[m=%d]", "riordan", rs, max_n,
+                                lambda m, r, n, k: triangle(m, r, order).entry(n, k)),
             ("group-inverse-two-sided", _cells(
                 lambda r, n, k, side: (products(r)[side].entry(n, k), ident.entry(n, k)),
                 ("riordan", "riordan"), rs, *_n_k(inv_order), ("side", ("right", "left")),
@@ -252,15 +251,6 @@ def _check_oracle(*, max_n: int, max_r: int, bound: int | None) -> VerificationR
     delta_forms = cache(sequences.diagonals_delta)  # both entries of an (m, r, n) in one call
     entries = ("(n+1,n)", "(n+2,n)")
 
-    def triangle_vs_oracle(m):
-        return _cells(
-            lambda m, r, n, k: (
-                sequences.triangle_gem_rec(n, k, r, m),
-                oracle_triangle(n, r, k, "assoc", m, bound=bound),
-            ),
-            ("recurrence", "oracle"), ("m", (m,)), rs, *_n_k(max_n),
-        )
-
     def subdiagonal(m, r, n, entry):
         d = entries.index(entry)
         return (
@@ -271,8 +261,9 @@ def _check_oracle(*, max_n: int, max_r: int, bound: int | None) -> VerificationR
     return _collect(
         "oracle",
         [
-            ("triangle-vs-oracle[m=2]", triangle_vs_oracle(2)),
-            ("triangle-vs-oracle[m=3]", triangle_vs_oracle(3)),
+            *_recurrence_checks(
+                "triangle-vs-oracle[m=%d]", "oracle", rs, max_n,
+                lambda m, r, n, k: oracle_triangle(n, r, k, "assoc", m, bound=bound)),
             ("window-totals-vs-convolution", _cells(
                 lambda m, mode, n: (
                     sequences.typeB_factorial_conv(n, mode, m),

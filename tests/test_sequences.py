@@ -141,10 +141,13 @@ def test_point_functions_are_zero_off_the_triangle(point):
         lambda: stirlingA(5, 2, "assoc", -3),
         lambda: incomplete_factorial(4, "assoc", -5),
         lambda: typeB_factorial_conv(3, "restr", -2),
+        lambda: incomplete_factorial(3, "weird", 2),
+        lambda: typeB_factorial_conv(3, "weird", 2),
     ],
     ids=[
         "triangle_ge2_rec", "triangle_gem_rec", "stirlingA", "rstirling1", "inverse",
         "stirlingA-m", "incomplete_factorial-m", "typeB_factorial_conv-m",
+        "incomplete_factorial-mode", "typeB_factorial_conv-mode",
     ],
 )
 def test_bad_r_or_mode_raises_before_a_table_is_made(call):

@@ -238,6 +238,33 @@ def test_a_planted_mismatch_gives_the_pinned_fail_line(capsys, monkeypatch, chec
     assert lines[-1] == scope_line
 
 
+@pytest.mark.parametrize(
+    "scope, check",
+    [("riordan", "triangle-recurrence-vs-riordan[m=2]"), ("oracle", "triangle-vs-oracle[m=2]")],
+)
+def test_a_failed_recurrence_check_starts_no_later_check(monkeypatch, scope, check):
+    """The m = 3 check after a failing m = 2 one neither reads the recurrence
+    nor builds an array."""
+    calls = []
+
+    def spy(module, name, m_at):
+        real = getattr(module, name)
+
+        def called(*args):
+            calls.append((name, args[m_at]))
+            return real(*args)
+
+        monkeypatch.setattr(module, name, called)
+
+    spy(verify.sequences, "triangle_gem_rec", 3)
+    spy(verify, "make_triangle_B", 0)
+    _plant(monkeypatch, check, 0)
+    report = verify.run_scope(scope, max_n=3, max_r=1)
+    assert [res.name for res in report.results] == [check] and not report.ok
+    assert ("triangle_gem_rec", 2) in calls
+    assert all(m != 3 for _, m in calls), calls
+
+
 @pytest.fixture(scope="module")
 def gates():
     """perfbench/gates.py, loaded as the benchmark loads it."""
