@@ -36,7 +36,8 @@ makes each row, a fresh list, when it is read, by the log-derivative rule
 
 The series-backed families (``d_egf``, ``lattice_terms``, ``tree_terms``)
 take a term count and read every term from one series truncated at the
-order that count needs.
+order that count needs.  They are the only routes that read ``fps``, and
+each imports it when called, so the integer tables load no Fraction layer.
 
 Everything returns exact ints (or Fraction where the contract says so).  An
 exact rational published as an int goes through ``_int``, which raises
@@ -47,13 +48,11 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import zip_longest
 from math import comb, factorial, perm
 from operator import add
 
 from ._record import Record
-from .fps import FormalPowerSeries
 
 __all__ = [
     "RPolynomial",
@@ -495,6 +494,7 @@ def d_explicit(r: int, n: int) -> int:
 
 def _d_series(r: int, order: int) -> FormalPowerSeries:
     """The egf e^(-x)/(1-2x) * ((1+2x)/(1-2x))^r."""
+    from .fps import FormalPowerSeries
     inv = FormalPowerSeries.from_coeffs([1, -2], order).reciprocal()
     series = FormalPowerSeries.from_coeffs([0, -1], order).exp() * inv
     if r:
@@ -552,6 +552,7 @@ def d_asym(r: int, n: int) -> Fraction:
     summed with C(-i-1, n) = (-1)^n C(n+i, n) and C(-i, n) =
     (-1)^n C(n+i-1, n), except C(0, 0) = 1 at i = n = 0.
     """
+    from fractions import Fraction
     if r < 0 or n < 0:
         raise ValueError("r and n must be >= 0")
     twice = sum(
@@ -569,6 +570,7 @@ def d_asym(r: int, n: int) -> Fraction:
 def lattice_terms(r: int, count: int) -> list[int]:
     """[x^n] ((1+x)/(1-x))^r for n < count: staircase lattice point counts,
     all read from one series."""
+    from .fps import FormalPowerSeries
     if r < 0:
         raise ValueError("r must be >= 0")
     order = _series_order(count)
@@ -583,6 +585,7 @@ def diagonals(n: int, r: int) -> tuple[int, int]:
     """Closed forms for the two subdiagonal entries (n+1, n) and (n+2, n)
     of the ord >= 2 triangle, the dedicated quadratic forms;
     ``diagonals_delta`` covers every m."""
+    from fractions import Fraction
     if r < 0 or n < 0:
         raise ValueError("r and n must be >= 0")
     first = 2 * (n + 1) * (n + 2 * r)
@@ -598,6 +601,7 @@ def diagonals_delta(n: int, r: int, m: int) -> tuple[int, int]:
     """The same two subdiagonals for any m >= 0, written with Kronecker
     deltas in the exponents; m = 0 is the m = 1 triangle (all cycles in the
     window), so it takes the m = 1 deltas."""
+    from fractions import Fraction
     if r < 0 or n < 0:
         raise ValueError("r and n must be >= 0")
     if m < 0:
@@ -665,6 +669,8 @@ def tree_terms(count: int) -> list[int]:
     edge colors (1, 4, 32, 416, ...).  One series reversion, no special
     functions.
     """
+    from fractions import Fraction
+    from .fps import FormalPowerSeries
     order = _series_order(count, shift=1)
     # the m = 2 cycle series sum_L w_L x^L / L: w_1 = 1 and w_L = 2^L above
     longer = [Fraction(2**L, L) for L in range(2, order + 1)]

@@ -46,10 +46,12 @@ def test_no_assert_statements(name):
     assert lines == [], "%s has assert statements at lines %s" % (name, lines)
 
 
-def _imports(name):
-    """The modules that module `name` imports, anywhere in it."""
+def _imports(name, top_level=False):
+    """The modules that module `name` imports, anywhere in it or, with
+    `top_level`, in its own body, which runs when it is imported."""
+    tree = _tree(name)
     imported = []
-    for node in ast.walk(_tree(name)):
+    for node in tree.body if top_level else ast.walk(tree):
         if isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -57,10 +59,11 @@ def _imports(name):
     return imported
 
 
-def _imports_beyond_stdlib(name):
+def _imports_beyond_stdlib(name, top_level=False):
     """The modules that module `name` imports outside the standard library."""
     stdlib = sys.stdlib_module_names
-    return {name for name in _imports(name) if name.split(".")[0] not in stdlib}
+    imported = _imports(name, top_level)
+    return {name for name in imported if name.split(".")[0] not in stdlib}
 
 
 def test_oracle_imports_only_stdlib():
@@ -84,6 +87,13 @@ def test_sequences_imports_only_stdlib_the_record_base_and_fps():
     # the recurrences and closed forms are a route of their own: the Riordan
     # arrays they are checked against stay out of them
     assert _imports_beyond_stdlib("stirlingb.sequences") == {"._record", ".fps"}
+
+
+def test_sequences_loads_no_fraction_layer_on_import():
+    # the integer tables read no Fraction: only the series routes and the
+    # rational closed forms import fps and fractions, when they are called
+    assert _imports_beyond_stdlib("stirlingb.sequences", top_level=True) == {"._record"}
+    assert "fractions" not in _imports("stirlingb.sequences", top_level=True)
 
 
 def test_riordan_imports_only_stdlib_the_record_base_and_fps():

@@ -612,6 +612,14 @@ def test_series_terms_prefix_and_edge_counts(terms):
         terms(-1)
 
 
+def test_the_rational_routes_return_their_contract_types():
+    # these routes compute over Fractions, but only d_asym publishes one
+    assert type(d_asym(0, 0)) is Fraction and type(d_asym(2, 3)) is Fraction
+    values = [*tree_terms(6), *lattice_terms(2, 6), *d_egf(2, 6)]
+    values += [*diagonals(3, 2), *diagonals_delta(3, 2, 3), *diagonals_delta(3, 2, 0)]
+    assert {type(value) for value in values} == {int}
+
+
 # -- cross-window identities -----------------------------------------------------
 
 
