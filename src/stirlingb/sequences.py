@@ -22,17 +22,17 @@ Conventions used throughout (see also permcore):
 
 The recurrences are evaluated row by row into one table per parameter set,
 kept for the life of the process and extended in place when a query reaches
-past its last row.  Each triangle table starts from row 0 (the r specials
-as fixed points, [w_1^r] for the window triangles and [1] for the rest)
-and builds every column of the later rows, column 0 included, with its one
-rule.  Long inner sums are carried from one row to the next as running
-sums, so a cell costs O(1) big-integer operations, plus one per explicit
-head weight (about m) for the window triangles, and nothing recurses.
-The point functions (``triangle_ge2_rec(n, k, r)`` and friends) read one
-cell of a table.  The row functions (``triangle_gem_rows(size, r, m)`` and
-``stirlingA_rows(size, mode, m)``) read none: they return an iterator that
-makes each row, a fresh list, when it is read, by the log-derivative rule
-(``_LogRows``), which reads a bounded number of rows back and keeps only those.
+past its last row.  Each triangle table starts from row 0 (the r specials as
+fixed points, [w_1^r] for the window triangles and [1] for the rest) and
+builds every column of the later rows, column 0 included, with its one rule.
+Long inner sums are carried from one row to the next as running sums, so a
+cell of row n costs O(1) big-integer operations, plus, in the window
+triangles, one per head weight it reads (at most min(m, n)), and nothing
+recurses.  The point functions (``triangle_ge2_rec`` and friends) read one
+cell of a table.  The row functions (``triangle_gem_rows`` and
+``stirlingA_rows``) read none: they return an iterator that makes each row,
+a fresh list, when it is read, by the log-derivative rule (``_LogRows``),
+which reads a bounded number of rows back and keeps only those.
 
 The series-backed families (``d_egf``, ``lattice_terms``, ``tree_terms``)
 take a term count and read every term from one series truncated at the
@@ -225,12 +225,13 @@ class _LogRows(_Rows):
         return row[:]
 
 
-def _stream(size: int, *params) -> Iterator[list[int]]:
-    """Rows 0..size-1 of ``_LogRows(*params)`` as fresh lists, each made when
-    read, by an unshared table that keeps only its last ``depth`` rows."""
+def _stream(size: int, r: int, mode: str, m: int, signed: bool) -> Iterator[list[int]]:
+    """Rows 0..size-1 of ``_LogRows(r, mode, m, signed)`` as fresh lists, each
+    made when read, by an unshared table that keeps its last ``depth`` rows and
+    is built at min(m, size + 1), since no cycle in them is longer than size."""
     if size < 0:
         raise ValueError("size must be >= 0, got %d" % (size,))
-    table = _LogRows(*params)
+    table = _LogRows(r, mode, min(m, size + 1), signed)
     table.rows = deque(maxlen=table.depth)
     return map(table.advance, range(size))  # advance, being public, shows in a profile
 
@@ -297,10 +298,10 @@ class _WindowRows(_Rows):
     signed).  A cycle of length L carries w_L: signed (type B), 2^L sign
     masks inside the window and 1 outside it, where it must be all-barred;
     unsigned (type A), 1 inside and 0 outside.  The window is L >= m
-    ("assoc") or L <= m ("restr"), so w_L is a head w_1..w_c and then a
-    tail rho^L, rho in {2, 1, 0}.  The triangle is [(f')^r, f] with f =
-    sum_L w_L x^L/L, whose rule reads, with p = n-1, ff(p, j) = p!/(p-j)!,
-    c2 = max(c-1, 0) and G' the table for r-1,
+    ("assoc") or L <= m ("restr"), so w_L is a head base^L for L <= c,
+    formed where a row reads it, then a tail rho^L, rho in {2, 1, 0}.  The
+    triangle is [(f')^r, f] with f = sum_L w_L x^L/L, whose rule reads, with
+    p = n-1, ff(p, j) = p!/(p-j)!, c2 = max(c-1, 0) and G' the table for r-1,
 
         G(n, k) = sum_j w_(j+1) ff(p, j) G(p-j, k-1)
                   + r sum_j (j+1) w_(j+2) ff(p, j) G'(p-j, k)
@@ -322,10 +323,9 @@ class _WindowRows(_Rows):
         super().__init__(r)
         inside, outside = (2, 1) if signed else (1, 0)  # w_L = base^L
         if mode == "assoc":
-            self.c, base, self.rho = max(m - 1, 0), outside, inside
+            self.c, self.base, self.rho = max(m - 1, 0), outside, inside
         else:
-            self.c, base, self.rho = max(m, 0), inside, outside
-        self.w = [base**L for L in range(1, self.c + 1)]  # w[j] is w_(j+1)
+            self.c, self.base, self.rho = max(m, 0), inside, outside
         self.h, self.a, self.d, self.sums = [], [], [], []
 
     def total(self, n: int) -> int:
@@ -335,16 +335,15 @@ class _WindowRows(_Rows):
         return self.sums[n] if n >= 0 else 0
 
     def _next(self, n: int) -> list[int]:
-        r, c, rho, w = self.r, self.c, self.rho, self.w
+        r, c, rho, base = self.r, self.c, self.rho, self.base
         if n == 0:
-            return [(w[0] if c else rho) ** r]
+            return [(base if c else rho) ** r]
         p, rows, c2 = n - 1, self.rows, max(c - 1, 0)
-        ff = [perm(p, j) for j in range(c + 1)]
         if rho:
             step = rho * p
             h = [step * v for v in self.h] + [0]
             if p >= c:
-                x = rho**c * ff[c]
+                x = rho**c * perm(p, c)
                 for k, v in enumerate(rows[p - c]):
                     h[k] += x * v
             self.h = h
@@ -352,7 +351,7 @@ class _WindowRows(_Rows):
         else:
             row = [0] * (n + 1)
         for j in range(min(c, n)):
-            x = w[j] * ff[j]
+            x = base ** (j + 1) * perm(p, j)
             if x:
                 for k, v in enumerate(rows[p - j]):
                     row[k + 1] += x * v
@@ -362,7 +361,7 @@ class _WindowRows(_Rows):
                 a = [step * v for v in self.a] + [0]
                 d = [step * (u + v) for u, v in zip(self.d, self.a)] + [0]
                 if p >= c2:
-                    x = rho**c2 * ff[c2]
+                    x = rho**c2 * perm(p, c2)
                     for k, v in enumerate(low[p - c2]):
                         a[k] += x * v
                         d[k] += (c2 + 1) * x * v
@@ -371,7 +370,7 @@ class _WindowRows(_Rows):
                 for k in range(n):  # D(p, n) = 0
                     row[k] += x * d[k]
             for j in range(min(c2, n)):
-                x = r * (j + 1) * w[j + 1] * ff[j]
+                x = r * (j + 1) * base ** (j + 2) * perm(p, j)
                 for k, v in enumerate(low[p - j]):
                     row[k] += x * v
         return row
@@ -711,11 +710,12 @@ def triangle_gem_howard(n: int, k: int, r: int, m: int) -> int:
         for l in range(k + 1):
             if m * l > n or (m - 1) * p > n - m * l:
                 continue
+            # past m = n + 1 only l = p = 0 is left, and it forms no 2^m
             total += (
                 comb(r, p)
                 * comb(n, m * l)
                 * comb(n - m * l, (m - 1) * p)
-                * (2**m - 1) ** (l + p)
+                * ((2**m - 1) ** (l + p) if l + p else 1)
                 * (factorial(m * l) // (m**l * factorial(l)))
                 * factorial((m - 1) * p)
                 * triangle_gem_rec(n - m * l - (m - 1) * p, k - l, r - p, m + 1)

@@ -171,6 +171,21 @@ def test_a_large_table_is_written_in_bounded_memory(cli_peak, fmt):
     assert peak_mb < 32
 
 
+# A window wider than its rows' longest cycle (n + 1 in row n) prints the rows
+# of the narrowest window that gives them, in the memory of a small table;
+# csv for stirling-a, whose json payload carries m.
+@pytest.mark.parametrize("argv, m, narrow", [
+    ("table stirling-b --rows 4", 100000, 5),
+    ("table stirling-a --mode restr --rows 6 --format csv", 1000000, 6),
+    ("seq typeb-factorial --mode restr --terms 6", 1000000, 6),
+], ids=["stirling-b", "stirling-a", "typeb-factorial"])
+def test_a_wide_window_costs_what_its_rows_need(cli_peak, argv, m, narrow):
+    code, peak_mb, digest, err = cli_peak(argv.split() + ["--m", str(m)])
+    assert code == 0 and err == ""
+    assert peak_mb < 32
+    assert digest == cli_peak(argv.split() + ["--m", str(narrow)])[2]
+
+
 def test_a_closed_stdout_exits_141_without_a_traceback():
     # about 1 MB of rows, far more than a pipe holds: the reader leaves while
     # the writer still has rows to write

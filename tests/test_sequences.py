@@ -7,7 +7,7 @@ from math import comb, factorial
 import pytest
 
 from stirlingb import sequences
-from stirlingb.permcore import oracle_triangle
+from stirlingb.permcore import oracle_total, oracle_triangle
 from stirlingb.riordan import make_triangle_B, unsigned_conjugate
 from stirlingb.sequences import (
     _d_series,
@@ -355,6 +355,70 @@ def test_row_functions_validate_before_they_return():
     assert set(sequences._TABLES) == tables
 
 
+# -- windows wider than their rows --------------------------------------------------
+#
+# A cycle holds at most one special, so row n has no cycle longer than n + 1
+# and every window past that gives the row of the narrowest one that does:
+# assoc m = n + 2 (no cycle inside) and restr m = n + 1 (every cycle inside).
+# A table whose size followed m could not be built at m = 10**18.
+
+HUGE = 10**18
+
+
+def _narrow(mode, n):
+    return n + 2 if mode == "assoc" else n + 1
+
+
+def test_type_b_rows_at_a_huge_window():
+    for r in range(4):
+        rows = list(triangle_gem_rows(9, r, HUGE))
+        for n in range(9):
+            want = list(triangle_gem_rows(n + 1, r, _narrow("assoc", n)))[n]
+            assert rows[n] == want, (r, n)
+            assert [triangle_gem_rec(n, k, r, HUGE) for k in range(n + 1)] == want, (r, n)
+            if n + r <= 8:
+                oracle = [oracle_triangle(n, r, k, "assoc", HUGE, bound=8) for k in range(n + 1)]
+                assert oracle == want, (r, n)
+
+
+def test_type_a_rows_and_totals_at_a_huge_window():
+    for mode in ("assoc", "restr"):
+        rows = list(stirlingA_rows(9, mode, HUGE))
+        for n in range(9):
+            m = _narrow(mode, n)
+            want = [stirlingA(n, k, mode, m) for k in range(n + 1)]
+            assert rows[n] == want, (mode, n)
+            assert [stirlingA(n, k, mode, HUGE) for k in range(n + 1)] == want, (mode, n)
+            assert incomplete_factorial(n, mode, HUGE) == incomplete_factorial(n, mode, m)
+            total = typeB_factorial_conv(n, mode, m)
+            assert typeB_factorial_conv(n, mode, HUGE) == total, (mode, n)
+            assert oracle_total(n, 0, mode, HUGE, bound=8) == total, (mode, n)
+    # with no special every cycle is inside restr (2^n sign masks) and none
+    # inside assoc (all-barred, one mask): the oracle's rows at r = 0
+    for n in range(9):
+        row = [stirlingA(n, k, "restr", HUGE) for k in range(n + 1)]
+        assert [oracle_triangle(n, 0, k, "restr", HUGE, bound=8)
+                for k in range(n + 1)] == [2**n * v for v in row], n
+        assert [oracle_triangle(n, 0, k, "assoc", HUGE, bound=8)
+                for k in range(n + 1)] == row, n
+        assert incomplete_factorial(n, "restr", HUGE) == sum(row) == factorial(n)
+        assert incomplete_factorial(n, "assoc", HUGE) == int(n == 0)
+
+
+def test_streams_at_the_edge_of_their_rows():
+    # rows 0..size-1 read w_1..w_size alone: m = size and size + 1 keep their
+    # own engine, and m = size + 2 is the first built at size + 1
+    for signed in (True, False):
+        for mode in ("assoc", "restr"):
+            for r in range(4) if signed else (0,):
+                for size in range(14):
+                    for m in (size, size + 1, size + 2):
+                        want = sequences._r_table(sequences._WindowRows, r, mode, m, signed)
+                        rows = list(sequences._stream(size, r, mode, m, signed))
+                        assert rows == [want.row(n) for n in range(size)], (
+                            signed, mode, r, size, m)
+
+
 # -- type A windowed Stirling numbers ----------------------------------------------
 
 
@@ -644,6 +708,17 @@ def test_howard_free_sign():
             for k in range(n + 1):
                 want = 2 ** (n + r) * rstirling1(n, k, r)
                 assert free_sign_howard(n, k, r) == want, (n, k, r)
+
+
+def test_howard_type_b_past_every_cycle():
+    # for m > n + 1 only the term without extracted cycles is left, and it
+    # forms no 2^m - 1, which at m = 10**9 alone would take seconds
+    assert triangle_gem_howard(3, 1, 1, 10**9) == triangle_gem_rec(3, 1, 1, 10**9) == 11
+    for r in range(3):
+        for n in range(6 - r):
+            for k in range(n + 1):
+                want = triangle_gem_rec(n, k, r, n + 2)
+                assert triangle_gem_howard(n, k, r, 10**9) == want, (n, k, r)
 
 
 def test_howard_validation():
