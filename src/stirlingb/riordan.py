@@ -12,7 +12,7 @@ triangle constructor for the signed-permutation cycle statistics: the array
 ((f')^r, f) with f = sum_L w_L x^L / L, w_L being the sign masks a cycle of
 length L may carry, for every window m >= 0.  The table builds column k + 1
 as the series product of column k and f; the inverse (1 / g(fbar), fbar) is
-cached, so an array reverts f and composes g with fbar at most once.
+cached, so an array reverts f and composes 1/g with fbar at most once.
 Entries, of the table and of production_rebuild, are ints when integral and
 reduced Fractions otherwise.
 """
@@ -99,10 +99,11 @@ class ExpRiordanArray(Record):
     @cached_property
     def _inverse(self) -> "ExpRiordanArray":
         fbar = self.f.revert()
-        return ExpRiordanArray(self.g.compose(fbar).reciprocal(), fbar)
+        return ExpRiordanArray(self.g.reciprocal().compose(fbar), fbar)
 
     def invert(self) -> "ExpRiordanArray":
-        """Group inverse (1 / g(fbar), fbar), formed once per array."""
+        """Group inverse (1 / g(fbar), fbar), formed once per array: 1/g,
+        whose coefficients stay small, is composed with fbar once."""
         return self._inverse
 
     def apply_fte(self, h: FormalPowerSeries) -> FormalPowerSeries:

@@ -157,6 +157,14 @@ def _r_table(cls, r: int, *params) -> _Rows:
     return table
 
 
+def _add_into(row: list[int], start: int, x: int, prev: list[int]) -> None:
+    """Add x times ``prev`` to ``row`` from column ``start`` on."""
+    if x:
+        end, terms = start + len(prev), prev if x == 1 else [x * v for v in prev]
+        # onto zeros, adding is placing
+        row[start:end] = map(add, row[start:end], terms) if any(row[start:end]) else terms
+
+
 # -- the log-derivative rule -------------------------------------------------------
 
 
@@ -211,11 +219,8 @@ class _LogRows(_Rows):
         for lag, (e, p, f) in self.lags[:n]:
             ff, prev = perm(k, lag - 1), rows[-lag]
             # row n-l times its coefficient, the y part one column right
-            for start, c in ((0, e * ff - p * ff * (k - lag + 1)), (1, f * ff)):
-                if c:
-                    end = start + len(prev)
-                    terms = prev if c == 1 else [c * v for v in prev]
-                    row[start:end] = map(add, row[start:end], terms)
+            _add_into(row, 0, e * ff - p * ff * (k - lag + 1), prev)
+            _add_into(row, 1, f * ff, prev)
         return [v // self.lead for v in row] if self.lead != 1 else row
 
     def advance(self, n: int) -> list[int]:
@@ -236,60 +241,6 @@ def _stream(size: int, r: int, mode: str, m: int, signed: bool) -> Iterator[list
     return map(table.advance, range(size))  # advance, being public, shows in a profile
 
 
-# -- the ord >= 2 triangle (signed derangement cycle counts) -------------------
-
-
-class _Ge2Rows(_Rows):
-    """The remove-the-largest-element recurrence of ``triangle_ge2_rec`` for
-    one r.  With p = n-1, ff(p, j) = p!/(p-j)! and T' the table for r-1,
-
-        T(n, k) = T(p, k-1) + 4p B(p-1, k-1) + 4r D(p, k)    (k >= 0)
-        B(p, k) = sum_j 2^j ff(p, j) T(p-j, k)           = T(p, k) + 2p B(p-1, k)
-        A(p, k) = sum_j 2^j ff(p, j) T'(p-j, k)          = T'(p, k) + 2p A(p-1, k)
-        D(p, k) = sum_j (j+1) 2^j ff(p, j) T'(p-j, k)    = A(p, k) + 2p D(p-1, k)
-
-    from row 0 = [1]; at k = 0 the k-1 terms vanish and only 4r D(p, 0) is
-    left.  ``b``, ``a`` and ``d`` hold B, A and D at p-1 for the last row p,
-    padded with a zero to the row's length.
-    """
-
-    def __init__(self, r: int):
-        super().__init__(r)
-        self.b, self.a, self.d = [0], [0], [0]
-
-    def _next(self, n: int) -> list[int]:
-        if n == 0:
-            return [1]
-        p, r = n - 1, self.r
-        prev, b, two_p = self.rows[p], self.b, 2 * p
-        row = [0] + [prev[k] + 2 * two_p * b[k] for k in range(n)]
-        if r:
-            a = [x + two_p * y for x, y in zip(self.lower.rows[p], self.a)]
-            d = [x + two_p * y for x, y in zip(a, self.d)]
-            for k in range(n):  # D(p, n) = 0
-                row[k] += 4 * r * d[k]
-            self.a, self.d = a + [0], d + [0]
-        self.b = [x + two_p * y for x, y in zip(prev, b)] + [0]
-        return row
-
-
-def triangle_ge2_rec(n: int, k: int, r: int) -> int:
-    """Signed permutations of [n+r], k+r cycles, specials 1..r in distinct
-    cycles, every cycle of order >= 2 or all-barred.  Computed from the
-    remove-the-largest-element recurrence, column 0 included.
-    """
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    return _r_table(_Ge2Rows, r).cell(n, k)
-
-
-def triangle_ge2_alt_rec(n: int, k: int) -> int:
-    """The r = 0 case again, via the independent three-term recurrence
-    t(n+1, k) = 2n t(n, k) + 2n t(n-1, k-1) + t(n, k-1): ``_LogRows`` at
-    signed assoc m = 2, r = 0, a public route of its own."""
-    return _table(_LogRows, 0, "assoc", 2, True).cell(n, k)
-
-
 # -- the window triangles and the type A Stirling numbers of the first kind ---
 
 
@@ -305,18 +256,21 @@ class _WindowRows(_Rows):
 
         G(n, k) = sum_j w_(j+1) ff(p, j) G(p-j, k-1)
                   + r sum_j (j+1) w_(j+2) ff(p, j) G'(p-j, k)
-                = sum_{j<c} w_(j+1) ff(p, j) G(p-j, k-1) + rho H(p, k-1)
-                  + r (sum_{j<c2} (j+1) w_(j+2) ff(p, j) G'(p-j, k) + rho^2 D(p, k))
-        H(p, k) = sum_{j>=c} rho^j ff(p, j) G(p-j, k)
-                = rho^c ff(p, c) G(p-c, k) + rho p H(p-1, k)
-        A(p, k) = sum_{j>=c2} rho^j ff(p, j) G'(p-j, k)
-                = y(p, k) + rho p A(p-1, k),    y(p, k) = rho^c2 ff(p, c2) G'(p-c2, k)
-        D(p, k) = sum_{j>=c2} (j+1) rho^j ff(p, j) G'(p-j, k)
-                = (c2+1) y(p, k) + rho p (D(p-1, k) + A(p-1, k))
+                = sum_{j<c} w_(j+1) ff(p, j) G(p-j, k-1)
+                  + rho^(c+1) ff(p, c) B(p-c, k-1)
+                  + r sum_{j<c2} (j+1) w_(j+2) ff(p, j) G'(p-j, k)
+                  + r rho^(c2+2) ff(p, c2) (D(p-c2, k) + c2 A(p-c2, k))
+        B(q, k) = sum_i rho^i ff(q, i) G(q-i, k)        = G(q, k) + rho q B(q-1, k)
+        A(q, k) = sum_i rho^i ff(q, i) G'(q-i, k)       = G'(q, k) + rho q A(q-1, k)
+        D(q, k) = sum_i (i+1) rho^i ff(q, i) G'(q-i, k) = A(q, k) + rho q D(q-1, k)
 
     from row 0 = [w_1^r], the r specials as fixed points; at k = 0 only the
-    r term is left.  The tails are skipped when rho = 0.  ``h``, ``a`` and
-    ``d`` hold H, A and D at p-1 for the last row p, ``sums`` the row sums.
+    r terms are left.  At m = 2 (assoc, signed: c = 1, c2 = 0, rho = 2) the
+    rule is the paper's, G(n, k) = G(p, k-1) + 4p B(p-1, k-1) + 4r D(p, k),
+    and B, A and D are its sums.  The tails are skipped when rho = 0.  ``b``
+    holds B at p-c, and ``a`` and ``d`` hold A and D at p-c2, for the last
+    row p; ``sums`` holds the row sums.  Each sum, and each term of a row,
+    is formed a whole row at a time.
     """
 
     def __init__(self, r: int, mode: str, m: int, signed: bool):
@@ -326,7 +280,7 @@ class _WindowRows(_Rows):
             self.c, self.base, self.rho = max(m - 1, 0), outside, inside
         else:
             self.c, self.base, self.rho = max(m, 0), inside, outside
-        self.h, self.a, self.d, self.sums = [], [], [], []
+        self.b, self.a, self.d, self.sums = [], [], [], []
 
     def total(self, n: int) -> int:
         """The sum of row n, formed once per row; 0 for n < 0."""
@@ -338,41 +292,25 @@ class _WindowRows(_Rows):
         r, c, rho, base = self.r, self.c, self.rho, self.base
         if n == 0:
             return [(base if c else rho) ** r]
-        p, rows, c2 = n - 1, self.rows, max(c - 1, 0)
-        if rho:
-            step = rho * p
-            h = [step * v for v in self.h] + [0]
-            if p >= c:
-                x = rho**c * perm(p, c)
-                for k, v in enumerate(rows[p - c]):
-                    h[k] += x * v
-            self.h = h
-            row = [0] + [rho * v for v in h]
-        else:
-            row = [0] * (n + 1)
-        for j in range(min(c, n)):
-            x = base ** (j + 1) * perm(p, j)
-            if x:
-                for k, v in enumerate(rows[p - j]):
-                    row[k + 1] += x * v
+        p, rows, c2, row = n - 1, self.rows, max(c - 1, 0), [0] * (n + 1)
+        # (column offset, coefficient, row) for every term of G(n, .)
+        terms = [(1, base ** (j + 1) * perm(p, j), rows[p - j]) for j in range(min(c, n))]
+        if rho and p >= c:
+            step = rho * (p - c)
+            self.b = [v + step * u for v, u in zip(rows[p - c], self.b + [0])]
+            terms.append((1, rho ** (c + 1) * perm(p, c), self.b))
         if r:
             low = self.lower.rows
-            if rho:
-                a = [step * v for v in self.a] + [0]
-                d = [step * (u + v) for u, v in zip(self.d, self.a)] + [0]
-                if p >= c2:
-                    x = rho**c2 * perm(p, c2)
-                    for k, v in enumerate(low[p - c2]):
-                        a[k] += x * v
-                        d[k] += (c2 + 1) * x * v
-                self.a, self.d = a, d
-                x = rho * rho * r
-                for k in range(n):  # D(p, n) = 0
-                    row[k] += x * d[k]
-            for j in range(min(c2, n)):
-                x = r * (j + 1) * base ** (j + 2) * perm(p, j)
-                for k, v in enumerate(low[p - j]):
-                    row[k] += x * v
+            terms += [(0, r * (j + 1) * base ** (j + 2) * perm(p, j), low[p - j])
+                      for j in range(min(c2, n))]
+            if rho and p >= c2:
+                step = rho * (p - c2)
+                self.a = a = [v + step * u for v, u in zip(low[p - c2], self.a + [0])]
+                self.d = [v + step * u for v, u in zip(a, self.d + [0])]
+                x = r * rho ** (c2 + 2) * perm(p, c2)
+                terms += [(0, x, self.d), (0, c2 * x, a)]
+        for start, x, prev in terms:
+            _add_into(row, start, x, prev)
         return row
 
 
@@ -387,19 +325,28 @@ def _window(r: int, mode: str, m: int, signed: bool) -> tuple:
     return r, mode, m, signed
 
 
-def _gem(n: int, k: int, r: int, m: int) -> int:
-    return _r_table(_WindowRows, *_window(r, "assoc", m, True)).cell(n, k)
-
-
 def triangle_gem_rec(n: int, k: int, r: int, m: int) -> int:
     """Signed permutations of [n+r], k+r cycles, specials distinct, every
     cycle of order >= m or all-barred, for every m >= 0.  At m <= 1 every
-    cycle is in the window and signs are free.  m = 2 dispatches to
-    triangle_ge2_rec, the paper's recurrence.
+    cycle is in the window and signs are free.
     """
-    if m == 2:
-        return triangle_ge2_rec(n, k, r)
-    return _gem(n, k, r, m)
+    return _r_table(_WindowRows, *_window(r, "assoc", m, True)).cell(n, k)
+
+
+def triangle_ge2_rec(n: int, k: int, r: int) -> int:
+    """Signed permutations of [n+r], k+r cycles, specials 1..r in distinct
+    cycles, every cycle of order >= 2 or all-barred: the window recurrence
+    at m = 2, which is the paper's remove-the-largest-element recurrence,
+    column 0 included.
+    """
+    return triangle_gem_rec(n, k, r, 2)
+
+
+def triangle_ge2_alt_rec(n: int, k: int) -> int:
+    """The r = 0 case again, via the independent three-term recurrence
+    t(n+1, k) = 2n t(n, k) + 2n t(n-1, k-1) + t(n, k-1): ``_LogRows`` at
+    signed assoc m = 2, r = 0, a public route of its own."""
+    return _table(_LogRows, 0, "assoc", 2, True).cell(n, k)
 
 
 def triangle_gem_rows(size: int, r: int, m: int) -> Iterator[list[int]]:

@@ -429,13 +429,13 @@ def _count(out):
 
 
 def test_verify_failure_reports_cell(capsys, monkeypatch):
-    orig = sequences.triangle_ge2_rec
+    orig = sequences.triangle_gem_rec
 
-    def corrupted(n, k, r):
-        v = orig(n, k, r)
-        return v + 1 if (n, k, r) == (2, 1, 1) else v
+    def corrupted(n, k, r, m):
+        v = orig(n, k, r, m)
+        return v + 1 if (n, k, r, m) == (2, 1, 1, 2) else v
 
-    monkeypatch.setattr(sequences, "triangle_ge2_rec", corrupted)
+    monkeypatch.setattr(sequences, "triangle_gem_rec", corrupted)
     code, out, _ = _run(
         capsys, ["verify", "riordan", "--max-n", "3", "--max-r", "1", "--samples", "0"]
     )

@@ -138,13 +138,25 @@ def test_array_reverts_f_once(monkeypatch):
     arr.production_sequences()
     assert arr.invert() is inverse
     assert reverted == [arr.f]
-    # g is composed with fbar once, for the inverse, and production reuses it
-    assert [inner for outer, inner in composed if outer is arr.g] == [inverse.f]
+    # 1/g is composed with fbar once, for the inverse, and production reuses it
+    reciprocal = arr.g.reciprocal()
+    assert [inner for outer, inner in composed if outer == reciprocal] == [inverse.f]
     # verify's riordan scope builds each triangle once, so it reverts each
     # once: here the m = 2 arrays for r = 0 and r = 1
     reverted.clear()
     assert run_scope("riordan", max_n=3, max_r=1, samples=0).ok
     assert len(reverted) == 2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_inverse_matches_the_reciprocal_of_the_composition(seed):
+    # 1/g composed with fbar against 1/(g composed with fbar), on verify's arrays
+    rng = random.Random(seed)
+    for order in range(1, 11):
+        arr = _random_array(rng, order)
+        fbar = arr.f.revert()
+        want = ExpRiordanArray(arr.g.compose(fbar).reciprocal(), fbar)
+        assert arr.invert() == want, (seed, order)
 
 
 def test_production_sequences_identity():

@@ -11,7 +11,6 @@ from stirlingb.permcore import oracle_total, oracle_triangle
 from stirlingb.riordan import make_triangle_B, unsigned_conjugate
 from stirlingb.sequences import (
     _d_series,
-    _gem,
     RPolynomial,
     d_asym,
     d_egf,
@@ -116,7 +115,7 @@ def test_triangle_ge2_row_sums_are_d():
 POINT_FUNCTIONS = {
     "triangle_ge2_rec": lambda n, k: triangle_ge2_rec(n, k, 1),
     "triangle_ge2_alt_rec": triangle_ge2_alt_rec,
-    "_gem": lambda n, k: _gem(n, k, 1, 3),
+    "triangle_gem_rec": lambda n, k: triangle_gem_rec(n, k, 1, 3),
     "stirlingA": lambda n, k: stirlingA(n, k, "assoc", 2),
     "rstirling1": lambda n, k: rstirling1(n, k, 1),
     "inverse_triangle_rec": lambda n, k: inverse_triangle_rec(n, k, 1),
@@ -836,7 +835,7 @@ def test_row_tables_match_per_cell_recurrences():
                 assert triangle_ge2_rec(n, k, r) == _ref_ge2(n, k, r), (n, k, r)
                 assert inverse_triangle_rec(n, k, r) == _ref_inverse(n, k, r), (n, k, r)
                 for m in (0, 1, 2, 3, 4, 5, 7):
-                    assert _gem(n, k, r, m) == _ref_gem(n, k, r, m), (n, k, r, m)
+                    assert triangle_gem_rec(n, k, r, m) == _ref_gem(n, k, r, m), (n, k, r, m)
         for m in (0, 1, 2, 3, 4, 5, 7):
             for mode in ("restr", "assoc"):
                 for k in range(n + 1):
@@ -861,11 +860,20 @@ def test_window_row_sums_match_typeB_factorial_above_the_oracle_bound():
 
 
 def test_gem_m2_matches_ge2_recurrence():
-    # triangle_gem_rec sends m = 2 to triangle_ge2_rec, so compare directly
+    # the window table at m = 2 against the paper's recurrence, cell by cell
     for r in range(5):
         for n in range(14):
             for k in range(n + 1):
-                assert _gem(n, k, r, 2) == triangle_ge2_rec(n, k, r), (n, k, r)
+                assert triangle_gem_rec(n, k, r, 2) == _ref_ge2(n, k, r), (n, k, r)
+
+
+def test_m2_point_queries_build_only_window_tables(monkeypatch):
+    monkeypatch.setattr(sequences, "_TABLES", {})
+    assert triangle_ge2_rec(5, 2, 3) == triangle_gem_rec(5, 2, 3, 2) > 0
+    keys = list(sequences._TABLES)
+    assert keys and all(
+        key[0] is sequences._WindowRows and key[3] == 2 for key in keys
+    ), keys
 
 
 def test_cold_deep_queries_do_not_recurse():
@@ -886,7 +894,7 @@ def test_cold_deep_queries_do_not_recurse():
 # -- the log-derivative engine against the other routes -----------------------------
 #
 # _LogRows reads one fixed-r rule from f' = N/D; the others are the removal
-# recurrences (_WindowRows, _Ge2Rows), which chain r-1 tables, and the oracle.
+# recurrence (_WindowRows), which chains r-1 tables, and the oracle.
 
 
 def test_log_rows_match_the_window_recurrence():
@@ -904,9 +912,16 @@ def test_log_rows_match_the_window_recurrence():
 
 def test_log_rows_match_the_ge2_recurrence():
     for r in range(5):
-        want = sequences._r_table(sequences._Ge2Rows, r)
         for n, row in enumerate(triangle_gem_rows(61, r, 2)):
-            assert row == want.row(n), (r, n)
+            assert row == [_ref_ge2(n, k, r) for k in range(n + 1)], (r, n)
+
+
+def test_log_rows_match_the_m2_window_table_deep():
+    cells = 0
+    for n, row in enumerate(triangle_gem_rows(151, 3, 2)):
+        assert row == [triangle_gem_rec(n, k, 3, 2) for k in range(n + 1)], n
+        cells += n + 1
+    assert cells == 11476
 
 
 def test_log_rows_match_the_oracle():
