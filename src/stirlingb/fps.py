@@ -147,19 +147,14 @@ class FormalPowerSeries(Record):
     def __pow__(self, k: int) -> "FormalPowerSeries":
         if not isinstance(k, int):
             return NotImplemented
-        base = self if k >= 0 else self.reciprocal()
-        k = abs(k)
-        if not k:
-            return FormalPowerSeries.one(self.order)
-        while not k & 1:  # start from the lowest set bit's power, not from one
-            base, k = base * base, k >> 1
-        result, k = base, k >> 1
-        while k:  # and square only up to the top bit
-            base = base * base
+        base, k, result = self if k >= 0 else self.reciprocal(), abs(k), None
+        while k:  # the lowest set bit takes its power, each later one multiplies it in
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:  # square only while higher bits remain
+                base = base * base
+        return FormalPowerSeries.one(self.order) if result is None else result
 
     # -- composition and reversion -------------------------------------------
 

@@ -159,15 +159,11 @@ def production_rebuild(array: ExpRiordanArray):
     a, z = array._production_series()
     d = lcm(a.d, z.d)
     a, z = ([c * (d // s.d) for c in s.nums] for s in (a, z))
-    # column 0 is i! z_i: a_{i+1} has weight 0 there, and at i = order-1 it
-    # lies past a's truncation
+    # a_{i-k+1} is read only at weight k > 0: at i = order-1, a_{i+1} lies
+    # past a's truncation
     prod = [
-        [factorial(i) * z[i]]
-        + [
-            factorial(i) // factorial(k) * (z[i - k] + k * a[i - k + 1])
-            for k in range(1, i + 1)
-        ]
-        + [a[0]]
+        [factorial(i) // factorial(k) * (z[i - k] + (k and k * a[i - k + 1]))
+         for k in range(i + 1)] + [a[0]]
         for i in range(order)
     ]
     start = array.entry(0, 0)

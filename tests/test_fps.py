@@ -211,7 +211,7 @@ def test_revert_matches_schoolbook(f):
 def test_pow_does_no_wasted_products(monkeypatch):
     s = FPS.from_coeffs([2, Fraction(-1, 3), 0, 5], 7)
     expected = {0: FPS.one(7)}
-    for k in range(1, 6):
+    for k in range(1, 41):
         expected[k] = schoolbook_mul(expected[k - 1], s)
         expected[-k] = schoolbook_mul(expected[1 - k], s.reciprocal())
     products = []
@@ -227,6 +227,13 @@ def test_pow_does_no_wasted_products(monkeypatch):
             products.clear()
             assert s**exponent == expected[exponent]
             assert len(products) == cost, exponent
+    # square-and-multiply: one squaring below the top bit, one product per
+    # set bit above the lowest
+    for k in range(1, 41):
+        for exponent in (k, -k):
+            products.clear()
+            assert s**exponent == expected[exponent]
+            assert len(products) == k.bit_length() + k.bit_count() - 2, exponent
 
 
 def horner_compose(outer, inner):

@@ -209,10 +209,12 @@ def _same_cells(got, want):
             assert _int_when_integral(x) and x == y
 
 
+# order 1 has only the row i = order - 1, where a_(i+1) lies past a's truncation
+@pytest.mark.parametrize("order", [1, 2, 9])
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("r", [0, 1, 3])
-def test_production_rebuild_matches_fraction_reference(m, r):
-    arr = make_triangle_B(m, r, order=9)
+def test_production_rebuild_matches_fraction_reference(m, r, order):
+    arr = make_triangle_B(m, r, order=order)
     _same_cells(production_rebuild(arr), _fraction_rebuild(arr))
 
 

@@ -1,8 +1,9 @@
 import itertools
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -205,12 +206,6 @@ def test_a_rational_published_as_an_int_must_be_one(value):
 
 
 # -- the general ord >= m triangle -------------------------------------------------
-
-
-def test_gem_m2_dispatch():
-    for n in range(6):
-        for k in range(n + 1):
-            assert triangle_gem_rec(n, k, 2, 2) == triangle_ge2_rec(n, k, 2)
 
 
 def test_gem_m3_against_oracle():
@@ -577,6 +572,15 @@ def test_lattice_values():
         lattice_terms(2, -1)
 
 
+def test_lattice_terms_count_the_points_of_each_l1_norm():
+    # every point of norm n <= 6 lies in the box [-6, 6]^r
+    for r in range(5):
+        norms = Counter(
+            sum(map(abs, point)) for point in itertools.product(range(-6, 7), repeat=r)
+        )
+        assert lattice_terms(r, 7) == [norms[n] for n in range(7)], r
+
+
 def test_lattice_terms_match_closed_form():
     for r in range(6):
         want = [
@@ -654,6 +658,25 @@ def test_tree_terms_match_integer_recurrence():
             + 2 * sum(comb(n, k) * y[k] * y[n + 1 - k] for k in range(1, n + 1))
         )
     assert tree_terms(40) == y[1:]
+
+
+def test_tree_terms_count_weighted_increasing_trees():
+    # grow plane increasing trees node by node: node i goes into any of the
+    # j + 1 gaps among the children of an earlier node with j children; a
+    # node with j >= 1 children weighs 2^(j+1), and term n sums the trees on
+    # n + 1 nodes
+    totals = [0] * 9
+
+    def walk(children, ways):
+        totals[len(children) - 1] += ways * prod(2 ** (j + 1) for j in children if j)
+        if len(children) < len(totals):
+            for parent, j in enumerate(children):
+                children[parent] += 1
+                walk(children + [0], ways * (j + 1))
+                children[parent] -= 1
+
+    walk([0], 1)
+    assert tree_terms(9) == totals
 
 
 def test_tree_terms_are_column_one_of_the_inverse_at_r0():
