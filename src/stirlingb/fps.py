@@ -45,6 +45,8 @@ class FormalPowerSeries(Record):
         """The series nums[k] / d (d > 0), kept in lowest terms."""
         if d < 1:
             raise ValueError("denominator must be positive")
+        if not nums:
+            raise ValueError("empty numerator list")
         g = gcd(d, *nums)
         if g > 1:
             nums, d = [c // g for c in nums], d // g

@@ -103,11 +103,11 @@ def _series_order(count: int, shift: int = 0) -> int:
 class _Rows:
     """Rows 0, 1, ... of one recurrence, kept and appended in place.
 
-    ``_next(n)`` returns row n.  It reads the rows before it, the running
-    sums its subclass carries for the last row only, and ``lower.rows``: the
-    table of the same recurrence with one special element fewer, which
-    ``row`` extends to row n first.  A query walks that chain from the
-    bottom up, so no row is ever computed by recursion.
+    Each subclass's ``_next(n)`` returns row n.  It reads the rows before
+    it, the running sums the subclass carries for the last row only, and
+    ``lower.rows``: the table of the same recurrence with one special
+    element fewer, which ``row`` extends to row n first.  A query walks
+    that chain from the bottom up, so no row is ever computed by recursion.
     """
 
     lower: _Rows | None = None
@@ -130,9 +130,6 @@ class _Rows:
     def cell(self, n: int, k: int):
         """Entry k of row n of a triangle; 0 outside 0 <= k <= n."""
         return self.row(n)[k] if 0 <= k <= n else 0
-
-    def _next(self, n: int):
-        raise NotImplementedError
 
 
 _TABLES: dict[tuple, _Rows] = {}

@@ -5,10 +5,11 @@ bounded grids.  A scope runs its checks in a fixed order and stops at the
 first failing check; the report carries the first mismatching cell with both
 values and both provenances.
 
-`SCOPE_TABLE` lists the scopes, each with its check and the options it
-reads with their defaults; the asymptotic scope checks r <= 2 only and says
-so when asked for more.  `run_scope` runs one of them, or "all" of them in
-that order up to the first failing scope.
+`SCOPE_TABLE` lists the scopes, each with the function that lists its
+checks and the options it reads with their defaults; the asymptotic scope
+checks r <= 2 only and says so when asked for more.  `run_scope` runs one of
+them, or "all" of them in that order up to the first failing check, through
+the one collector `_collect`.
 """
 
 from __future__ import annotations
@@ -106,13 +107,14 @@ class VerificationReport(Record):
 
 
 def _collect(scope: str, checks) -> VerificationReport:
-    """Run (name, cells) checks in order, each until its first mismatch, and
-    stop after the first failing check.  `cells` yields (coordinates,
-    (label, value), (label, value)) triples; a generator is not started
-    before its turn, so checks after a failure cost nothing."""
+    """Run checks in order, each until its first mismatch, and stop after the
+    first failing check.  A check is (name, cells) or (name, cells, notes);
+    `cells` yields (coordinates, (label, value), (label, value)) triples.
+    `checks` and each `cells` are read lazily, so a scope's checks are not
+    made before its turn and nothing after a failure is built."""
     report = VerificationReport(scope)
-    for name, cells in checks:
-        res = CheckResult(name)
+    for name, cells, *notes in checks:
+        res = CheckResult(name, notes=tuple(*notes))
         report.results.append(res)
         for coords, left, right in cells:
             res.comparisons += 1
@@ -158,19 +160,15 @@ def _recurrence_checks(name, label, rs, size, other):
 
 
 def _random_array(rng: random.Random, order: int) -> ExpRiordanArray:
-    g = [Fraction(rng.randint(1, 3))] + [
-        Fraction(rng.randint(-3, 3)) for _ in range(order)
-    ]
-    f = [Fraction(0), Fraction(rng.choice((1, -1, 2)))] + [
-        Fraction(rng.randint(-2, 2)) for _ in range(max(order - 1, 0))
-    ]
+    g = [rng.randint(1, 3)] + [rng.randint(-3, 3) for _ in range(order)]
+    f = [0, rng.choice((1, -1, 2))] + [rng.randint(-2, 2) for _ in range(max(order - 1, 0))]
     return ExpRiordanArray(
         FormalPowerSeries.from_coeffs(g, order),
         FormalPowerSeries.from_coeffs(f, order),
     )
 
 
-def _check_riordan(*, max_n: int, max_r: int, seed: int, samples: int) -> VerificationReport:
+def _check_riordan(*, max_n: int, max_r: int, seed: int, samples: int) -> list:
     order = max(max_n, 1)
     inv_order = min(order, 10)
     law_order = min(max(max_n, 2), 8)
@@ -215,38 +213,35 @@ def _check_riordan(*, max_n: int, max_r: int, seed: int, samples: int) -> Verifi
         got, want = laws(sample)[name]
         return got(n, k), want(n, k)
 
-    return _collect(
-        "riordan",
-        [
-            *_recurrence_checks("triangle-recurrence-vs-riordan[m=%d]", "riordan", rs, max_n,
-                                lambda m, r, n, k: triangle(m, r, order).entry(n, k)),
-            ("group-inverse-two-sided", _cells(
-                lambda r, n, k, side: (products(r)[side].entry(n, k), ident.entry(n, k)),
-                ("riordan", "riordan"), rs, *_n_k(inv_order), ("side", ("right", "left")),
-            )),
-            ("inverse-recurrence-vs-conjugate", _cells(
-                lambda r, n, k: (
-                    sequences.inverse_triangle_rec(n, k, r), conjugate_inverse(r).entry(n, k)
-                ),
-                ("recurrence", "riordan"), rs, *_n_k(max_n),
-            )),
-            ("production-matrix-rebuild", _cells(
-                lambda r, n, k: (rebuilt(r)[n][k], triangle(2, r, order).entry(n, k)),
-                ("riordan", "riordan"), rs, *_n_k(order),
-            )),
-            ("random-group-laws", _cells(
-                law, ("riordan", "riordan"),
-                ("sample", range(samples if max_n > 0 else 0)), *_n_k(law_order),
-                ("law", ("unit", "inverse", "associativity", "production")),
-            )),
-        ],
-    )
+    return [
+        *_recurrence_checks("triangle-recurrence-vs-riordan[m=%d]", "riordan", rs, max_n,
+                            lambda m, r, n, k: triangle(m, r, order).entry(n, k)),
+        ("group-inverse-two-sided", _cells(
+            lambda r, n, k, side: (products(r)[side].entry(n, k), ident.entry(n, k)),
+            ("riordan", "riordan"), rs, *_n_k(inv_order), ("side", ("right", "left")),
+        )),
+        ("inverse-recurrence-vs-conjugate", _cells(
+            lambda r, n, k: (
+                sequences.inverse_triangle_rec(n, k, r), conjugate_inverse(r).entry(n, k)
+            ),
+            ("recurrence", "riordan"), rs, *_n_k(max_n),
+        )),
+        ("production-matrix-rebuild", _cells(
+            lambda r, n, k: (rebuilt(r)[n][k], triangle(2, r, order).entry(n, k)),
+            ("riordan", "riordan"), rs, *_n_k(order),
+        )),
+        ("random-group-laws", _cells(
+            law, ("riordan", "riordan"),
+            ("sample", range(samples if max_n > 0 else 0)), *_n_k(law_order),
+            ("law", ("unit", "inverse", "associativity", "production")),
+        )),
+    ]
 
 
 # -- oracle scope ----------------------------------------------------------------
 
 
-def _check_oracle(*, max_n: int, max_r: int, bound: int | None) -> VerificationReport:
+def _check_oracle(*, max_n: int, max_r: int, bound: int | None) -> list:
     rs = ("r", range(max_r + 1))
     delta_forms = cache(sequences.diagonals_delta)  # both entries of an (m, r, n) in one call
     entries = ("(n+1,n)", "(n+2,n)")
@@ -258,58 +253,50 @@ def _check_oracle(*, max_n: int, max_r: int, bound: int | None) -> VerificationR
             oracle_triangle(n + d + 1, r, n, "assoc", m, bound=bound),
         )
 
-    return _collect(
-        "oracle",
-        [
-            *_recurrence_checks(
-                "triangle-vs-oracle[m=%d]", "oracle", rs, max_n,
-                lambda m, r, n, k: oracle_triangle(n, r, k, "assoc", m, bound=bound)),
-            ("window-totals-vs-convolution", _cells(
-                lambda m, mode, n: (
-                    sequences.typeB_factorial_conv(n, mode, m),
-                    oracle_total(n, 0, mode, m, bound=bound),
-                ),
-                ("explicit", "oracle"),
-                ("m", (2, 3)), ("mode", ("assoc", "restr")), ("n", range(max_n + 1)),
-            )),
-            ("subdiagonal-closed-forms-vs-oracle", _cells(
-                subdiagonal, ("explicit", "oracle"), ("m", (1, 2, 3)), rs,
-                ("n", range(max_n + 1)), ("entry", lambda m, r, n: entries[:max_n - n]),
-            )),
-        ],
-    )
+    return [
+        *_recurrence_checks(
+            "triangle-vs-oracle[m=%d]", "oracle", rs, max_n,
+            lambda m, r, n, k: oracle_triangle(n, r, k, "assoc", m, bound=bound)),
+        ("window-totals-vs-convolution", _cells(
+            lambda m, mode, n: (
+                sequences.typeB_factorial_conv(n, mode, m),
+                oracle_total(n, 0, mode, m, bound=bound),
+            ),
+            ("explicit", "oracle"),
+            ("m", (2, 3)), ("mode", ("assoc", "restr")), ("n", range(max_n + 1)),
+        )),
+        ("subdiagonal-closed-forms-vs-oracle", _cells(
+            subdiagonal, ("explicit", "oracle"), ("m", (1, 2, 3)), rs,
+            ("n", range(max_n + 1)), ("entry", lambda m, r, n: entries[:max_n - n]),
+        )),
+    ]
 
 
 # -- howard scope ----------------------------------------------------------------
 
 
-def _check_howard(*, max_n: int, max_r: int) -> VerificationReport:
+def _check_howard(*, max_n: int, max_r: int) -> list:
     labels, rs, n_k = ("recurrence", "explicit"), ("r", range(max_r + 1)), _n_k(max_n)
-    return _collect(
-        "howard",
-        [
-            ("howard-type-a", _cells(
-                lambda n, k: (
-                    sequences.stirling1(n, n - k), sequences.stirling1_howard(n, n - k)
-                ),
-                labels, *n_k,
-            )),
-            ("howard-type-b", _cells(
-                lambda m, r, n, k: (
-                    sequences.triangle_gem_rec(n, k, r, m),
-                    sequences.triangle_gem_howard(n, k, r, m),
-                ),
-                labels, ("m", (2, 3)), rs, *n_k,
-            )),
-            ("howard-free-sign-reduction", _cells(
-                lambda r, n, k: (
-                    2 ** (n + r) * sequences.rstirling1(n, k, r),
-                    sequences.free_sign_howard(n, k, r),
-                ),
-                labels, rs, *n_k,
-            )),
-        ],
-    )
+    return [
+        ("howard-type-a", _cells(
+            lambda n, k: (sequences.stirling1(n, n - k), sequences.stirling1_howard(n, n - k)),
+            labels, *n_k,
+        )),
+        ("howard-type-b", _cells(
+            lambda m, r, n, k: (
+                sequences.triangle_gem_rec(n, k, r, m),
+                sequences.triangle_gem_howard(n, k, r, m),
+            ),
+            labels, ("m", (2, 3)), rs, *n_k,
+        )),
+        ("howard-free-sign-reduction", _cells(
+            lambda r, n, k: (
+                2 ** (n + r) * sequences.rstirling1(n, k, r),
+                sequences.free_sign_howard(n, k, r),
+            ),
+            labels, rs, *n_k,
+        )),
+    ]
 
 
 # -- asymptotic scope --------------------------------------------------------------
@@ -333,7 +320,7 @@ def _format_fraction(value: Fraction, precision: int) -> str:
 _ASYMPTOTIC_MAX_R = 2
 
 
-def _check_asymptotic(*, max_n: int, max_r: int, precision: int) -> VerificationReport:
+def _check_asymptotic(*, max_n: int, max_r: int, precision: int) -> list:
     target = inv_sqrt_e()
     grid = [n for n in (10, 20, 30) if n <= max_n]
     checked_r = range(min(max_r, _ASYMPTOTIC_MAX_R) + 1)
@@ -342,7 +329,7 @@ def _check_asymptotic(*, max_n: int, max_r: int, precision: int) -> Verification
         ratio = Fraction(sequences.d_rec(r, n), factorial(n)) / sequences.d_asym(r, n)
         return abs(ratio / target - 1)
 
-    # formed once per (r, n): the first check reads them all, the notes the last
+    # formed once per (r, n): the first check reads them all, its notes the last
     errors_by_r = {r: [ratio_error(r, n) for n in grid] for r in checked_r}
 
     def decreasing():
@@ -370,32 +357,29 @@ def _check_asymptotic(*, max_n: int, max_r: int, precision: int) -> Verification
                 ("explicit", True),
             )
 
-    report = _collect(
-        "asymptotic",
-        [("ratio-error-decreasing", decreasing()), ("plain-ratio-near-limit", plain_limit())],
-    )
-    first = report.results[0]
-    notes = []
-    if first.ok and grid:
-        for r, errors in errors_by_r.items():
-            notes.append(
-                "r=%d error at n=%d: %s"
-                % (r, grid[-1], _format_fraction(errors[-1], precision))
-            )
+    # the per-r errors are noted only when every cell of the check holds
+    cells = list(decreasing())
+    holds = grid and all(left[1] == right[1] for _, left, right in cells)
+    notes = [
+        "r=%d error at n=%d: %s" % (r, grid[-1], _format_fraction(errors[-1], precision))
+        for r, errors in errors_by_r.items() if holds
+    ]
     if max_r > _ASYMPTOTIC_MAX_R:
         notes.append(
             "r=%d..%d not checked: d_asym keeps two terms, too few for r > %d"
             % (_ASYMPTOTIC_MAX_R + 1, max_r, _ASYMPTOTIC_MAX_R)
         )
-    first.notes = tuple(notes)
-    return report
+    return [
+        ("ratio-error-decreasing", cells, tuple(notes)),
+        ("plain-ratio-near-limit", plain_limit()),
+    ]
 
 
 # -- scope table --------------------------------------------------------------------
 
-# scope -> (check, {option: default}), in the order `all` runs them.  These are
-# the only defaults and the only record of which options a scope reads:
-# run_scope hands each check its own, and the CLI rejects any other.
+# scope -> (lister of its checks, {option: default}), in the order `all` runs
+# them.  These are the only defaults and the only record of which options a
+# scope reads: run_scope hands each lister its own, and the CLI rejects any other.
 SCOPE_TABLE = {
     "riordan": (_check_riordan, {"max_n": 8, "max_r": 3, "seed": 20240801, "samples": 12}),
     "oracle": (_check_oracle, {"max_n": 4, "max_r": 2, "bound": None}),
@@ -408,7 +392,7 @@ SCOPES = ("all",) + tuple(SCOPE_TABLE)
 
 def run_scope(scope: str, **options) -> VerificationReport:
     """Run one scope, or, for "all", every scope in table order until the
-    first failing one.  Each check takes the options it reads from
+    first failing check.  Each scope takes the options it reads from
     `options`, its SCOPE_TABLE defaults filling in the rest; an option that
     no scope reads is a TypeError.  When the oracle scope is among those to
     run, its grid is checked against the enumeration bound before any scope
@@ -429,10 +413,4 @@ def run_scope(scope: str, **options) -> VerificationReport:
         grid = runs["oracle"][1]
         for size in range(grid["max_n"] + grid["max_r"] + 1):
             check_bound(size, grid["bound"])
-    report = VerificationReport(scope)
-    for check, kwargs in runs.values():
-        sub = check(**kwargs)
-        report.results.extend(sub.results)
-        if not sub.ok:
-            break
-    return report
+    return _collect(scope, (c for check, kwargs in runs.values() for c in check(**kwargs)))

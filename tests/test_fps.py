@@ -392,6 +392,7 @@ def test_integer_kernels_form_no_fraction(fractions_formed):
         (lambda: FPS.from_coeffs([]), ValueError, r"^empty coefficient list and no order$"),
         (lambda: FPS.from_coeffs([1], -1), ValueError, r"^order must be >= 0$"),
         (lambda: FPS((1,), 0), ValueError, r"^denominator must be positive$"),
+        (lambda: FPS((), 1), ValueError, r"^empty numerator list$"),
         # there is no + or -, and * and ** return NotImplemented, so Python raises
         # for both sides
         (lambda: FPS.x(2) + "x", TypeError,
@@ -421,9 +422,9 @@ def test_integer_kernels_form_no_fraction(fractions_formed):
         (lambda: FPS.one(0).derivative(), ValueError,
          r"^derivative of an order-0 truncation is undefined$"),
     ],
-    ids=["float-coefficient", "empty", "negative-order", "zero-denominator", "add-str",
-         "str-sub", "mul-str", "sub-str", "add-int", "int-sub", "int-mul", "mul-fraction",
-         "float-power", "add-series", "exp", "derivative-order-0"],
+    ids=["float-coefficient", "empty", "negative-order", "zero-denominator", "no-numerators",
+         "add-str", "str-sub", "mul-str", "sub-str", "add-int", "int-sub", "int-mul",
+         "mul-fraction", "float-power", "add-series", "exp", "derivative-order-0"],
 )
 def test_invalid_input_raises(call, error, message):
     with pytest.raises(error, match=message):

@@ -2,6 +2,7 @@
 benchmark's verify gate expects of each scope."""
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -211,7 +212,9 @@ def _plant(monkeypatch, check, cell):
             yield coords, left, right
 
     def collect_planted(scope, checks):
-        return collect(scope, [(name, planted(name, cells)) for name, cells in checks])
+        return collect(
+            scope, ((name, planted(name, cells), *rest) for name, cells, *rest in checks)
+        )
 
     monkeypatch.setattr(verify, "_collect", collect_planted)
 
@@ -263,6 +266,45 @@ def test_a_failed_recurrence_check_starts_no_later_check(monkeypatch, scope, che
     assert [res.name for res in report.results] == [check] and not report.ok
     assert ("triangle_gem_rec", 2) in calls
     assert all(m != 3 for _, m in calls), calls
+
+
+def test_a_failing_scope_builds_no_later_scope(monkeypatch):
+    """Under "all", a scope's checks are listed only in its turn, so none is
+    listed after the first riordan cell fails."""
+    real = verify.sequences.triangle_gem_rec
+    monkeypatch.setattr(
+        verify.sequences, "triangle_gem_rec",
+        lambda n, k, r, m: real(n, k, r, m) + (n == k == r == 0),
+    )
+    listed = []
+
+    def spy(scope):
+        def lister(**options):
+            listed.append(scope)
+            return []
+        return lister
+
+    for scope in ("oracle", "howard", "asymptotic"):
+        defaults = verify.SCOPE_TABLE[scope][1]
+        monkeypatch.setitem(verify.SCOPE_TABLE, scope, (spy(scope), defaults))
+    report = verify.run_scope("all", max_n=3, max_r=1, samples=1)
+    assert [res.name for res in report.results] == ["triangle-recurrence-vs-riordan[m=2]"]
+    assert not report.ok and listed == []
+
+
+def test_a_failing_asymptotic_check_prints_only_the_cap_note(capsys, monkeypatch):
+    """The per-r errors are noted only when their check holds; the r-cap
+    note is printed whatever the verdict."""
+    real = verify.sequences.d_asym
+    monkeypatch.setattr(
+        verify.sequences, "d_asym", lambda r, n: real(r, n) * (1 + Fraction(n, 1000))
+    )
+    assert _run(capsys, "verify asymptotic --max-r 4") == (1, [
+        "FAIL ratio-error-decreasing at (r=0, from_n=10, to_n=20): "
+        "recurrence gives False but explicit gives True",
+        "     r=3..4 not checked: d_asym keeps two terms, too few for r > 2",
+        "scope asymptotic: FAIL (1 checks, 1 comparisons)",
+    ], "")
 
 
 @pytest.fixture(scope="module")
