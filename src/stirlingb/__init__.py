@@ -6,15 +6,18 @@ and the matching derangement-style counts along several independent routes
 and can cross-check all of them against a brute-force enumeration oracle.
 
 The package exports exactly the `__all__` names of `fps`, `permcore`,
-`riordan` and `sequences`.  Each layer loads on first use: reading
-`stirlingb.<layer>`, one of its names or `__all__` imports it (PEP 562).
+`riordan` and `sequences`.  Each layer loads on first use (PEP 562):
+`stirlingb.<layer>` loads it, `__all__` loads all four, and a name loads
+the layers up to its own in the order `permcore`, `sequences`, `fps`,
+`riordan`, so a `permcore` or `sequences` name loads no Fraction layer.
 """
 
 import importlib.util
 
 __version__ = "0.1.0"
 
-_LAYERS = ("fps", "permcore", "riordan", "sequences")
+# the order a name is looked up in: the layers that load no Fraction first
+_LAYERS = ("permcore", "sequences", "fps", "riordan")
 
 
 def __getattr__(name):

@@ -42,13 +42,9 @@ FORMATS = ("csv", "json", "pretty")
 DEFAULT_SIZE = 8
 
 
-class UsageError(Exception):
-    pass
-
-
 def _inverse_rows(size: int, m: int, r: int) -> list:
     if m != 2:
-        raise UsageError("family 'inverse' supports --m 2 only")
+        raise ValueError("family 'inverse' supports --m 2 only")
     array = riordan.make_triangle_B(2, r, order=max(size - 1, 1))
     # (DAD)^-1 = D A^-1 D: the inverse of the conjugate is the conjugated inverse
     conj = riordan.unsigned_conjugate(array).invert()
@@ -56,7 +52,7 @@ def _inverse_rows(size: int, m: int, r: int) -> list:
     for n, row in enumerate(rows):
         for k, v in enumerate(row):
             if type(v) is not int:
-                raise UsageError("non-integer inverse entry at (%d, %d)" % (n, k))
+                raise ValueError("non-integer inverse entry at (%d, %d)" % (n, k))
     return rows
 
 
@@ -121,16 +117,16 @@ def _cmd_values(args) -> tuple[Iterable[str], int]:
     kind, provenance, reads, values = _FAMILIES[family]
     given = {f: v for f in ("m", "r", "mode") if (v := getattr(args, f)) is not None}
     if family in ("stirling-b", "inverse") and given.pop("mode", "assoc") != "assoc":
-        raise UsageError("family '%s' supports --mode assoc only" % family)
+        raise ValueError("family '%s' supports --mode assoc only" % family)
     for flag in given:
         if flag not in reads:
-            raise UsageError("family '%s' does not take --%s" % (family, flag))
+            raise ValueError("family '%s' does not take --%s" % (family, flag))
     params = dict(reads, **given)
     for flag in ("m", "r"):
         if params.get(flag, 0) < 0:
-            raise UsageError("--%s must be >= 0, got %d" % (flag, params[flag]))
+            raise ValueError("--%s must be >= 0, got %d" % (flag, params[flag]))
     if args.size < 1:
-        raise UsageError("%s must be >= 1" % args.size_flag)
+        raise ValueError("%s must be >= 1" % args.size_flag)
     # m and r are always keys, null for a family that does not take them
     payload = {"family": family, "m": None, "r": None, "provenance": provenance}
     payload.update(params)
@@ -145,17 +141,16 @@ def _cmd_verify(args) -> tuple[Iterable[str], int]:
     # the parser defaults every option to None: one left unset takes its SCOPE_TABLE default
     options = {name: v for name in _COMMANDS["verify"][3]
                if (v := getattr(args, name)) is not None}
-    for name, low in (("max_n", 0), ("max_r", 0), ("samples", 0), ("precision", 1)):
-        value = options.get(name, low)
-        if value < low:
-            raise UsageError("%s must be >= %d, got %d" % (_flag(name), low, value))
+    for name, least in verify._LEAST.items():
+        if options.get(name, least) < least:
+            raise ValueError("%s must be >= %d, got %d" % (_flag(name), least, options[name]))
     if args.scope != "all":
         reads = verify.SCOPE_TABLE[args.scope][1]
         for name in options:
             if name not in reads:
-                raise UsageError("scope '%s' does not take %s" % (args.scope, _flag(name)))
+                raise ValueError("scope '%s' does not take %s" % (args.scope, _flag(name)))
     if options.get("bound", 0) < 0:
-        raise UsageError("--max-enum must be >= 0, got %d" % options["bound"])
+        raise ValueError("--max-enum must be >= 0, got %d" % options["bound"])
     report = verify.run_scope(args.scope, **options)
     return ["\n".join(report.lines())], 0 if report.ok else 1
 
@@ -163,7 +158,7 @@ def _cmd_verify(args) -> tuple[Iterable[str], int]:
 def _cmd_oracle(args) -> tuple[Iterable[str], int]:
     for flag in ("n", "r", "m", "k", "max_enum"):
         if (value := getattr(args, flag)) is not None and value < 0:
-            raise UsageError("%s must be >= 0, got %d" % (_flag(flag), value))
+            raise ValueError("%s must be >= 0, got %d" % (_flag(flag), value))
     if args.k is None:
         value = oracle_total(args.n, args.r, args.mode, args.m, bound=args.max_enum)
     else:
@@ -305,7 +300,7 @@ def main(argv=None) -> int:
         for piece in pieces:  # a table's rows are written as they are made
             print(piece, end="")
         print(flush=True)
-    except (EnumerationLimitError, UsageError, ValueError) as exc:
+    except (EnumerationLimitError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except BrokenPipeError:

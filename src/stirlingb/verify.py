@@ -323,47 +323,23 @@ _ASYMPTOTIC_MAX_R = 2
 def _check_asymptotic(*, max_n: int, max_r: int, precision: int) -> list:
     target = inv_sqrt_e()
     grid = [n for n in (10, 20, 30) if n <= max_n]
-    checked_r = range(min(max_r, _ASYMPTOTIC_MAX_R) + 1)
-
-    def ratio_error(r, n):
-        ratio = Fraction(sequences.d_rec(r, n), factorial(n)) / sequences.d_asym(r, n)
-        return abs(ratio / target - 1)
-
-    # formed once per (r, n): the first check reads them all, its notes the last
-    errors_by_r = {r: [ratio_error(r, n) for n in grid] for r in checked_r}
-
-    def decreasing():
-        for r, errors in errors_by_r.items():
-            for a, b, na, nb in zip(errors, errors[1:], grid, grid[1:]):
-                yield (
-                    (("r", r), ("from_n", na), ("to_n", nb)),
-                    ("recurrence", a > b),
-                    ("explicit", True),
-                )
-            if grid and grid[-1] == 30:
-                yield (
-                    (("r", r), ("n", 30), ("threshold", "0.05")),
-                    ("recurrence", errors[-1] < Fraction(1, 20)),
-                    ("explicit", True),
-                )
-
-    def plain_limit():
-        if max_n >= 25:
-            n = 25
-            ratio = Fraction(sequences.d_rec(0, n), factorial(n) * 2**n)
-            yield (
-                (("n", n), ("threshold", "0.01")),
-                ("recurrence", abs(ratio - target) < Fraction(1, 100)),
-                ("explicit", True),
-            )
-
+    # one pass over r forms that r's errors at the grid points, its cells and its note
+    cells, notes = [], []
+    for r in range(min(max_r, _ASYMPTOTIC_MAX_R) + 1):
+        errors = [abs(Fraction(sequences.d_rec(r, n), factorial(n))
+                      / sequences.d_asym(r, n) / target - 1) for n in grid]
+        cells += [((("r", r), ("from_n", na), ("to_n", nb)),
+                   ("recurrence", a > b), ("explicit", True))
+                  for a, b, na, nb in zip(errors, errors[1:], grid, grid[1:])]
+        if 30 in grid:
+            cells.append(((("r", r), ("n", 30), ("threshold", "0.05")),
+                          ("recurrence", errors[-1] < Fraction(1, 20)), ("explicit", True)))
+        if grid:
+            notes.append("r=%d error at n=%d: %s"
+                         % (r, grid[-1], _format_fraction(errors[-1], precision)))
     # the per-r errors are noted only when every cell of the check holds
-    cells = list(decreasing())
-    holds = grid and all(left[1] == right[1] for _, left, right in cells)
-    notes = [
-        "r=%d error at n=%d: %s" % (r, grid[-1], _format_fraction(errors[-1], precision))
-        for r, errors in errors_by_r.items() if holds
-    ]
+    if not all(left[1] for _, left, _ in cells):
+        notes = []
     if max_r > _ASYMPTOTIC_MAX_R:
         notes.append(
             "r=%d..%d not checked: d_asym keeps two terms, too few for r > %d"
@@ -371,7 +347,15 @@ def _check_asymptotic(*, max_n: int, max_r: int, precision: int) -> list:
         )
     return [
         ("ratio-error-decreasing", cells, tuple(notes)),
-        ("plain-ratio-near-limit", plain_limit()),
+        ("plain-ratio-near-limit", _cells(
+            lambda n, threshold: (
+                abs(Fraction(sequences.d_rec(0, n), factorial(n) * 2**n) - target)
+                < Fraction(1, 100),
+                True,
+            ),
+            ("recurrence", "explicit"),
+            ("n", (25,) if max_n >= 25 else ()), ("threshold", ("0.01",)),
+        )),
     ]
 
 
@@ -389,19 +373,27 @@ SCOPE_TABLE = {
 
 SCOPES = ("all",) + tuple(SCOPE_TABLE)
 
+# option -> its least value: below it a grid is empty, or has no digits to
+# print, and its scope would report a vacuous PASS
+_LEAST = {"max_n": 0, "max_r": 0, "samples": 0, "precision": 1}
+
 
 def run_scope(scope: str, **options) -> VerificationReport:
     """Run one scope, or, for "all", every scope in table order until the
     first failing check.  Each scope takes the options it reads from
     `options`, its SCOPE_TABLE defaults filling in the rest; an option that
-    no scope reads is a TypeError.  When the oracle scope is among those to
-    run, its grid is checked against the enumeration bound before any scope
-    starts."""
+    no scope reads is a TypeError, and a max_n, max_r or samples below 0 or
+    a precision below 1 is a ValueError, as that grid would pass vacuously.
+    When the oracle scope is among those to run, its grid is checked against
+    the enumeration bound before any scope starts."""
     if scope != "all" and scope not in SCOPE_TABLE:
         raise ValueError("scope must be one of %s, got %r" % (SCOPES, scope))
     for name in options:
         if not any(name in defaults for _, defaults in SCOPE_TABLE.values()):
             raise TypeError("run_scope() got an unexpected keyword argument %r" % name)
+    for name, least in _LEAST.items():
+        if options.get(name, least) < least:
+            raise ValueError("%s must be >= %d, got %d" % (name, least, options[name]))
     runs = {
         name: (check, {key: options.get(key, value) for key, value in defaults.items()})
         for name, (check, defaults) in SCOPE_TABLE.items()

@@ -784,6 +784,22 @@ NOT_FOR_ORACLE = NOT_FOR_INTEGERS | {"json", "__future__", "stirlingb.sequences"
 
 
 @pytest.mark.parametrize(
+    "names, read, unread",
+    [
+        ("d_rec, triangle_gem_rows", {"stirlingb.sequences"},
+         FRACTION_LAYER | {"stirlingb.riordan"}),
+        ("oracle_triangle", {"stirlingb.permcore"},
+         FRACTION_LAYER | {"stirlingb.riordan", "stirlingb.sequences"}),
+    ],
+)
+def test_a_package_name_loads_only_the_layers_it_passes(names, read, unread):
+    # the package looks a name up in the layers that load no Fraction first
+    script = "import sys\nfrom stirlingb import %s\nprint(' '.join(sys.modules))\n" % names
+    loaded = set(_fresh(["-c", script]).split())
+    assert read <= loaded and loaded & unread == set()
+
+
+@pytest.mark.parametrize(
     "argv, read, unread",
     [
         ("oracle --n 3", set(), NOT_FOR_ORACLE),

@@ -339,3 +339,36 @@ def test_an_option_no_scope_reads_is_a_type_error(scope):
         TypeError, match=r"^run_scope\(\) got an unexpected keyword argument 'bogus'$"
     ):
         verify.run_scope(scope, bogus=1)
+
+
+@pytest.mark.parametrize(
+    "scope, option, value, least",
+    [
+        ("oracle", "max_n", -1, 0), ("all", "max_r", -3, 0), ("riordan", "samples", -2, 0),
+        ("asymptotic", "precision", 0, 1), ("howard", "samples", -1, 0),
+    ],
+)
+def test_a_grid_that_would_pass_vacuously_is_a_value_error(scope, option, value, least):
+    # the library keeps the CLI's floors: below them a scope passes with 0
+    # comparisons; an option another scope reads is held to its floor too
+    with pytest.raises(ValueError, match=r"^%s must be >= %d, got %d$" % (option, least, value)):
+        verify.run_scope(scope, **{option: value})
+
+
+def test_a_failing_asymptotic_check_leaves_the_plain_limit_unformed(monkeypatch):
+    """plain-ratio-near-limit reads d_rec(0, 25) only in its turn, which a
+    failing ratio-error-decreasing check never gives it."""
+    real_asym, real_rec, calls = verify.sequences.d_asym, verify.sequences.d_rec, []
+    monkeypatch.setattr(
+        verify.sequences, "d_asym", lambda r, n: real_asym(r, n) * (1 + Fraction(n, 1000))
+    )
+
+    def d_rec(r, n):
+        calls.append((r, n))
+        return real_rec(r, n)
+
+    monkeypatch.setattr(verify.sequences, "d_rec", d_rec)
+    report = verify.run_scope("asymptotic")
+    assert [res.name for res in report.results] == ["ratio-error-decreasing"]
+    assert not report.ok
+    assert (0, 30) in calls and (0, 25) not in calls
