@@ -9,14 +9,14 @@ The package exports exactly the `__all__` names of `fps`, `permcore`,
 `riordan` and `sequences`.  Each layer loads on first use (PEP 562):
 `stirlingb.<layer>` loads it, `__all__` loads all four, and a name loads
 the layers up to its own in the order `permcore`, `sequences`, `fps`,
-`riordan`, so a `permcore` or `sequences` name loads no Fraction layer.
+`riordan`, so a `permcore` or `sequences` name loads no series layer.
 """
 
 import importlib.util
 
 __version__ = "0.1.0"
 
-# the order a name is looked up in: the layers that load no Fraction first
+# the order a name is looked up in: the layers that need no series first
 _LAYERS = ("permcore", "sequences", "fps", "riordan")
 
 

@@ -31,7 +31,7 @@ def _on_first_read(name: str):
 
 
 # `oracle` and `--help` read none of these, and the integer `table`/`seq` families
-# only `sequences`, which loads `fps` and `fractions` for its series routes alone
+# only `sequences`, which loads `fps` for its series routes alone
 riordan, sequences, verify = map(_on_first_read, ("riordan", "sequences", "verify"))
 
 # verify.SCOPES, which the parser offers without loading verify

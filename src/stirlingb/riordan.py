@@ -14,12 +14,13 @@ length L may carry, for every window m >= 0.  The table builds column k + 1
 as the series product of column k and f; the inverse (1 / g(fbar), fbar) is
 cached, so an array reverts f and composes 1/g with fbar at most once.
 Entries, of the table and of production_rebuild, are ints when integral and
-reduced Fractions otherwise.
+reduced Fractions otherwise.  The triangle's series are built on integers over
+one denominator and ``fractions`` is imported only where a non-integral entry
+or a ``coeffs`` read forms a Fraction, so an integer array never loads it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm
 
@@ -111,6 +112,8 @@ class ExpRiordanArray(Record):
         return self.g * h.compose(self.f)
 
     def _production_series(self) -> tuple[FormalPowerSeries, FormalPowerSeries]:
+        if not self.order:
+            raise ValueError("production sequences need order >= 1, got order 0")
         inv = self._inverse
         a = self.f.derivative().compose(inv.f)
         return a, self.g.derivative().compose(inv.f) * inv.g
@@ -127,7 +130,10 @@ class ExpRiordanArray(Record):
 def _exact(num: int, den: int) -> int | Fraction:
     """num / den (den > 0): an int when integral, else a reduced Fraction."""
     q, rem = divmod(num, den)
-    return Fraction(num, den) if rem else q
+    if not rem:
+        return q
+    import fractions  # a plain import: ``from fractions import`` costs several times more
+    return fractions.Fraction(num, den)
 
 
 def unsigned_conjugate(array: ExpRiordanArray) -> ExpRiordanArray:
@@ -155,7 +161,9 @@ def production_rebuild(array: ExpRiordanArray):
     If l(0, 0) = c / e, row n is N_n / (e * D^n) with N_0 = (c, 0, ..., 0)
     and N_{n+1} = N_n Q, all in integers.
     """
-    order = array.order
+    order, start = array.order, array.entry(0, 0)
+    if not order:  # row 0 is the whole array: no production sequence is read
+        return [[start]]
     a, z = array._production_series()
     d = lcm(a.d, z.d)
     a, z = ([c * (d // s.d) for c in s.nums] for s in (a, z))
@@ -166,7 +174,6 @@ def production_rebuild(array: ExpRiordanArray):
          for k in range(i + 1)] + [a[0]]
         for i in range(order)
     ]
-    start = array.entry(0, 0)
     rows = [[start.numerator] + [0] * order]
     for n in range(order):
         new = [0] * (order + 1)
@@ -203,7 +210,6 @@ def make_triangle_B(m: int, r: int, order: int) -> ExpRiordanArray:
         raise ValueError("order must be >= 1")
     # w[L] for L = 1..order+1, so that f' = sum w_(L+1) x^L reaches the order
     w = [0] + [2**L if L >= m else 1 for L in range(1, order + 2)]
-    f = [0] + [Fraction(w[L], L) for L in range(1, order + 1)]
-    return ExpRiordanArray(
-        FormalPowerSeries.from_coeffs(w[1:]) ** r, FormalPowerSeries.from_coeffs(f)
-    )
+    d = lcm(*range(1, order + 1))  # f = sum w_L (d / L) x^L over d
+    f = FormalPowerSeries([0] + [w[L] * (d // L) for L in range(1, order + 1)], d)
+    return ExpRiordanArray(FormalPowerSeries(w[1:], 1) ** r, f)

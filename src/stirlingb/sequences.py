@@ -37,11 +37,13 @@ which reads a bounded number of rows back and keeps only those.
 The series-backed families (``d_egf``, ``lattice_terms``, ``tree_terms``)
 take a term count and read every term from one series truncated at the
 order that count needs.  They are the only routes that read ``fps``, and
-each imports it when called, so the integer tables load no Fraction layer.
+each imports it when called, so the integer tables load no series layer.
+They read each term off integer numerators, so only ``d_egf`` (by ``exp``)
+and ``d_asym``, whose contract is a Fraction, load ``fractions``.
 
 Everything returns exact ints (or Fraction where the contract says so).  An
-exact rational published as an int goes through ``_int``, which raises
-``ArithmeticError`` naming the value if it is not one.
+exact rational published as an int goes through ``_int(num, den, name)``,
+which raises ``ArithmeticError`` naming the value if it is not one.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator
 from itertools import zip_longest
-from math import comb, factorial, perm
+from math import comb, factorial, gcd, lcm, perm
 from operator import add
 
 from ._record import Record
@@ -82,11 +84,13 @@ __all__ = [
 ]
 
 
-def _int(value, name: str) -> int:
-    """``value`` (an int or Fraction) as an int; ``name`` says which value."""
-    if value.denominator != 1:
-        raise ArithmeticError("%s is not an integer: %s" % (name, value))
-    return int(value)
+def _int(num: int, den: int, name: str) -> int:
+    """num / den (den > 0) as an int; ``name`` says which value."""
+    q, rem = divmod(num, den)
+    if rem:
+        g = gcd(num, den)
+        raise ArithmeticError("%s is not an integer: %d/%d" % (name, num // g, den // g))
+    return q
 
 
 def _series_order(count: int, shift: int = 0) -> int:
@@ -450,7 +454,8 @@ def d_egf(r: int, count: int) -> list[int]:
     if r < 0:
         raise ValueError("r must be >= 0")
     series = _d_series(r, _series_order(count))
-    return [_int(series.egf_coeff(n), "d_egf(%d)[%d]" % (r, n)) for n in range(count)]
+    return [_int(factorial(n) * series.nums[n], series.d, "d_egf(%d)[%d]" % (r, n))
+            for n in range(count)]
 
 
 class RPolynomial(Record):
@@ -521,30 +526,25 @@ def lattice_terms(r: int, count: int) -> list[int]:
         FormalPowerSeries.from_coeffs([1, 1], order)
         * FormalPowerSeries.from_coeffs([1, -1], order).reciprocal()
     ) ** r
-    return [_int(series.coeff(n), "lattice_terms(%d)[%d]" % (r, n)) for n in range(count)]
+    return [_int(series.nums[n], series.d, "lattice_terms(%d)[%d]" % (r, n))
+            for n in range(count)]
 
 
 def diagonals(n: int, r: int) -> tuple[int, int]:
     """Closed forms for the two subdiagonal entries (n+1, n) and (n+2, n)
     of the ord >= 2 triangle, the dedicated quadratic forms;
     ``diagonals_delta`` covers every m."""
-    from fractions import Fraction
     if r < 0 or n < 0:
         raise ValueError("r and n must be >= 0")
     first = 2 * (n + 1) * (n + 2 * r)
-    second = (
-        Fraction(4, 3)
-        * comb(n + 2, 2)
-        * (3 * n * n + n + 12 * n * r + 12 * r * r)
-    )
-    return first, _int(second, "diagonals(%d, %d)[1]" % (n, r))
+    second = 4 * comb(n + 2, 2) * (3 * n * n + n + 12 * n * r + 12 * r * r)
+    return first, _int(second, 3, "diagonals(%d, %d)[1]" % (n, r))
 
 
 def diagonals_delta(n: int, r: int, m: int) -> tuple[int, int]:
     """The same two subdiagonals for any m >= 0, written with Kronecker
     deltas in the exponents; m = 0 is the m = 1 triangle (all cycles in the
     window), so it takes the m = 1 deltas."""
-    from fractions import Fraction
     if r < 0 or n < 0:
         raise ValueError("r and n must be >= 0")
     if m < 0:
@@ -552,10 +552,10 @@ def diagonals_delta(n: int, r: int, m: int) -> tuple[int, int]:
     d1 = 1 if m <= 1 else 0
     d2 = 1 if m == 2 else 0
     d3 = 1 if m == 3 else 0
-    first = Fraction(2) ** ((n + r + 1) * d1 + 2 * d2 - 1) * (n + 1) * (n + 2 * r)
+    # 2^((n+r+1) d1 + 2 d2 - 1) (n+1)(n+2r), its 2^-1 as the denominator 2
+    first = 2 ** ((n + r + 1) * d1 + 2 * d2) * (n + 1) * (n + 2 * r)
     second = (
-        Fraction(2) ** ((n + r + 2) * d1)
-        / 12
+        2 ** ((n + r + 2) * d1)
         * comb(n + 2, 2)
         * (
             3 * 2 ** (4 * d2) * (4 * r * (r + n - 1) + n * (n - 1))
@@ -563,7 +563,7 @@ def diagonals_delta(n: int, r: int, m: int) -> tuple[int, int]:
         )
     )
     name = "diagonals_delta(%d, %d, %d)" % (n, r, m)
-    return _int(first, name + "[0]"), _int(second, name + "[1]")
+    return _int(first, 2, name + "[0]"), _int(second, 12, name + "[1]")
 
 
 class _InverseRows(_Rows):
@@ -612,14 +612,14 @@ def tree_terms(count: int) -> list[int]:
     edge colors (1, 4, 32, 416, ...).  One series reversion, no special
     functions.
     """
-    from fractions import Fraction
     from .fps import FormalPowerSeries
     order = _series_order(count, shift=1)
-    # the m = 2 cycle series sum_L w_L x^L / L: w_1 = 1 and w_L = 2^L above
-    longer = [Fraction(2**L, L) for L in range(2, order + 1)]
-    base = FormalPowerSeries.from_coeffs([0, 1] + longer)
+    # the m = 2 cycle series sum_L w_L x^L / L over d: w_1 = 1 and w_L = 2^L above
+    d = lcm(*range(1, order + 1))
+    base = FormalPowerSeries([0, d] + [2**L * (d // L) for L in range(2, order + 1)], d)
     series = (-(base.revert().scale_arg(-1))).derivative()
-    return [_int(series.egf_coeff(n), "tree_terms[%d]" % (n,)) for n in range(count)]
+    return [_int(factorial(n) * series.nums[n], series.d, "tree_terms[%d]" % (n,))
+            for n in range(count)]
 
 
 # -- cross-window identities (Howard) ------------------------------------------

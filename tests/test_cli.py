@@ -781,6 +781,8 @@ NOT_FOR_INTEGERS = NOT_FOR_ANY | FRACTION_LAYER | {"stirlingb.riordan", "stirlin
 # every layer but permcore, json, and the __future__ module that only the
 # other layers import
 NOT_FOR_ORACLE = NOT_FOR_INTEGERS | {"json", "__future__", "stirlingb.sequences"}
+# the series families read fps on integers: no Fraction, verify or json
+NOT_FOR_SERIES = NOT_FOR_ANY | {"fractions", "decimal", "stirlingb.verify", "json"}
 
 
 @pytest.mark.parametrize(
@@ -810,10 +812,16 @@ def test_a_package_name_loads_only_the_layers_it_passes(names, read, unread):
         ("seq d --r 2 --format csv", {"stirlingb.sequences"}, NOT_FOR_INTEGERS | {"json"}),
         ("seq incomplete", {"stirlingb.sequences"}, NOT_FOR_INTEGERS | {"json"}),
         ("seq typeb-factorial", {"stirlingb.sequences"}, NOT_FOR_INTEGERS | {"json"}),
-        # the series routes do load the Fraction layer, so the rows above can fail
-        ("seq tree --terms 5", {"stirlingb.sequences"} | FRACTION_LAYER,
-         NOT_FOR_ANY | {"json", "stirlingb.riordan", "stirlingb.verify"}),
+        ("seq tree --terms 5", {"stirlingb.sequences", "stirlingb.fps"},
+         NOT_FOR_SERIES | {"stirlingb.riordan"}),
         ("verify riordan --max-n 2 --max-r 1", {"stirlingb.verify"}, NOT_FOR_ANY),
+        ("table inverse --rows 4 --format csv", {"stirlingb.riordan", "stirlingb.fps"},
+         NOT_FOR_SERIES),
+        ("seq lattice --r 2 --terms 5", {"stirlingb.sequences", "stirlingb.fps"},
+         NOT_FOR_SERIES | {"stirlingb.riordan"}),
+        # verify does load the Fraction layer, so the rows above can fail
+        ("verify asymptotic --max-n 10 --max-r 0", {"stirlingb.verify"} | FRACTION_LAYER,
+         NOT_FOR_ANY | {"json"}),
     ],
 )
 def test_each_command_runs_only_the_modules_it_reads(argv, read, unread):

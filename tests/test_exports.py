@@ -96,6 +96,13 @@ def test_sequences_loads_no_fraction_layer_on_import():
     assert "fractions" not in _imports("stirlingb.sequences", top_level=True)
 
 
+@pytest.mark.parametrize("name", ["stirlingb.fps", "stirlingb.riordan"])
+def test_series_layers_load_no_fractions_on_import(name):
+    # integer series and arrays form no Fraction: only the code that returns
+    # one imports fractions, when it is called
+    assert "fractions" not in _imports(name, top_level=True)
+
+
 def test_riordan_imports_only_stdlib_the_record_base_and_fps():
     # the array route builds its window from its own weights: the cycle
     # weights of the recurrences in sequences are never shared with it

@@ -372,16 +372,18 @@ def test_integer_kernels_form_no_fraction(fractions_formed):
     product = a * inner
     assert "coeffs" not in vars(product)
     # negation, the derivative, equality and hashing stay on the integers;
-    # scale_arg forms at most the Fraction of its argument
+    # scale_arg forms no Fraction, not even for an int argument
     other, c = a.compose(inner), Fraction(-1, 2)
     assert fractions_formed(lambda: -product) == 0
     assert fractions_formed(lambda: product.derivative()) == 0
     assert fractions_formed(lambda: product == other) == 0
     assert fractions_formed(lambda: hash(product)) == 0
     assert fractions_formed(lambda: product.scale_arg(c)) == 0
-    assert fractions_formed(lambda: product.scale_arg(-1)) <= 1
+    assert fractions_formed(lambda: product.scale_arg(-1)) == 0
     assert fractions_formed(lambda: product.coeffs) == product.order + 1
     assert product == schoolbook_mul(a, inner)
+    # ints go in as ints, and the padding past the data is the int 0
+    assert fractions_formed(lambda: FPS.from_coeffs([3, -1, 0, 7], 9)) == 0
 
 
 @pytest.mark.parametrize(

@@ -245,6 +245,36 @@ def test_production_rebuild_forms_no_fraction_on_an_integer_array(fractions_form
     assert fractions_formed(lambda: production_rebuild(arr)) == 0
 
 
+def test_the_triangle_and_its_inverse_form_no_fraction(fractions_formed):
+    # f and g are built on integers over one denominator, so neither the array,
+    # its table nor the rows of its conjugated inverse form a Fraction
+    assert fractions_formed(lambda: make_triangle_B(2, 3, order=29)) == 0
+    arr = make_triangle_B(2, 3, order=29)
+    conj = unsigned_conjugate(arr).invert()
+    assert fractions_formed(lambda: [conj.row(n) for n in range(30)]) == 0
+
+
+def test_the_triangle_is_the_fraction_construction():
+    # f = sum w_L x^L / L and g = (sum w_(L+1) x^L)^r, read from Fractions
+    for m in range(6):
+        for order in range(1, 31):
+            w = [0] + [2**L if L >= m else 1 for L in range(1, order + 2)]
+            f = FPS.from_coeffs([0] + [Fraction(w[L], L) for L in range(1, order + 1)])
+            for r in range(4):
+                want = ExpRiordanArray(FPS.from_coeffs(w[1:]) ** r, f)
+                assert make_triangle_B(m, r, order) == want, (m, r, order)
+
+
+def test_an_order_0_array_rebuilds_row_0_and_has_no_production_sequences():
+    arr = ExpRiordanArray(FPS.one(0), FPS.x(3))
+    assert arr.order == 0
+    _same_cells(production_rebuild(arr), [[1]])
+    half = ExpRiordanArray(FPS.from_coeffs([Fraction(1, 2)], 0), FPS.x(2))
+    _same_cells(production_rebuild(half), [[Fraction(1, 2)]])
+    with pytest.raises(ValueError, match="^production sequences need order >= 1, got order 0$"):
+        arr.production_sequences()
+
+
 def test_table_is_zero_above_the_diagonal_and_bounded_by_order():
     arr = make_triangle_B(3, 2, order=6)
     table = arr._table

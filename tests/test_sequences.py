@@ -200,9 +200,12 @@ def test_negative_r_is_rejected(call):
 @pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(-7, 3), Fraction(5, 4)])
 def test_a_rational_published_as_an_int_must_be_one(value):
     # every published value is an integer, so only a direct call reaches the error
-    with pytest.raises(ArithmeticError, match=r"^x is not an integer: %s$" % value):
-        sequences._int(value, "x")
-    assert sequences._int(value * value.denominator, "x") == value.numerator
+    # the message names the reduced value, whatever pair it was passed as
+    num, den = value.numerator, value.denominator
+    for scale in (1, 6):
+        with pytest.raises(ArithmeticError, match=r"^x is not an integer: %s$" % value):
+            sequences._int(scale * num, scale * den, "x")
+    assert sequences._int(num * den, den, "x") == num
 
 
 # -- the general ord >= m triangle -------------------------------------------------
@@ -699,11 +702,17 @@ def test_series_terms_prefix_and_edge_counts(terms):
 
 
 def test_the_rational_routes_return_their_contract_types():
-    # these routes compute over Fractions, but only d_asym publishes one
+    # d_asym publishes a Fraction; the others publish ints read off integers
     assert type(d_asym(0, 0)) is Fraction and type(d_asym(2, 3)) is Fraction
     values = [*tree_terms(6), *lattice_terms(2, 6), *d_egf(2, 6)]
     values += [*diagonals(3, 2), *diagonals_delta(3, 2, 3), *diagonals_delta(3, 2, 0)]
     assert {type(value) for value in values} == {int}
+
+
+def test_tree_and_lattice_terms_form_no_fraction(fractions_formed):
+    # both read each term off one series' integer numerators over its denominator
+    assert fractions_formed(lambda: tree_terms(22)) == 0
+    assert fractions_formed(lambda: lattice_terms(3, 50)) == 0
 
 
 # -- cross-window identities -----------------------------------------------------
