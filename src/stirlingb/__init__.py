@@ -10,14 +10,28 @@ The package exports exactly the `__all__` names of `fps`, `permcore`,
 `stirlingb.<layer>` loads it, `__all__` loads all four, and a name loads
 the layers up to its own in the order `permcore`, `sequences`, `fps`,
 `riordan`, so a `permcore` or `sequences` name loads no series layer.
+`cli` and `verify` hold the layers they may not read through `_on_first_read`.
 """
 
 import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
 # the order a name is looked up in: the layers that need no series first
 _LAYERS = ("permcore", "sequences", "fps", "riordan")
+
+
+def _on_first_read(name: str):
+    """The layer `name`, registered in sys.modules now and run on its first
+    attribute read (the importlib.util.LazyLoader recipe), unless imported."""
+    name = __name__ + "." + name
+    if name not in sys.modules:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 def __getattr__(name):

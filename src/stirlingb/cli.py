@@ -9,25 +9,13 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (including
 enumeration bound violations), 141 when the reader closes stdout early.
 """
 
-import importlib.util
 import os
 import sys
 import types
 from collections.abc import Iterable
 
+from . import _on_first_read
 from .permcore import EnumerationLimitError, MODES, oracle_total, oracle_triangle
-
-
-def _on_first_read(name: str):
-    """The layer `name`, registered in sys.modules now and run on its first
-    attribute read (the importlib.util.LazyLoader recipe), unless imported."""
-    name = __package__ + "." + name
-    if name not in sys.modules:
-        spec = importlib.util.find_spec(name)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
 
 
 # `oracle` and `--help` read none of these, and the integer `table`/`seq` families

@@ -10,26 +10,23 @@ checks and the options it reads with their defaults; the asymptotic scope
 checks r <= 2 only and says so when asked for more.  `run_scope` runs one of
 them, or "all" of them in that order up to the first failing check, through
 the one collector `_collect`.
+
+Only the riordan scope reads the series layers, so `fps` and `riordan` are
+held as modules that load on their first attribute read.  `fractions` and
+`decimal` load only when the asymptotic scope has a cell or a note to form.
 """
 
 from __future__ import annotations
 
 import random
-from decimal import Decimal, localcontext
-from fractions import Fraction
 from functools import cache, lru_cache
 from math import factorial
 
-from . import sequences
+from . import _on_first_read, sequences
 from ._record import Record
-from .fps import FormalPowerSeries
 from .permcore import check_bound, oracle_total, oracle_triangle
-from .riordan import (
-    ExpRiordanArray,
-    make_triangle_B,
-    production_rebuild,
-    unsigned_conjugate,
-)
+
+fps, riordan = map(_on_first_read, ("fps", "riordan"))
 
 __all__ = [
     "SCOPES",
@@ -159,12 +156,12 @@ def _recurrence_checks(name, label, rs, size, other):
 # -- riordan scope ---------------------------------------------------------------
 
 
-def _random_array(rng: random.Random, order: int) -> ExpRiordanArray:
+def _random_array(rng: random.Random, order: int) -> riordan.ExpRiordanArray:
     g = [rng.randint(1, 3)] + [rng.randint(-3, 3) for _ in range(order)]
     f = [0, rng.choice((1, -1, 2))] + [rng.randint(-2, 2) for _ in range(max(order - 1, 0))]
-    return ExpRiordanArray(
-        FormalPowerSeries.from_coeffs(g, order),
-        FormalPowerSeries.from_coeffs(f, order),
+    return riordan.ExpRiordanArray(
+        fps.FormalPowerSeries.from_coeffs(g, order),
+        fps.FormalPowerSeries.from_coeffs(f, order),
     )
 
 
@@ -175,18 +172,18 @@ def _check_riordan(*, max_n: int, max_r: int, seed: int, samples: int) -> list:
     rs = ("r", range(max_r + 1))
     # each array is built once per run, and with it its table, its inverse,
     # its conjugated inverse, its products and its production-matrix rebuild
-    triangle = cache(make_triangle_B)
-    ident = ExpRiordanArray.identity(inv_order)
-    law_ident = ExpRiordanArray.identity(law_order)
+    triangle = cache(riordan.make_triangle_B)
+    ident = riordan.ExpRiordanArray.identity(inv_order)
+    law_ident = riordan.ExpRiordanArray.identity(law_order)
     rng = random.Random(seed)
 
     @cache
     def conjugate_inverse(r):
-        return unsigned_conjugate(triangle(2, r, order).invert())
+        return riordan.unsigned_conjugate(triangle(2, r, order).invert())
 
     @cache
     def rebuilt(r):
-        return production_rebuild(triangle(2, r, order))
+        return riordan.production_rebuild(triangle(2, r, order))
 
     # the cells read products and laws one r or sample at a time, in order, so
     # one entry each is enough and the samples' arrays are drawn in order
@@ -199,7 +196,7 @@ def _check_riordan(*, max_n: int, max_r: int, seed: int, samples: int) -> list:
     @lru_cache(maxsize=1)
     def laws(sample):
         a, b, c = (_random_array(rng, law_order) for _ in range(3))
-        rows = production_rebuild(a)
+        rows = riordan.production_rebuild(a)
         return {
             "unit": (a.multiply(law_ident).entry, a.entry),
             "inverse": (a.multiply(a.invert()).entry, law_ident.entry),
@@ -304,12 +301,15 @@ def _check_howard(*, max_n: int, max_r: int) -> list:
 
 def inv_sqrt_e(digits: int = 80) -> Fraction:
     """e^(-1/2) as an exact Fraction accurate to `digits` significant digits."""
+    from decimal import Decimal, localcontext
+    from fractions import Fraction
     with localcontext() as ctx:
         ctx.prec = digits
         return Fraction(Decimal(-1).exp().sqrt())
 
 
 def _format_fraction(value: Fraction, precision: int) -> str:
+    from decimal import Decimal, localcontext
     with localcontext() as ctx:
         ctx.prec = max(precision, 1)
         return str(Decimal(value.numerator) / Decimal(value.denominator))
@@ -321,8 +321,10 @@ _ASYMPTOTIC_MAX_R = 2
 
 
 def _check_asymptotic(*, max_n: int, max_r: int, precision: int) -> list:
-    target = inv_sqrt_e()
     grid = [n for n in (10, 20, 30) if n <= max_n]
+    if grid:  # every cell and note is at an n >= 10, and reads e^(-1/2) and Fractions
+        from fractions import Fraction
+        target = inv_sqrt_e()
     # one pass over r forms that r's errors at the grid points, its cells and its note
     cells, notes = [], []
     for r in range(min(max_r, _ASYMPTOTIC_MAX_R) + 1):

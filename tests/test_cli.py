@@ -814,14 +814,24 @@ def test_a_package_name_loads_only_the_layers_it_passes(names, read, unread):
         ("seq typeb-factorial", {"stirlingb.sequences"}, NOT_FOR_INTEGERS | {"json"}),
         ("seq tree --terms 5", {"stirlingb.sequences", "stirlingb.fps"},
          NOT_FOR_SERIES | {"stirlingb.riordan"}),
-        ("verify riordan --max-n 2 --max-r 1", {"stirlingb.verify"}, NOT_FOR_ANY),
+        ("verify riordan --max-n 2 --max-r 1",
+         {"stirlingb.verify", "stirlingb.riordan", "stirlingb.fps"},
+         NOT_FOR_ANY | {"fractions", "decimal"}),
+        # the bench smoke job: no asymptotic grid point, so no Fraction
+        ("verify all --max-n 3 --max-r 1", {"stirlingb.verify", "stirlingb.riordan"},
+         NOT_FOR_ANY | {"fractions", "decimal"}),
+        ("verify oracle --max-n 2 --max-r 1", {"stirlingb.verify"},
+         NOT_FOR_ANY | FRACTION_LAYER | {"stirlingb.riordan", "json"}),
+        ("verify howard --max-n 3 --max-r 1", {"stirlingb.verify"},
+         NOT_FOR_ANY | FRACTION_LAYER | {"stirlingb.riordan", "json"}),
         ("table inverse --rows 4 --format csv", {"stirlingb.riordan", "stirlingb.fps"},
          NOT_FOR_SERIES),
         ("seq lattice --r 2 --terms 5", {"stirlingb.sequences", "stirlingb.fps"},
          NOT_FOR_SERIES | {"stirlingb.riordan"}),
-        # verify does load the Fraction layer, so the rows above can fail
-        ("verify asymptotic --max-n 10 --max-r 0", {"stirlingb.verify"} | FRACTION_LAYER,
-         NOT_FOR_ANY | {"json"}),
+        # the asymptotic scope's grid point n = 10 forms Fractions, so the rows
+        # above can fail; it reads no series layer
+        ("verify asymptotic --max-n 10 --max-r 0", {"stirlingb.verify", "fractions", "decimal"},
+         NOT_FOR_ANY | {"stirlingb.fps", "stirlingb.riordan", "json"}),
     ],
 )
 def test_each_command_runs_only_the_modules_it_reads(argv, read, unread):
@@ -853,13 +863,22 @@ def test_each_command_runs_only_the_modules_it_reads(argv, read, unread):
 def test_the_tracer_sees_cli_call_each_layer(tmp_path, argv, layer, call):
     # perfbench/trace_child.py swaps the layers cli holds for wrapped copies
     # after import; a layer cli loaded out of its sight would show no span
+    assert _traced_calls(tmp_path, argv, layer, "cli") & {call}
+
+
+def _traced_calls(tmp_path, argv, layer, parent):
+    """The calls into `layer` that a traced run of argv shows made from `parent`."""
     out = tmp_path / "trace.json"
     _fresh([str(ROOT / "perfbench" / "trace_child.py"), str(out), "job", *argv.split()])
     spans = json.loads(out.read_text())["spans"]  # [job, name, layer, start, end, parent]
-    assert any(
-        span[1:3] == [call, layer] and span[5] is not None and spans[span[5]][2] == "cli"
-        for span in spans
-    )
+    return {span[1] for span in spans
+            if span[2] == layer and span[5] is not None and spans[span[5]][2] == parent}
+
+
+def test_the_tracer_sees_verify_call_riordan(tmp_path):
+    # verify holds riordan as a module, so the tracer wraps it in verify's sight
+    calls = _traced_calls(tmp_path, "verify riordan --max-n 2 --max-r 1", "riordan", "verify")
+    assert calls & {"make_triangle_B", "production_rebuild"}
 
 
 def _ints(low, high):

@@ -103,6 +103,12 @@ def test_series_layers_load_no_fractions_on_import(name):
     assert "fractions" not in _imports(name, top_level=True)
 
 
+def test_verify_loads_no_fraction_module_on_import():
+    # only the asymptotic scope forms a Fraction: it imports fractions and
+    # decimal when it has a cell or a note to form
+    assert {"fractions", "decimal"} & set(_imports("stirlingb.verify", top_level=True)) == set()
+
+
 def test_riordan_imports_only_stdlib_the_record_base_and_fps():
     # the array route builds its window from its own weights: the cycle
     # weights of the recurrences in sequences are never shared with it

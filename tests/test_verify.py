@@ -260,7 +260,7 @@ def test_a_failed_recurrence_check_starts_no_later_check(monkeypatch, scope, che
         monkeypatch.setattr(module, name, called)
 
     spy(verify.sequences, "triangle_gem_rec", 3)
-    spy(verify, "make_triangle_B", 0)
+    spy(verify.riordan, "make_triangle_B", 0)
     _plant(monkeypatch, check, 0)
     report = verify.run_scope(scope, max_n=3, max_r=1)
     assert [res.name for res in report.results] == [check] and not report.ok
