@@ -300,5 +300,15 @@ def main(argv=None) -> int:
     return code
 
 
+def _run():
+    """Exit with main's code, skipping the interpreter's teardown: stdout and
+    stderr are flushed here, and nothing else is left to close.  --help and a
+    usage error raise SystemExit inside main and exit as usual."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _run()

@@ -12,13 +12,13 @@ them, or "all" of them in that order up to the first failing check, through
 the one collector `_collect`.
 
 Only the riordan scope reads the series layers, so `fps` and `riordan` are
-held as modules that load on their first attribute read.  `fractions` and
-`decimal` load only when the asymptotic scope has a cell or a note to form.
+held as modules that load on their first attribute read, and it alone
+imports `random`.  `fractions` and `decimal` load only when the asymptotic
+scope has a cell or a note to form.
 """
 
 from __future__ import annotations
 
-import random
 from functools import cache, lru_cache
 from math import factorial
 
@@ -166,6 +166,7 @@ def _random_array(rng: random.Random, order: int) -> riordan.ExpRiordanArray:
 
 
 def _check_riordan(*, max_n: int, max_r: int, seed: int, samples: int) -> list:
+    import random
     order = max(max_n, 1)
     inv_order = min(order, 10)
     law_order = min(max(max_n, 2), 8)

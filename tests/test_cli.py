@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -201,6 +203,30 @@ def test_a_closed_stdout_exits_141_without_a_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+# A spawned CLI ends with a flush and os._exit: what it writes, through a pipe
+# or to a file, must be what main writes in process.
+@pytest.mark.parametrize("argv, to_file, code", [
+    ("table stirling-a --rows 163 --m 5 --mode restr --format json", False, 0),
+    ("table stirling-a --rows 163 --m 5 --mode restr --format json", True, 0),
+    ("oracle --n 9 --r 0", False, 2),
+    ("verify all --max-n 3 --max-r 1", False, 0),
+], ids=["json-pipe", "json-file", "oracle-bound", "verify-all"])
+def test_a_spawned_cli_writes_what_main_writes(capsys, tmp_path, argv, to_file, code):
+    code_in, out_in, err_in = _run(capsys, argv.split())
+    assert code_in == code
+    assert code == 0 or err_in.startswith("error: ") and err_in.count("\n") == 1
+    with open(tmp_path / "out", "w+b") as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stirlingb.cli", *argv.split()],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            stdout=out if to_file else subprocess.PIPE, stderr=subprocess.PIPE, timeout=60,
+        )
+        out.seek(0)
+        stdout = out.read() if to_file else proc.stdout
+    assert proc.returncode == code
+    assert stdout == out_in.encode() and proc.stderr == err_in.encode()
 
 
 # sha256 of the whole stdout of verify reports, so a check renamed, reordered
@@ -838,7 +864,8 @@ def test_each_command_runs_only_the_modules_it_reads(argv, read, unread):
     # run as `python -m stirlingb.cli` does, then list the modules whose body
     # ran: a module LazyLoader registered keeps its own class until then
     script = (
-        "import runpy, sys, types\n"
+        "import os, runpy, sys, types\n"
+        "os._exit = sys.exit\n"
         "sys.argv[1:] = %r\n"
         "try:\n"
         "    runpy.run_module('stirlingb.cli', run_name='__main__')\n"
@@ -850,6 +877,29 @@ def test_each_command_runs_only_the_modules_it_reads(argv, read, unread):
     ran = set(_fresh(["-c", script]).splitlines()[-1].split())
     assert read | {"stirlingb.permcore"} <= ran
     assert ran & unread == set()
+
+
+@pytest.mark.parametrize("argv, loads", [
+    ("verify oracle --max-n 2 --max-r 1", False),
+    ("verify howard --max-n 3 --max-r 1", False),
+    ("verify asymptotic --max-n 10 --max-r 0", False),
+    ("verify riordan --max-n 2 --max-r 1", True),
+])
+def test_only_the_riordan_scope_loads_random(argv, loads):
+    # -S: a .pth file in site-packages may import random before the CLI does
+    script = "import sys\nfrom stirlingb.cli import main\nmain(%r)\nprint('random' in sys.modules)\n"
+    assert _fresh(["-S", "-c", script % argv.split()]).split()[-1] == str(loads)
+
+
+def test_the_installed_command_runs_what_python_m_runs():
+    # pyproject's console script and cli's __main__ block call one exit function
+    scripts = (ROOT / "pyproject.toml").read_text()
+    target = re.search(r'^stirlingb = "stirlingb\.cli:(\w+)"$', scripts, re.M).group(1)
+    tree = ast.parse(Path(cli.__file__).read_text())
+    block = next(node for node in tree.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'")
+    assert [ast.unparse(node) for node in block.body] == ["%s()" % target]
+    assert target != "main" and callable(getattr(cli, target))
 
 
 @pytest.mark.parametrize(
