@@ -3,7 +3,8 @@ formats, run the verification suites, and query the enumeration oracle.
 
 One table, `_FAMILIES`, serves `table` and `seq`: `table` takes every family,
 sized by `--rows`, and `seq` the sequence families, sized by `--terms`.
-Another, `_COMMANDS`, reads argv by argparse's rules and writes the help.
+Another, `_COMMANDS`, reads argv by argparse's rules, writes the help and holds
+each int flag's floor; `main` checks those first, in table order.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including
 enumeration bound violations), 141 when the reader closes stdout early.
@@ -110,43 +111,25 @@ def _cmd_values(args) -> tuple[Iterable[str], int]:
         if flag not in reads:
             raise ValueError("family '%s' does not take --%s" % (family, flag))
     params = dict(reads, **given)
-    for flag in ("m", "r"):
-        if params.get(flag, 0) < 0:
-            raise ValueError("--%s must be >= 0, got %d" % (flag, params[flag]))
-    if args.size < 1:
-        raise ValueError("%s must be >= 1" % args.size_flag)
     # m and r are always keys, null for a family that does not take them
     payload = {"family": family, "m": None, "r": None, "provenance": provenance}
     payload.update(params)
     return _render(kind, values(args.size, **params), args.format, payload), 0
 
 
-def _flag(name: str) -> str:
-    return "--max-enum" if name == "bound" else "--" + name.replace("_", "-")
-
-
 def _cmd_verify(args) -> tuple[Iterable[str], int]:
     # the parser defaults every option to None: one left unset takes its SCOPE_TABLE default
-    options = {name: v for name in _COMMANDS["verify"][3]
-               if (v := getattr(args, name)) is not None}
-    for name, least in verify._LEAST.items():
-        if options.get(name, least) < least:
-            raise ValueError("%s must be >= %d, got %d" % (_flag(name), least, options[name]))
-    if args.scope != "all":
-        reads = verify.SCOPE_TABLE[args.scope][1]
-        for name in options:
-            if name not in reads:
-                raise ValueError("scope '%s' does not take %s" % (args.scope, _flag(name)))
-    if options.get("bound", 0) < 0:
-        raise ValueError("--max-enum must be >= 0, got %d" % options["bound"])
+    options = {}
+    for flag, (name, _) in _COMMANDS["verify"][2].items():
+        if flag[0] == "-" and (value := getattr(args, name)) is not None:
+            if args.scope != "all" and name not in verify.SCOPE_TABLE[args.scope][1]:
+                raise ValueError("scope '%s' does not take %s" % (args.scope, flag))
+            options[name] = value
     report = verify.run_scope(args.scope, **options)
     return ["\n".join(report.lines())], 0 if report.ok else 1
 
 
 def _cmd_oracle(args) -> tuple[Iterable[str], int]:
-    for flag in ("n", "r", "m", "k", "max_enum"):
-        if (value := getattr(args, flag)) is not None and value < 0:
-            raise ValueError("%s must be >= 0, got %d" % (_flag(flag), value))
     if args.k is None:
         value = oracle_total(args.n, args.r, args.mode, args.m, bound=args.max_enum)
     else:
@@ -158,30 +141,30 @@ def _cmd_oracle(args) -> tuple[Iterable[str], int]:
 
 def _value_arguments(families: tuple, size_flag: str) -> tuple[dict, dict]:
     # table and seq differ only in their families and their size flag
-    arguments = {"family": ("family", families), "--m": ("m", int), "--r": ("r", int),
-                 size_flag: ("size", int), "--mode": ("mode", MODES),
+    arguments = {"family": ("family", families), "--m": ("m", 0), "--r": ("r", 0),
+                 size_flag: ("size", 1), "--mode": ("mode", MODES),
                  "--format": ("format", FORMATS)}
-    return arguments, dict(m=None, r=None, size=DEFAULT_SIZE, mode=None, format="pretty",
-                           size_flag=size_flag)
+    return arguments, dict(m=None, r=None, size=DEFAULT_SIZE, mode=None, format="pretty")
 
 
 # command -> (the function it runs, its help line, its arguments, their
 # defaults), "" being the top level.  An argument maps to its dest and to what
-# it accepts, int or a tuple of choices; the one without leading dashes is
-# positional.  An argument whose dest has no default is required.
+# it accepts: a tuple of choices, the least int it takes, or int for any int;
+# the one without leading dashes is positional.  An argument whose dest has no
+# default is required.
 _COMMANDS = {
     "table": (_cmd_values, "emit a triangle or sequence family",
               *_value_arguments(FAMILIES, "--rows")),
     "seq": (_cmd_values, "emit a sequence family (one value per n)",
             *_value_arguments(SEQUENCE_FAMILIES, "--terms")),
     "verify": (_cmd_verify, "run a cross-route verification scope", {
-        "scope": ("scope", SCOPES), "--max-n": ("max_n", int), "--max-r": ("max_r", int),
-        "--seed": ("seed", int), "--samples": ("samples", int), "--max-enum": ("bound", int),
-        "--precision": ("precision", int),
+        "scope": ("scope", SCOPES), "--max-n": ("max_n", 0), "--max-r": ("max_r", 0),
+        "--seed": ("seed", int), "--samples": ("samples", 0), "--max-enum": ("bound", 0),
+        "--precision": ("precision", 1),
     }, dict.fromkeys(("max_n", "max_r", "seed", "samples", "bound", "precision"))),
     "oracle": (_cmd_oracle, "brute-force enumeration count", {
-        "--n": ("n", int), "--r": ("r", int), "--mode": ("mode", MODES), "--m": ("m", int),
-        "--k": ("k", int), "--max-enum": ("max_enum", int),
+        "--n": ("n", 0), "--r": ("r", 0), "--mode": ("mode", MODES), "--m": ("m", 0),
+        "--k": ("k", 0), "--max-enum": ("max_enum", 0),
     }, dict(r=0, mode="assoc", m=2, k=None, max_enum=None)),
 }
 _COMMANDS[""] = (None, "Exact tables, sequences and cross-checks for signed-permutation "
@@ -192,7 +175,7 @@ def _usage(command: str) -> str:
     _, _, arguments, defaults = _COMMANDS[command]
     words = ["usage:", ("stirlingb " + command).rstrip(), "[-h]"]
     for name, (dest, accepts) in arguments.items():
-        word = ("{%s}" % ",".join(accepts) if accepts is not int
+        word = ("{%s}" % ",".join(accepts) if type(accepts) is tuple
                 else name[2:].replace("-", "_").upper())
         word = name + " " + word if name[0] == "-" else word
         words.append("[%s]" % word if dest in defaults else word)
@@ -253,11 +236,11 @@ def _parse(command: str, argv: list, extra: list) -> types.SimpleNamespace:
                     _fail(command, "argument %s: expected one argument" % name)
                 value, i = argv[i], i + 1
             dest, accepts = arguments[name]
-            if accepts is not int and value not in accepts:
+            if type(accepts) is tuple and value not in accepts:
                 choices = "%r (choose from %s)" % (value, ", ".join(map(repr, accepts)))
                 _fail(command, "argument %s: invalid choice: %s" % (name, choices))
             try:
-                values[dest] = int(value) if accepts is int else value
+                values[dest] = value if type(accepts) is tuple else int(value)
             except ValueError:
                 _fail(command, "argument %s: invalid int value: %r" % (name, value))
             at = i - 1 if name == positional else at
@@ -284,6 +267,10 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
+        for name, (dest, least) in _COMMANDS[args.command][2].items():
+            value = getattr(args, dest)  # a given int flag below its floor fails first
+            if type(least) is int and value is not None and value < least:
+                raise ValueError("%s must be >= %d, got %d" % (name, least, value))
         pieces, code = args.run(args)
         for piece in pieces:  # a table's rows are written as they are made
             print(piece, end="")

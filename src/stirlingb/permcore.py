@@ -44,8 +44,10 @@ class EnumerationLimitError(RuntimeError):
 
 def check_bound(size: int, bound: int | None = None) -> None:
     """Raise EnumerationLimitError if enumerating `size` elements would
-    exceed `bound` (DEFAULT_MAX_ENUM when None)."""
+    exceed `bound` (DEFAULT_MAX_ENUM when None), ValueError if bound < 0."""
     limit = DEFAULT_MAX_ENUM if bound is None else bound
+    if limit < 0:
+        raise ValueError("bound must be >= 0, got %d" % limit)
     if size > limit:
         raise EnumerationLimitError(
             "enumeration over %d elements exceeds the bound %d "

@@ -56,4 +56,4 @@ def _add_value_flags(cmd: argparse.ArgumentParser, families, size_flag: str) -> 
     cmd.add_argument(size_flag, dest="size", metavar=metavar, type=int, default=default)
     cmd.add_argument("--mode", choices=MODES, default=None)
     cmd.add_argument("--format", choices=cli.FORMATS, default="pretty")
-    cmd.set_defaults(run=cli._cmd_values, size_flag=size_flag)
+    cmd.set_defaults(run=cli._cmd_values)

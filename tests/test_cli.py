@@ -630,9 +630,9 @@ def test_each_subcommand_takes_one_size_flag(capsys, argv):
         ("table stirling-b --m -2", "--m must be >= 0, got -2"),
         ("table stirling-b --m -1 --r -3", "--m must be >= 0, got -1"),
         ("seq typeb-factorial --m -1 --mode restr", "--m must be >= 0, got -1"),
-        ("table d --rows 0", "--rows must be >= 1"),
-        ("seq d --terms 0", "--terms must be >= 1"),
-        ("table stirling-a --rows -2", "--rows must be >= 1"),
+        ("table d --rows 0", "--rows must be >= 1, got 0"),
+        ("seq d --terms 0", "--terms must be >= 1, got 0"),
+        ("table stirling-a --rows -2", "--rows must be >= 1, got -2"),
         ("oracle --n -1", "--n must be >= 0, got -1"),
         ("oracle --n 3 --r -2", "--r must be >= 0, got -2"),
         ("oracle --n 3 --m -1", "--m must be >= 0, got -1"),
@@ -642,6 +642,14 @@ def test_each_subcommand_takes_one_size_flag(capsys, argv):
         ("oracle --n 3 --max-enum -1", "--max-enum must be >= 0, got -1"),
         ("verify oracle --max-enum -1", "--max-enum must be >= 0, got -1"),
         ("verify all --max-n 0 --max-enum -2", "--max-enum must be >= 0, got -2"),
+        # a floor is checked before the family or scope reads the flags, and
+        # the floors in table order
+        ("seq d --terms -3", "--terms must be >= 1, got -3"),
+        ("table d --m -1", "--m must be >= 0, got -1"),
+        ("table stirling-b --mode restr --m -1", "--m must be >= 0, got -1"),
+        ("verify asymptotic --samples 99 --max-enum -4", "--max-enum must be >= 0, got -4"),
+        ("verify riordan --precision 3 --max-enum -1", "--max-enum must be >= 0, got -1"),
+        ("verify all --max-enum -1 --precision 0", "--max-enum must be >= 0, got -1"),
     ],
 )
 def test_out_of_range_value_flags_exit_2(capsys, argv, message):
@@ -650,12 +658,53 @@ def test_out_of_range_value_flags_exit_2(capsys, argv, message):
     assert err == "error: %s\n" % message
 
 
+def _required_argv(command: str) -> list:
+    """command with each required argument at its first choice or its floor."""
+    _, _, arguments, defaults = cli._COMMANDS[command]
+    argv = [command]
+    for name, (dest, accepts) in arguments.items():
+        if dest not in defaults:
+            value = accepts[0] if type(accepts) is tuple else str(accepts)
+            argv += [value] if name[0] != "-" else [name, value]
+    return argv
+
+
+# (command, flag, its floor) for every int flag that has one
+FLOORS = [
+    (command, name, accepts)
+    for command, (_, _, arguments, _) in cli._COMMANDS.items() if command
+    for name, (_, accepts) in arguments.items() if type(accepts) is int
+]
+
+
+def test_every_int_flag_but_seed_has_a_floor():
+    anything = [(command, name) for command, (_, _, arguments, _) in cli._COMMANDS.items()
+                for name, (_, accepts) in arguments.items() if accepts is int]
+    assert anything == [("verify", "--seed")]
+    assert {command for command, _, _ in FLOORS} == set(cli._COMMANDS) - {""}
+
+
+@pytest.mark.parametrize("command, flag, least", FLOORS)
+def test_a_value_below_its_flags_floor_exits_2(capsys, command, flag, least):
+    # the last of a repeated flag wins, so this also reaches a required flag's floor
+    code, out, err = _run(capsys, _required_argv(command) + [flag, str(least - 1)])
+    assert code == 2 and out == ""
+    assert err == "error: %s must be >= %d, got %d\n" % (flag, least, least - 1)
+
+
+def test_the_verify_floors_are_the_librarys():
+    floors = dict(cli._COMMANDS["verify"][2].values())
+    assert {name: floors[name] for name in verify._LEAST} == verify._LEAST
+    # permcore.check_bound's floor, which the oracle scope and command reach
+    assert floors["bound"] == cli._COMMANDS["oracle"][2]["--max-enum"][1] == 0
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
         ("verify howard --seed 5", "--seed"),
-        ("verify asymptotic --samples 99 --max-enum -4", "--samples"),
-        ("verify riordan --precision 3 --max-enum -1", "--max-enum"),
+        ("verify asymptotic --samples 99 --max-enum 4", "--samples"),
+        ("verify riordan --precision 3 --max-enum 1", "--max-enum"),
         ("verify oracle --seed 9", "--seed"),
         ("verify oracle --precision 4", "--precision"),
         ("verify howard --max-enum 8", "--max-enum"),

@@ -298,3 +298,11 @@ def test_enumeration_bound_param():
     # the same sizes pass with an explicit roomier bound
     assert oracle_total(3, 2, "assoc", 2, bound=5) > 0
 
+
+@pytest.mark.parametrize("query", [oracle_triangle, oracle_total], ids=lambda f: f.__name__)
+def test_a_negative_bound_is_a_value_error(query):
+    # no size is within a negative bound, so it is a bad argument, not a limit hit
+    args = (0, 0, 0, "assoc", 2) if query is oracle_triangle else (0, 0, "assoc", 2)
+    with pytest.raises(ValueError, match=r"^bound must be >= 0, got -1$"):
+        query(*args, bound=-1)
+

@@ -355,6 +355,12 @@ def test_a_grid_that_would_pass_vacuously_is_a_value_error(scope, option, value,
         verify.run_scope(scope, **{option: value})
 
 
+@pytest.mark.parametrize("scope", ["oracle", "all"])
+def test_a_negative_enumeration_bound_is_a_value_error(scope):
+    with pytest.raises(ValueError, match=r"^bound must be >= 0, got -1$"):
+        verify.run_scope(scope, bound=-1)
+
+
 def test_a_failing_asymptotic_check_leaves_the_plain_limit_unformed(monkeypatch):
     """plain-ratio-near-limit reads d_rec(0, 25) only in its turn, which a
     failing ratio-error-decreasing check never gives it."""
