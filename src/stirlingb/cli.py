@@ -35,8 +35,7 @@ def _inverse_rows(size: int, m: int, r: int) -> list:
     if m != 2:
         raise ValueError("family 'inverse' supports --m 2 only")
     array = riordan.make_triangle_B(2, r, order=max(size - 1, 1))
-    # (DAD)^-1 = D A^-1 D: the inverse of the conjugate is the conjugated inverse
-    conj = riordan.unsigned_conjugate(array).invert()
+    conj = riordan.unsigned_conjugate(array.invert())
     rows = [conj.row(n) for n in range(size)]
     for n, row in enumerate(rows):
         for k, v in enumerate(row):

@@ -6,17 +6,17 @@ g(0) != 0, f(0) = 0, f'(0) != 0.  Its entries are
     l(n, k) = n!/k! * [z^n] g(z) * f(z)**k,
 
 lower triangular with l(n, n) = g(0) * f'(0)**n.  The group operations
-(multiply, invert), the fundamental theorem (apply_fte), production sequences
-and the sign-conjugated companion array live here, together with the concrete
-triangle constructor for the signed-permutation cycle statistics: the array
-((f')^r, f) with f = sum_L w_L x^L / L, w_L being the sign masks a cycle of
-length L may carry, for every window m >= 0.  The table builds column k + 1
-as the series product of column k and f; the inverse (1 / g(fbar), fbar) is
-cached, so an array reverts f and composes 1/g with fbar at most once.
-Entries, of the table and of production_rebuild, are ints when integral and
-reduced Fractions otherwise.  The triangle's series are built on integers over
-one denominator and ``fractions`` is imported only where a non-integral entry
-or a ``coeffs`` read forms a Fraction, so an integer array never loads it.
+(multiply, invert), the fundamental theorem (apply_fte, which multiply and the
+production series Z call), production sequences, the sign conjugate and the
+triangle of the signed-permutation cycle statistics live here: the array
+((f')^r, f) with f = sum_L w_L x^L / L, w_L the sign masks a cycle of length L
+may carry, for every window m >= 0.  The table builds column k + 1 as the
+series product of column k and f; the inverse (1 / g(fbar), fbar) is cached,
+so an array reverts f and composes 1/g with fbar at most once.  Entries, of
+the table and of production_rebuild, are ints when integral and reduced
+Fractions otherwise.  The triangle's series are built on integers over one
+denominator and ``fractions`` is imported only where a non-integral entry or a
+``coeffs`` read forms a Fraction, so an integer array never loads it.
 """
 
 from __future__ import annotations
@@ -92,10 +92,8 @@ class ExpRiordanArray(Record):
     # -- group structure -----------------------------------------------------
 
     def multiply(self, other: "ExpRiordanArray") -> "ExpRiordanArray":
-        """Matrix product: (g, f) * (h, l) = (g * h(f), l(f))."""
-        return ExpRiordanArray(
-            self.g * other.g.compose(self.f), other.f.compose(self.f)
-        )
+        """Matrix product: (g, f) * (h, l) = (g * h(f), l(f)), g * h(f) by apply_fte."""
+        return ExpRiordanArray(self.apply_fte(other.g), other.f.compose(self.f))
 
     @cached_property
     def _inverse(self) -> "ExpRiordanArray":
@@ -115,8 +113,7 @@ class ExpRiordanArray(Record):
         if not self.order:
             raise ValueError("production sequences need order >= 1, got order 0")
         inv = self._inverse
-        a = self.f.derivative().compose(inv.f)
-        return a, self.g.derivative().compose(inv.f) * inv.g
+        return self.f.derivative().compose(inv.f), inv.apply_fte(self.g.derivative())
 
     def production_sequences(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
         """Coefficients of A(t) = f'(fbar(t)) and Z(t) = g'(fbar(t))/g(fbar(t)).

@@ -669,13 +669,7 @@ def triangle_gem_howard(n: int, k: int, r: int, m: int) -> int:
 
 def free_sign_howard(n: int, k: int, r: int) -> int:
     """2^(n+r) rstirling1(n, k, r), the free-sign signed r-Stirling numbers,
-    from the ord >= 2 triangle:
-
+    from the ord >= 2 triangle: triangle_gem_howard's sum at m = 1, where
+    every cycle weight and arrangement count is 1,
         sum_p sum_l C(r, p) C(n, l) T(n-l, k-l, r-p)."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    return sum(
-        comb(r, p) * comb(n, l) * triangle_ge2_rec(n - l, k - l, r - p)
-        for p in range(r + 1)
-        for l in range(min(k, n) + 1)
-    )
+    return triangle_gem_howard(n, k, r, 1)

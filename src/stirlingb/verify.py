@@ -376,26 +376,28 @@ SCOPE_TABLE = {
 
 SCOPES = ("all",) + tuple(SCOPE_TABLE)
 
-# option -> its least value: below it a grid is empty, or has no digits to
-# print, and its scope would report a vacuous PASS
-_LEAST = {"max_n": 0, "max_r": 0, "samples": 0, "precision": 1}
+# option -> its least value, below which a grid has no point, no digit or no
+# size to enumerate; a grid above it may still compare nothing (asymptotic
+# max_n < 20, samples 0), and its PASS then reports 0 comparisons
+_LEAST = {"max_n": 0, "max_r": 0, "samples": 0, "precision": 1, "bound": 0}
 
 
 def run_scope(scope: str, **options) -> VerificationReport:
     """Run one scope, or, for "all", every scope in table order until the
     first failing check.  Each scope takes the options it reads from
     `options`, its SCOPE_TABLE defaults filling in the rest; an option that
-    no scope reads is a TypeError, and a max_n, max_r or samples below 0 or
-    a precision below 1 is a ValueError, as that grid would pass vacuously.
-    When the oracle scope is among those to run, its grid is checked against
-    the enumeration bound before any scope starts."""
+    no scope reads is a TypeError, and a max_n, max_r, samples or bound
+    below 0 or a precision below 1 is a ValueError, whichever scope runs;
+    bound None is the default bound.  A PASS counts its comparisons, which
+    may be 0.  When the oracle scope is among those to run, its grid is
+    checked against the enumeration bound before any scope starts."""
     if scope != "all" and scope not in SCOPE_TABLE:
         raise ValueError("scope must be one of %s, got %r" % (SCOPES, scope))
     for name in options:
         if not any(name in defaults for _, defaults in SCOPE_TABLE.values()):
             raise TypeError("run_scope() got an unexpected keyword argument %r" % name)
     for name, least in _LEAST.items():
-        if options.get(name, least) < least:
+        if options.get(name) is not None and options[name] < least:
             raise ValueError("%s must be >= %d, got %d" % (name, least, options[name]))
     runs = {
         name: (check, {key: options.get(key, value) for key, value in defaults.items()})

@@ -741,6 +741,19 @@ def test_howard_free_sign():
                 assert free_sign_howard(n, k, r) == want, (n, k, r)
 
 
+def test_howard_identities_at_depth():
+    # the cross-window sums at m = 1, 2, 3 and the free-sign sum, which is
+    # the m = 1 one, on 924 cells up to n = 20, r = 3
+    for r in range(4):
+        for n in range(21):
+            for k in range(n + 1):
+                for m in (1, 2, 3):
+                    want = triangle_gem_rec(n, k, r, m)
+                    assert triangle_gem_howard(n, k, r, m) == want, (n, k, r, m)
+                want = 2 ** (n + r) * rstirling1(n, k, r)
+                assert free_sign_howard(n, k, r) == want, (n, k, r)
+
+
 def test_howard_type_b_past_every_cycle():
     # for m > n + 1 only the term without extracted cycles is left, and it
     # forms no 2^m - 1, which at m = 10**9 alone would take seconds

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from stirlingb import cli, verify
+from stirlingb.permcore import EnumerationLimitError
 
 # Each check's FAIL line and the scope line when the right-hand value of one
 # cell is replaced: the cell's index in the check's walk is the key.  At
@@ -355,10 +356,19 @@ def test_a_grid_that_would_pass_vacuously_is_a_value_error(scope, option, value,
         verify.run_scope(scope, **{option: value})
 
 
-@pytest.mark.parametrize("scope", ["oracle", "all"])
+@pytest.mark.parametrize("scope", verify.SCOPES)
 def test_a_negative_enumeration_bound_is_a_value_error(scope):
     with pytest.raises(ValueError, match=r"^bound must be >= 0, got -1$"):
         verify.run_scope(scope, bound=-1)
+
+
+@pytest.mark.parametrize("scope", verify.SCOPES)
+def test_bound_none_is_the_default_bound(scope):
+    grid = dict(max_n=2, max_r=1, samples=1, precision=5)
+    assert verify.run_scope(scope, bound=None, **grid) == verify.run_scope(scope, **grid)
+    if scope in ("oracle", "all"):  # n + r = 9 is past DEFAULT_MAX_ENUM = 8
+        with pytest.raises(EnumerationLimitError, match="over 9 elements exceeds the bound 8"):
+            verify.run_scope(scope, max_n=9, max_r=0, bound=None)
 
 
 def test_a_failing_asymptotic_check_leaves_the_plain_limit_unformed(monkeypatch):
