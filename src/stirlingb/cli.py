@@ -19,29 +19,22 @@ from . import _on_first_read
 from .permcore import EnumerationLimitError, MODES, oracle_total, oracle_triangle
 
 
-# `oracle` and `--help` read none of these, and the integer `table`/`seq` families
-# only `sequences`, which loads `fps` for its series routes alone
-riordan, sequences, verify = map(_on_first_read, ("riordan", "sequences", "verify"))
+# `oracle` and `--help` read neither, and `table` and `seq` only `sequences`,
+# which loads `fps` for `lattice` alone
+sequences, verify = map(_on_first_read, ("sequences", "verify"))
 
 # verify.SCOPES, which the parser offers without loading verify
-SCOPES = ("all", "riordan", "oracle", "howard", "asymptotic")
+SCOPES = ("all", "riordan", "oracle", "howard", "asymptotic", "printed")
 
 FORMATS = ("csv", "json", "pretty")
 
 DEFAULT_SIZE = 8
 
 
-def _inverse_rows(size: int, m: int, r: int) -> list:
+def _inverse_rows(size: int, m: int, r: int) -> Iterable[list[int]]:
     if m != 2:
         raise ValueError("family 'inverse' supports --m 2 only")
-    array = riordan.make_triangle_B(2, r, order=max(size - 1, 1))
-    conj = riordan.unsigned_conjugate(array.invert())
-    rows = [conj.row(n) for n in range(size)]
-    for n, row in enumerate(rows):
-        for k, v in enumerate(row):
-            if type(v) is not int:
-                raise ValueError("non-integer inverse entry at (%d, %d)" % (n, k))
-    return rows
+    return sequences.inverse_triangle_rows(size, r)
 
 
 # family -> ("rows" for a triangle or "terms" for a sequence, provenance, the
@@ -54,7 +47,7 @@ _FAMILIES = {
     "stirling-b": ("rows", "recurrence", {"m": 2, "r": 0}, lambda size, m, r: (
         sequences.triangle_gem_rows(size, r, m)
     )),
-    "inverse": ("rows", "riordan", {"m": 2, "r": 0}, _inverse_rows),
+    "inverse": ("rows", "recurrence", {"m": 2, "r": 0}, _inverse_rows),
     "stirling-a": ("rows", "recurrence", {"m": 2, "mode": "assoc"}, lambda size, m, mode: (
         sequences.stirlingA_rows(size, mode, m)
     )),
@@ -64,7 +57,7 @@ _FAMILIES = {
     "lattice": (
         "terms", "explicit", {"r": 0}, lambda size, r: sequences.lattice_terms(r, size)
     ),
-    "tree": ("terms", "riordan", {}, lambda size: sequences.tree_terms(size)),
+    "tree": ("terms", "recurrence", {}, lambda size: sequences.tree_terms(size)),
     "incomplete": ("terms", "recurrence", {"m": 2, "mode": "assoc"}, lambda size, m, mode: (
         [sequences.incomplete_factorial(n, mode, m) for n in range(size)]
     )),
@@ -91,13 +84,15 @@ def _render(kind: str, values, fmt: str, payload: dict):
         for i, row in enumerate(rows):
             yield ("\n" if i else "") + sep.join(map(str, row))
         return
-    import json
-    # the rows go where json.dumps puts them (its keys are sorted), each as it comes
-    head, tail = json.dumps(dict(payload, rows=[]), sort_keys=True).split('"rows": []')
-    yield head + '"rows": ['
+    # json.dumps(payload, sort_keys=True) by hand: a value is None, an int, an int
+    # list or a command-table name, which needs no escaping; rows go in at their key
+    fields = {key: '"%s": %s' % (key, "null" if value is None else
+                                 '"%s"' % value if type(value) is str else value)
+              for key, value in payload.items()}
+    yield "{" + ", ".join(fields[key] for key in sorted(fields) if key < "rows") + ', "rows": ['
     for i, row in enumerate(rows):
         yield (", [" if i else "[") + ", ".join(map(str, row)) + "]"
-    yield "]" + tail
+    yield "]" + "".join(", " + fields[key] for key in sorted(fields) if key > "rows") + "}"
 
 
 def _cmd_values(args) -> tuple[Iterable[str], int]:

@@ -29,17 +29,17 @@ Long inner sums are carried from one row to the next as running sums, so a
 cell of row n costs O(1) big-integer operations, plus, in the window
 triangles, one per head weight it reads (at most min(m, n)), and nothing
 recurses.  The point functions (``triangle_ge2_rec`` and friends) read one
-cell of a table.  The row functions (``triangle_gem_rows`` and
-``stirlingA_rows``) read none: they return an iterator that makes each row,
-a fresh list, when it is read, by the log-derivative rule (``_LogRows``),
-which reads a bounded number of rows back and keeps only those.
+cell of a table.  The row functions (``triangle_gem_rows``,
+``stirlingA_rows``, ``inverse_triangle_rows``) read none: they return an
+iterator that makes each row, a fresh list, when it is read, by a rule that
+reads a bounded number of rows back and keeps only those.
 
-The series-backed families (``d_egf``, ``lattice_terms``, ``tree_terms``)
-take a term count and read every term from one series truncated at the
-order that count needs.  They are the only routes that read ``fps``, and
-each imports it when called, so the integer tables load no series layer.
-They read each term off integer numerators, so only ``d_egf`` (by ``exp``)
-and ``d_asym``, whose contract is a Fraction, load ``fractions``.
+The series-backed families (``d_egf``, ``lattice_terms``) take a term count
+and read every term from one series truncated at the order that count
+needs.  They are the only routes that read ``fps``, and each imports it when
+called, so the integer tables load no series layer.  They read each term
+off integer numerators, so only ``d_egf`` (by ``exp``) and ``d_asym``, whose
+contract is a Fraction, load ``fractions``.
 
 Everything returns exact ints (or Fraction where the contract says so).  An
 exact rational published as an int goes through ``_int(num, den, name)``,
@@ -51,7 +51,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator
 from itertools import zip_longest
-from math import comb, factorial, gcd, lcm, perm
+from math import comb, factorial, gcd, perm
 from operator import add
 
 from ._record import Record
@@ -68,6 +68,7 @@ __all__ = [
     "free_sign_howard",
     "incomplete_factorial",
     "inverse_triangle_rec",
+    "inverse_triangle_rows",
     "lattice_terms",
     "rstirling1",
     "stirling1",
@@ -93,12 +94,12 @@ def _int(num: int, den: int, name: str) -> int:
     return q
 
 
-def _series_order(count: int, shift: int = 0) -> int:
+def _series_order(count: int) -> int:
     """The truncation order of a series whose terms 0..count-1 sit at z^0 ..
-    z^(count-1+shift); at least 1, which the series constructors need."""
+    z^(count-1); at least 1, which the series constructors need."""
     if count < 0:
         raise ValueError("count must be >= 0, got %d" % (count,))
-    return max(count - 1 + shift, 1)
+    return max(count - 1, 1)
 
 
 # -- row tables ------------------------------------------------------------------
@@ -134,6 +135,12 @@ class _Rows:
     def cell(self, n: int, k: int):
         """Entry k of row n of a triangle; 0 outside 0 <= k <= n."""
         return self.row(n)[k] if 0 <= k <= n else 0
+
+    def advance(self, n: int) -> list:
+        """Row n, appended to ``rows`` (ending at row n-1); a copy is returned."""
+        row = self._next(n)
+        self.rows.append(row)
+        return row[:]
 
 
 _TABLES: dict[tuple, _Rows] = {}
@@ -223,12 +230,6 @@ class _LogRows(_Rows):
             _add_into(row, 0, e * ff - p * ff * (k - lag + 1), prev)
             _add_into(row, 1, f * ff, prev)
         return [v // self.lead for v in row] if self.lead != 1 else row
-
-    def advance(self, n: int) -> list[int]:
-        """Row n, appended to ``rows`` (ending at row n-1); a copy is returned."""
-        row = self._next(n)
-        self.rows.append(row)
-        return row[:]
 
 
 def _stream(size: int, r: int, mode: str, m: int, signed: bool) -> Iterator[list[int]]:
@@ -579,7 +580,7 @@ class _InverseRows(_Rows):
     def _next(self, n: int) -> list[int]:
         if n == 0:
             return [1]
-        prev, r = self.rows[n - 1], self.r
+        prev, r = self.rows[-1], self.r
         row = prev[-1:]  # T(n, n) = T(p, p): both suffix sums are empty
         sp = sq = 0
         for k in range(n - 1, -1, -1):
@@ -606,20 +607,31 @@ def inverse_triangle_rec(n: int, k: int, r: int) -> int:
     return _table(_InverseRows, r).cell(n, k)
 
 
+def inverse_triangle_rows(size: int, r: int) -> Iterator[list[int]]:
+    """Rows 0..size-1 of ``inverse_triangle_rec(., ., r)``, kept one back as by ``_stream``."""
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    if size < 0:
+        raise ValueError("size must be >= 0, got %d" % (size,))
+    table = _InverseRows(r)
+    table.rows = deque(maxlen=1)
+    return map(table.advance, range(size))
+
+
 def tree_terms(count: int) -> list[int]:
     """n! [z^n] F'(z) for n < count, where F is the sign-flipped reversion of
     the m = 2 cycle series: counts of plane increasing trees with doubled
-    edge colors (1, 4, 32, 416, ...).  One series reversion, no special
-    functions.
+    edge colors (1, 4, 32, 416, ...).  As F = sum y_n z^n/n! has (1 - 2F) F'
+    = 1 + 2F, term n is y_(n+1) = [n = 0] + 2 y_n + 2 sum_(k=1..n) C(n, k)
+    y_k y_(n+1-k), from y_0 = 0.
     """
-    from .fps import FormalPowerSeries
-    order = _series_order(count, shift=1)
-    # the m = 2 cycle series sum_L w_L x^L / L over d: w_1 = 1 and w_L = 2^L above
-    d = lcm(*range(1, order + 1))
-    base = FormalPowerSeries([0, d] + [2**L * (d // L) for L in range(2, order + 1)], d)
-    series = (-(base.revert().scale_arg(-1))).derivative()
-    return [_int(factorial(n) * series.nums[n], series.d, "tree_terms[%d]" % (n,))
-            for n in range(count)]
+    if count < 0:
+        raise ValueError("count must be >= 0, got %d" % (count,))
+    y = [0]
+    for n in range(count):
+        y.append((n == 0) + 2 * y[n] + 2 * sum(comb(n, k) * y[k] * y[n + 1 - k]
+                                               for k in range(1, n + 1)))
+    return y[1:]
 
 
 # -- cross-window identities (Howard) ------------------------------------------

@@ -6,21 +6,21 @@ first failing check; the report carries the first mismatching cell with both
 values and both provenances.
 
 `SCOPE_TABLE` lists the scopes, each with the function that lists its
-checks and the options it reads with their defaults; the asymptotic scope
-checks r <= 2 only and says so when asked for more.  `run_scope` runs one of
-them, or "all" of them in that order up to the first failing check, through
-the one collector `_collect`.
+checks, the options it reads with their defaults and whether "all" runs it;
+asymptotic checks r <= 2 only and says so when asked for more.  `run_scope`
+runs one, or "all" those marked, in that order up to the first failing
+check, through the one collector `_collect`.
 
-Only the riordan scope reads the series layers, so `fps` and `riordan` are
-held as modules that load on their first attribute read, and it alone
-imports `random`.  `fractions` and `decimal` load only when the asymptotic
-scope has a cell or a note to form.
+Only the riordan and printed scopes read the series layers, so `fps` and
+`riordan` are held as modules that load on their first attribute read, and
+riordan alone imports `random`.  `fractions` loads only for a tree term of
+printed or a cell or note of asymptotic, and `decimal` only for the latter.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from . import _on_first_read, sequences
 from ._record import Record
@@ -362,16 +362,49 @@ def _check_asymptotic(*, max_n: int, max_r: int, precision: int) -> list:
     ]
 
 
+# -- printed scope --------------------------------------------------------------
+
+
+def _check_printed(*, max_n: int, max_r: int) -> list:
+    """The rows `table inverse` and the terms `seq tree` print, against the series routes."""
+    @lru_cache(maxsize=1)  # the cells read one r at a time
+    def inverse(r):
+        array = riordan.make_triangle_B(2, r, order=max(max_n, 1))
+        return (list(sequences.inverse_triangle_rows(max_n + 1, r)),
+                riordan.unsigned_conjugate(array.invert()))
+
+    @cache
+    def trees():
+        # n! [z^n] F', F the sign-flipped reversion of sum_L w_L x^L / L, at m = 2
+        size, d = max_n + 1, lcm(*range(1, max_n + 2))
+        base = fps.FormalPowerSeries([0, d] + [2**L * (d // L) for L in range(2, size + 1)], d)
+        series = (-(base.revert().scale_arg(-1))).derivative()
+        return sequences.tree_terms(size), [series.egf_coeff(n) for n in range(size)]
+
+    return [
+        ("inverse-rows-vs-conjugate", _cells(
+            lambda r, n, k: (inverse(r)[0][n][k], inverse(r)[1].entry(n, k)),
+            ("recurrence", "riordan"), ("r", range(max_r + 1)), *_n_k(max_n),
+        )),
+        ("tree-recurrence-vs-reversion", _cells(
+            lambda n: tuple(terms[n] for terms in trees()),
+            ("recurrence", "riordan"), ("n", range(max_n + 1)),
+        )),
+    ]
+
+
 # -- scope table --------------------------------------------------------------------
 
-# scope -> (lister of its checks, {option: default}), in the order `all` runs
-# them.  These are the only defaults and the only record of which options a
-# scope reads: run_scope hands each lister its own, and the CLI rejects any other.
+# scope -> (lister of its checks, {option: default}, whether `all` runs it), in
+# the order `all` runs them; `all` keeps its pinned counts as scopes are added.
+# These are the only defaults and the only record of which options a scope
+# reads: run_scope hands each lister its own, and the CLI rejects any other.
 SCOPE_TABLE = {
-    "riordan": (_check_riordan, {"max_n": 8, "max_r": 3, "seed": 20240801, "samples": 12}),
-    "oracle": (_check_oracle, {"max_n": 4, "max_r": 2, "bound": None}),
-    "howard": (_check_howard, {"max_n": 5, "max_r": 2}),
-    "asymptotic": (_check_asymptotic, {"max_n": 30, "max_r": 2, "precision": 30}),
+    "riordan": (_check_riordan, {"max_n": 8, "max_r": 3, "seed": 20240801, "samples": 12}, True),
+    "oracle": (_check_oracle, {"max_n": 4, "max_r": 2, "bound": None}, True),
+    "howard": (_check_howard, {"max_n": 5, "max_r": 2}, True),
+    "asymptotic": (_check_asymptotic, {"max_n": 30, "max_r": 2, "precision": 30}, True),
+    "printed": (_check_printed, {"max_n": 30, "max_r": 3}, False),
 }
 
 SCOPES = ("all",) + tuple(SCOPE_TABLE)
@@ -383,8 +416,8 @@ _LEAST = {"max_n": 0, "max_r": 0, "samples": 0, "precision": 1, "bound": 0}
 
 
 def run_scope(scope: str, **options) -> VerificationReport:
-    """Run one scope, or, for "all", every scope in table order until the
-    first failing check.  Each scope takes the options it reads from
+    """Run one scope, or, for "all", every scope marked for it in table order
+    until the first failing check.  Each scope takes the options it reads from
     `options`, its SCOPE_TABLE defaults filling in the rest; an option that
     no scope reads is a TypeError, and a max_n, max_r, samples or bound
     below 0 or a precision below 1 is a ValueError, whichever scope runs;
@@ -394,15 +427,15 @@ def run_scope(scope: str, **options) -> VerificationReport:
     if scope != "all" and scope not in SCOPE_TABLE:
         raise ValueError("scope must be one of %s, got %r" % (SCOPES, scope))
     for name in options:
-        if not any(name in defaults for _, defaults in SCOPE_TABLE.values()):
+        if not any(name in defaults for _, defaults, _ in SCOPE_TABLE.values()):
             raise TypeError("run_scope() got an unexpected keyword argument %r" % name)
     for name, least in _LEAST.items():
         if options.get(name) is not None and options[name] < least:
             raise ValueError("%s must be >= %d, got %d" % (name, least, options[name]))
     runs = {
         name: (check, {key: options.get(key, value) for key, value in defaults.items()})
-        for name, (check, defaults) in SCOPE_TABLE.items()
-        if scope in ("all", name)
+        for name, (check, defaults, in_all) in SCOPE_TABLE.items()
+        if (in_all if scope == "all" else scope == name)
     }
     if "oracle" in runs:
         # the oracle grid reaches every size up to max_n + max_r in

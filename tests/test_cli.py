@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import types
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -16,9 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from stirlingb import cli, sequences, verify
 from stirlingb.cli import FAMILIES, main
-from stirlingb.fps import FormalPowerSeries as FPS
 from stirlingb.permcore import oracle_triangle
-from stirlingb.riordan import ExpRiordanArray
 from stirlingb.verify import SCOPES
 
 from argparse_reference import build_parser
@@ -68,16 +67,6 @@ def test_table_inverse_family(capsys):
     assert "supports --m 2 only" in err
 
 
-def test_table_inverse_rejects_a_non_integer_entry(capsys, monkeypatch):
-    # (1, 2z) conjugates to itself and inverts to (1, z/2): entry (1, 1) is 1/2
-    monkeypatch.setattr(cli.riordan, "make_triangle_B", lambda m, r, order: (
-        ExpRiordanArray(FPS.one(order), FPS.from_coeffs([0, 2], order))
-    ))
-    code, out, err = _run(capsys, ["table", "inverse", "--rows", "3"])
-    assert (code, out) == (2, "")
-    assert err == "error: non-integer inverse entry at (1, 1)\n"
-
-
 # sha256 of stdout for Riordan-route sizes no other test reaches
 RIORDAN_GOLDEN = {
     "table inverse --rows 31 --r 3 --format csv":
@@ -92,11 +81,12 @@ RIORDAN_GOLDEN = {
     "table inverse --rows 30 --r 2 --format pretty":
         "e4e9585a84c81a055e8e3842227ae0897b15c4502c5952c1d54700381e1fe7ff",
     # the r = 0 and r = 1 json shapes of the bench jobs, recorded before the
-    # array was read from its cycle weights
+    # array was read from its cycle weights, then with provenance "recurrence"
+    # once the rows were printed from it
     "table inverse --rows 26 --r 0 --format json":
-        "70ac8ef028ea3561f25db74784e5ec05a4fbae32f1109e92d9c0d831d55fe1fb",
+        "49fe48f0d7b257127d170acadf2f47822e80949bc49f9c6c7a0984e089145724",
     "table inverse --rows 30 --r 1 --format json":
-        "549909185e6c1a477838dbadee587030067cac2eb7f216fc3e2e0d1d4739b267",
+        "a1ab5837bf7eb83d1e7559b136b3d1164e7bca29b11b8bddaa4fca281590fde3",
 }
 
 
@@ -162,6 +152,25 @@ STREAMED_GOLDEN = {
     "json": "6cc03c80836e775b60b4315089f8a795b11f4cb0c6a30c77531d653069b627c3",
     "pretty": "f01499b6f063f74ff321d2d7aba4b04d919d0b41ff3282f9e73940688044b080",
 }
+
+
+# sha256 of stdout of the deep print-route jobs, the same bytes the series
+# routes printed in 33 s and 4.2 s
+DEEP_GOLDEN = {
+    "table inverse --rows 300 --r 2 --format csv": (2.0, "1ac59978ba38575be29bc69c3b0eb5a9ba89c2004c8fc7ae20aca20ae2ac391d"),
+    "seq tree --terms 300": (1.0, "dba9fd5d44e76be621741f939c02ed03bc88c10d6b4a2f0c5154588e07a3ab97"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(DEEP_GOLDEN))
+def test_the_print_routes_run_deep_jobs_fast_in_bounded_memory(cli_peak, argv):
+    seconds, want = DEEP_GOLDEN[argv]
+    start = time.perf_counter()
+    code, peak_mb, digest, err = cli_peak(argv.split())
+    assert time.perf_counter() - start < seconds
+    assert code == 0 and err == ""
+    assert digest == want
+    assert peak_mb < 32
 
 
 @pytest.mark.parametrize("fmt", sorted(STREAMED_GOLDEN))
@@ -256,8 +265,8 @@ SEQUENCE_GOLDEN = {
         "155c024848ff5bb9e269f77967250091c6b151b5a996538044298b3503b36d1c",
     "seq incomplete --terms 80 --m 3 --mode restr --format csv":
         "f7e744123bf1a79dd1d9be202d8869d8cd8a7251b3e837af5fd18efd316f87df",
-    "seq tree --terms 20 --format json":
-        "9af02a38c28387c450ce951bda98fb9b198698f11a09d80c1d02515dbd052e9c",
+    "seq tree --terms 20 --format json":  # provenance "recurrence"
+        "7f44e04d4d0a65ce359d18b256fc6b23e5260805297bc55cd29d51024e01aea7",
     "table d --rows 40 --r 2":
         "90a79fb0d8679ecb41e48227bf82fdd62c43d454c474cbff82048a4a21c2c585",
     # recorded while these three families read one bulk term function each
@@ -339,7 +348,7 @@ def test_seq_json_shape(capsys):
     payload = json.loads(out)
     assert payload["terms"] == [1, 4, 32, 416]
     assert payload["rows"] == [[1], [4], [32], [416]]
-    assert payload["provenance"] == "riordan"
+    assert payload["provenance"] == "recurrence"
 
 
 def test_seq_rejects_triangle_families(capsys):
@@ -487,25 +496,31 @@ def test_verify_failure_reports_cell(capsys, monkeypatch):
 # does not read them
 FAMILY_PAYLOADS = {
     "stirling-b": ("table", 3, 1, None, "recurrence"),
-    "inverse": ("table", 2, 1, None, "riordan"),
+    "inverse": ("table", 2, 1, None, "recurrence"),
     "stirling-a": ("table", 3, None, "restr", "recurrence"),
     "d": ("seq", None, 1, None, "recurrence"),
     "lattice": ("seq", None, 1, None, "explicit"),
-    "tree": ("seq", None, None, None, "riordan"),
+    "tree": ("seq", None, None, None, "recurrence"),
     "incomplete": ("seq", 3, None, "restr", "recurrence"),
     "typeb-factorial": ("seq", 3, None, "restr", "explicit"),
 }
 
 
-@pytest.mark.parametrize("family", sorted(FAMILY_PAYLOADS))
-def test_family_json_payload_keys(capsys, family):
-    command, m, r, mode, provenance = FAMILY_PAYLOADS[family]
-    flags = [
+def _payload_flags(family):
+    """The flags FAMILY_PAYLOADS gives ``family``, as argv."""
+    _, m, r, mode, _ = FAMILY_PAYLOADS[family]
+    return [
         arg
         for flag, value in (("--m", m), ("--r", r), ("--mode", mode))
         if value is not None
         for arg in (flag, str(value))
     ]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_PAYLOADS))
+def test_family_json_payload_keys(capsys, family):
+    command, m, r, mode, provenance = FAMILY_PAYLOADS[family]
+    flags = _payload_flags(family)
     size = "--rows" if command == "table" else "--terms"
     code, out, err = _run(capsys, [command, family, *flags, size, "3", "--format", "json"])
     assert code == 0 and err == ""
@@ -545,6 +560,24 @@ def test_family_payloads_cover_every_family():
     assert FAMILY_PAYLOADS.keys() == set(FAMILIES)
 
 
+@pytest.mark.parametrize("size", ["1", "5"])
+@pytest.mark.parametrize("given", [False, True], ids=["defaults", "flags"])
+@pytest.mark.parametrize("command, family", [
+    *(("table", family) for family in FAMILIES),
+    *(("seq", family) for family in cli.SEQUENCE_FAMILIES),
+])
+def test_json_is_what_json_dumps_writes(capsys, command, family, given, size):
+    # cli writes the json itself: sorted keys, null, quoted names and the rows
+    # at their key, as json.dumps(payload, sort_keys=True) would
+    flags = _payload_flags(family) if given else []
+    size_flag = "--rows" if command == "table" else "--terms"
+    code, out, err = _run(capsys, [command, family, *flags, size_flag, size, "--format", "json"])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert len(payload["rows"]) == int(size)
+    assert out == json.dumps(payload, sort_keys=True) + "\n"
+
+
 def _counting(fn, calls):
     def counted(*args, **kwargs):
         calls.append(fn.__name__)
@@ -565,7 +598,7 @@ def _counting_proxy(module, calls):
 # family -> the library function its table entry calls
 LIBRARY_CALLS = {
     "stirling-b": "triangle_gem_rows",
-    "inverse": "make_triangle_B",
+    "inverse": "inverse_triangle_rows",
     "stirling-a": "stirlingA_rows",
     "d": "d_rec",
     "lattice": "lattice_terms",
@@ -577,12 +610,11 @@ LIBRARY_CALLS = {
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_families_look_the_library_up_at_call_time(capsys, monkeypatch, family):
-    # a profiler may swap the layers cli holds (cli.sequences, cli.riordan) for
-    # wrapped copies after import; an entry holding a function captured at
-    # import would bypass them
+    # a profiler may swap the layer cli holds (cli.sequences) for a wrapped
+    # copy after import; an entry holding a function captured at import would
+    # bypass it
     calls = []
-    layer = "riordan" if family == "inverse" else "sequences"
-    monkeypatch.setattr(cli, layer, _counting_proxy(getattr(cli, layer), calls))
+    monkeypatch.setattr(cli, "sequences", _counting_proxy(sequences, calls))
     code, _, err = _run(capsys, ["table", family, "--rows", "3"])
     assert code == 0 and err == ""
     assert LIBRARY_CALLS[family] in calls
@@ -767,18 +799,63 @@ def test_verify_all_defaults_pass(capsys):
 def test_verify_all_is_the_scopes_in_order():
     from stirlingb.verify import SCOPES, run_scope
 
-    assert SCOPES == ("all", "riordan", "oracle", "howard", "asymptotic")
+    assert SCOPES == ("all", "riordan", "oracle", "howard", "asymptotic", "printed")
     # the parser offers cli's copy, so that it need not load verify
     assert cli.SCOPES == SCOPES
     kwargs = dict(max_n=3, max_r=1, samples=2)
     combined = run_scope("all", **kwargs)
-    parts = [run_scope(scope, **kwargs) for scope in SCOPES[1:]]
+    # all runs the scopes it is marked for, in order, and no scope added since
+    parts = [run_scope(scope, **kwargs) for scope in ("riordan", "oracle", "howard", "asymptotic")]
     assert combined.scope == "all" and combined.ok
     assert [(res.name, res.comparisons) for res in combined.results] == [
         (res.name, res.comparisons) for part in parts for res in part.results
     ]
     with pytest.raises(ValueError, match="scope must be one of"):
         run_scope("nonsense")
+
+
+def test_verify_printed_runs_the_print_routes_outside_all(capsys):
+    code, out, err = _run(capsys, ["verify", "printed"])
+    assert (code, err) == (0, "")
+    assert [line.split(" (")[0] for line in out.splitlines()[:-1]] == [
+        "ok   inverse-rows-vs-conjugate", "ok   tree-recurrence-vs-reversion",
+    ]
+    assert out.splitlines()[-1] == "scope printed: PASS (2 checks, %d comparisons)" % (
+        4 * 31 * 32 // 2 + 31
+    )
+
+
+def _plant_inverse_cell(monkeypatch):
+    """A wrong cell (n, k) = (3, 1) in the streamed inverse rows at r = 2."""
+    real = sequences._InverseRows._next
+
+    def planted(table, n):
+        return [v + (table.r == 2 and (n, k) == (3, 1)) for k, v in enumerate(real(table, n))]
+
+    monkeypatch.setattr(sequences._InverseRows, "_next", planted)
+
+
+def _plant_tree_term(monkeypatch):
+    """A wrong term n = 4 of tree_terms."""
+    real = sequences.tree_terms
+    monkeypatch.setattr(sequences, "tree_terms",
+                        lambda count: [v + (n == 4) for n, v in enumerate(real(count))])
+
+
+@pytest.mark.parametrize("plant, fail, verdict", [
+    # r = 0, 1 and rows 0..2 of r = 2 pass: 15 + 15 + 6 cells, then (3, 0)
+    (_plant_inverse_cell, "FAIL inverse-rows-vs-conjugate at (r=2, n=3, k=1): "
+     "recurrence gives 417 but riordan gives 416", "FAIL (1 checks, 38 comparisons)"),
+    # the inverse check passes its 4 * 15 cells, then n = 0..3
+    (_plant_tree_term, "FAIL tree-recurrence-vs-reversion at (n=4): "
+     "recurrence gives 7553 but riordan gives 7552", "FAIL (2 checks, 65 comparisons)"),
+])
+def test_verify_printed_names_a_planted_cell_and_both_routes(capsys, monkeypatch, plant, fail,
+                                                               verdict):
+    plant(monkeypatch)
+    code, out, err = _run(capsys, ["verify", "printed", "--max-n", "4"])
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-2:] == [fail, "scope printed: " + verdict]
 
 
 def test_verify_checks_the_bound_before_any_scope(capsys, monkeypatch):
@@ -789,7 +866,7 @@ def test_verify_checks_the_bound_before_any_scope(capsys, monkeypatch):
         raise AssertionError("riordan scope ran before the bound check")
 
     monkeypatch.setitem(
-        verify.SCOPE_TABLE, "riordan", (riordan_must_not_run, verify.SCOPE_TABLE["riordan"][1])
+        verify.SCOPE_TABLE, "riordan", (riordan_must_not_run, *verify.SCOPE_TABLE["riordan"][1:])
     )
     # oracle defaults max_n = 4: 4 + 5 = 9 elements exceeds the bound 8
     with pytest.raises(EnumerationLimitError, match="over 9 elements"):
@@ -851,11 +928,11 @@ def test_importing_cli_from_the_package_runs_no_fraction_layer():
 NOT_FOR_ANY = {"argparse", "gettext", "locale"}
 # the series layer and the stdlib modules only Fraction arithmetic imports
 FRACTION_LAYER = {"fractions", "decimal", "stirlingb.fps"}
-# the integer tables read sequences alone, and json only for --format json
-NOT_FOR_INTEGERS = NOT_FOR_ANY | FRACTION_LAYER | {"stirlingb.riordan", "stirlingb.verify"}
-# every layer but permcore, json, and the __future__ module that only the
-# other layers import
-NOT_FOR_ORACLE = NOT_FOR_INTEGERS | {"json", "__future__", "stirlingb.sequences"}
+# the integer tables read sequences alone, and json in no format: cli writes it
+NOT_FOR_INTEGERS = NOT_FOR_ANY | FRACTION_LAYER | {"stirlingb.riordan", "stirlingb.verify", "json"}
+# every layer but permcore, and the __future__ module that only the other
+# layers import
+NOT_FOR_ORACLE = NOT_FOR_INTEGERS | {"__future__", "stirlingb.sequences"}
 # the series families read fps on integers: no Fraction, verify or json
 NOT_FOR_SERIES = NOT_FOR_ANY | {"fractions", "decimal", "stirlingb.verify", "json"}
 
@@ -881,14 +958,13 @@ def test_a_package_name_loads_only_the_layers_it_passes(names, read, unread):
     [
         ("oracle --n 3", set(), NOT_FOR_ORACLE),
         ("--help", set(), NOT_FOR_ORACLE),
-        ("table stirling-b --format csv", {"stirlingb.sequences"}, NOT_FOR_INTEGERS | {"json"}),
+        ("table stirling-b --format csv", {"stirlingb.sequences"}, NOT_FOR_INTEGERS),
         ("table stirling-a --m 5 --mode restr --format json",
-         {"stirlingb.sequences", "json"}, NOT_FOR_INTEGERS),
-        ("seq d --r 2 --format csv", {"stirlingb.sequences"}, NOT_FOR_INTEGERS | {"json"}),
-        ("seq incomplete", {"stirlingb.sequences"}, NOT_FOR_INTEGERS | {"json"}),
-        ("seq typeb-factorial", {"stirlingb.sequences"}, NOT_FOR_INTEGERS | {"json"}),
-        ("seq tree --terms 5", {"stirlingb.sequences", "stirlingb.fps"},
-         NOT_FOR_SERIES | {"stirlingb.riordan"}),
+         {"stirlingb.sequences"}, NOT_FOR_INTEGERS),
+        ("seq d --r 2 --format csv", {"stirlingb.sequences"}, NOT_FOR_INTEGERS),
+        ("seq incomplete", {"stirlingb.sequences"}, NOT_FOR_INTEGERS),
+        ("seq typeb-factorial", {"stirlingb.sequences"}, NOT_FOR_INTEGERS),
+        ("seq tree --terms 5", {"stirlingb.sequences"}, NOT_FOR_INTEGERS),
         ("verify riordan --max-n 2 --max-r 1",
          {"stirlingb.verify", "stirlingb.riordan", "stirlingb.fps"},
          NOT_FOR_ANY | {"fractions", "decimal"}),
@@ -899,8 +975,7 @@ def test_a_package_name_loads_only_the_layers_it_passes(names, read, unread):
          NOT_FOR_ANY | FRACTION_LAYER | {"stirlingb.riordan", "json"}),
         ("verify howard --max-n 3 --max-r 1", {"stirlingb.verify"},
          NOT_FOR_ANY | FRACTION_LAYER | {"stirlingb.riordan", "json"}),
-        ("table inverse --rows 4 --format csv", {"stirlingb.riordan", "stirlingb.fps"},
-         NOT_FOR_SERIES),
+        ("table inverse --rows 4 --format csv", {"stirlingb.sequences"}, NOT_FOR_INTEGERS),
         ("seq lattice --r 2 --terms 5", {"stirlingb.sequences", "stirlingb.fps"},
          NOT_FOR_SERIES | {"stirlingb.riordan"}),
         # the asymptotic scope's grid point n = 10 forms Fractions, so the rows
@@ -955,7 +1030,7 @@ def test_the_installed_command_runs_what_python_m_runs():
     "argv, layer, call",
     [
         ("table stirling-b --rows 5", "sequences", "triangle_gem_rows"),
-        ("table inverse --rows 4", "riordan", "make_triangle_B"),
+        ("table inverse --rows 4", "sequences", "inverse_triangle_rows"),
         ("verify riordan --max-n 2 --max-r 1", "verify", "run_scope"),
     ],
 )

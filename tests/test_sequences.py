@@ -3,12 +3,13 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 import pytest
 
 from stirlingb import sequences
 from stirlingb.permcore import oracle_total, oracle_triangle
+from stirlingb.fps import FormalPowerSeries as FPS
 from stirlingb.riordan import make_triangle_B, unsigned_conjugate
 from stirlingb.sequences import (
     _d_series,
@@ -23,6 +24,7 @@ from stirlingb.sequences import (
     free_sign_howard,
     incomplete_factorial,
     inverse_triangle_rec,
+    inverse_triangle_rows,
     lattice_terms,
     rstirling1,
     stirling1,
@@ -304,6 +306,7 @@ def test_row_functions_raise_as_their_point_functions(point, rows):
     [
         lambda size: triangle_gem_rows(size, 1, 3),
         lambda size: stirlingA_rows(size, "restr", 2),
+        lambda size: inverse_triangle_rows(size, 2),
     ],
 )
 def test_row_functions_take_any_size_from_zero(rows):
@@ -319,8 +322,9 @@ def test_row_functions_take_any_size_from_zero(rows):
         (lambda size: triangle_gem_rows(size, 2, 2), lambda n, k: triangle_gem_rec(n, k, 2, 2)),
         (lambda size: triangle_gem_rows(size, 1, 4), lambda n, k: triangle_gem_rec(n, k, 1, 4)),
         (lambda size: stirlingA_rows(size, "assoc", 3), lambda n, k: stirlingA(n, k, "assoc", 3)),
+        (lambda size: inverse_triangle_rows(size, 3), lambda n, k: inverse_triangle_rec(n, k, 3)),
     ],
-    ids=["gem-m2", "gem-m4", "stirlingA"],
+    ids=["gem-m2", "gem-m4", "stirlingA", "inverse"],
 )
 def test_returned_rows_are_the_callers_own(rows, point):
     want = [[point(n, k) for k in range(n + 1)] for n in range(12)]
@@ -344,7 +348,8 @@ def test_row_functions_validate_before_they_return():
     # function makes no shared table
     tables = set(sequences._TABLES)
     for call in (lambda: triangle_gem_rows(4, -1, 2), lambda: stirlingA_rows(-1, "assoc", 2),
-                 lambda: stirlingA_rows(4, "free", 2)):
+                 lambda: stirlingA_rows(4, "free", 2), lambda: inverse_triangle_rows(4, -1),
+                 lambda: inverse_triangle_rows(-1, 2)):
         with pytest.raises(ValueError):
             call()
     rows = triangle_gem_rows(3, 2, 3)
@@ -650,17 +655,13 @@ def test_tree_counts():
         tree_terms(-1)
 
 
-def test_tree_terms_match_integer_recurrence():
-    # y_0 = 0, y_(n+1) = [n=0] + 2 y_n + 2 sum_(k=1)^n C(n, k) y_k y_(n+1-k);
-    # tree term n is y_(n+1)
-    y = [0]
-    for n in range(40):
-        y.append(
-            int(n == 0)
-            + 2 * y[n]
-            + 2 * sum(comb(n, k) * y[k] * y[n + 1 - k] for k in range(1, n + 1))
-        )
-    assert tree_terms(40) == y[1:]
+def test_tree_terms_match_the_series_reversion():
+    # n! [z^n] F' for n <= 60, F the sign-flipped reversion of the m = 2 cycle
+    # series sum_L w_L x^L / L, w_1 = 1 and w_L = 2^L above
+    d = lcm(*range(1, 62))
+    base = FPS([0, d] + [2**L * (d // L) for L in range(2, 62)], d)
+    series = (-(base.revert().scale_arg(-1))).derivative()
+    assert tree_terms(61) == [series.egf_coeff(n) for n in range(61)]
 
 
 def test_tree_terms_count_weighted_increasing_trees():
@@ -990,19 +991,20 @@ def test_log_rows_match_the_oracle():
         (lambda: triangle_gem_rows(40, 0, 2), 2),  # (1 - 2x) S_x = y (1 + 2x) S
         (lambda: triangle_gem_rows(40, 2, 3), 5),
         (lambda: stirlingA_rows(40, "restr", 5), 6),  # (1 - x) S_x = y (1 - x^5) S
+        (lambda: inverse_triangle_rows(40, 2), 1),  # one row back
     ],
-    ids=["gem-m2-r0", "gem-m3-r2", "A-restr-m5"],
+    ids=["gem-m2-r0", "gem-m3-r2", "A-restr-m5", "inverse-r2"],
 )
 def test_streamed_rows_keep_only_what_the_rule_reads(monkeypatch, rows, depth):
     held = []
-    advance = sequences._LogRows.advance
+    advance = sequences._Rows.advance
 
     def spy(table, n):
         row = advance(table, n)
-        held.append((len(table.rows), table.depth))
+        held.append((len(table.rows), table.rows.maxlen))
         return row
 
-    monkeypatch.setattr(sequences._LogRows, "advance", spy)
+    monkeypatch.setattr(sequences._Rows, "advance", spy)
     assert len(list(rows())) == 40
     assert held[-1] == (depth, depth)
     assert max(kept for kept, _ in held) == depth

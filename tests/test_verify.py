@@ -286,8 +286,7 @@ def test_a_failing_scope_builds_no_later_scope(monkeypatch):
         return lister
 
     for scope in ("oracle", "howard", "asymptotic"):
-        defaults = verify.SCOPE_TABLE[scope][1]
-        monkeypatch.setitem(verify.SCOPE_TABLE, scope, (spy(scope), defaults))
+        monkeypatch.setitem(verify.SCOPE_TABLE, scope, (spy(scope), *verify.SCOPE_TABLE[scope][1:]))
     report = verify.run_scope("all", max_n=3, max_r=1, samples=1)
     assert [res.name for res in report.results] == ["triangle-recurrence-vs-riordan[m=2]"]
     assert not report.ok and listed == []
