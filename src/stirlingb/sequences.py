@@ -232,13 +232,12 @@ class _LogRows(_Rows):
         return [v // self.lead for v in row] if self.lead != 1 else row
 
 
-def _stream(size: int, r: int, mode: str, m: int, signed: bool) -> Iterator[list[int]]:
-    """Rows 0..size-1 of ``_LogRows(r, mode, m, signed)`` as fresh lists, each
-    made when read, by an unshared table that keeps its last ``depth`` rows and
-    is built at min(m, size + 1), since no cycle in them is longer than size."""
+def _stream(size: int, cls, *params) -> Iterator[list[int]]:
+    """Rows 0..size-1 of ``cls(*params)`` as fresh lists, each made when read,
+    by an unshared table that keeps its last ``depth`` rows."""
     if size < 0:
         raise ValueError("size must be >= 0, got %d" % (size,))
-    table = _LogRows(r, mode, min(m, size + 1), signed)
+    table = cls(*params)
     table.rows = deque(maxlen=table.depth)
     return map(table.advance, range(size))  # advance, being public, shows in a profile
 
@@ -316,15 +315,16 @@ class _WindowRows(_Rows):
         return row
 
 
-def _window(r: int, mode: str, m: int, signed: bool) -> tuple:
-    """The key (r, mode, m, signed) of a window table, checked in that order."""
+def _window(r: int, mode: str, m: int, signed: bool, size: int | None = None) -> tuple:
+    """The key (r, mode, m, signed) of a window table, checked in that order;
+    given size, m is capped at size + 1: no cycle in rows 0..size-1 is longer."""
     if r < 0:
         raise ValueError("r must be >= 0")
     if mode not in ("restr", "assoc"):
         raise ValueError("mode must be 'restr' or 'assoc', got %r" % (mode,))
     if m < 0:
         raise ValueError("m must be >= 0")
-    return r, mode, m, signed
+    return r, mode, m if size is None else min(m, size + 1), signed
 
 
 def triangle_gem_rec(n: int, k: int, r: int, m: int) -> int:
@@ -353,7 +353,7 @@ def triangle_ge2_alt_rec(n: int, k: int) -> int:
 
 def triangle_gem_rows(size: int, r: int, m: int) -> Iterator[list[int]]:
     """Rows 0..size-1 of ``triangle_gem_rec(., ., r, m)``, by ``_stream``."""
-    return _stream(size, *_window(r, "assoc", m, True))
+    return _stream(size, _LogRows, *_window(r, "assoc", m, True, size))
 
 
 def stirlingA(n: int, k: int, mode: str, m: int) -> int:
@@ -364,7 +364,7 @@ def stirlingA(n: int, k: int, mode: str, m: int) -> int:
 
 def stirlingA_rows(size: int, mode: str, m: int) -> Iterator[list[int]]:
     """Rows 0..size-1 of ``stirlingA(., ., mode, m)``, by ``_stream``."""
-    return _stream(size, *_window(0, mode, m, False))
+    return _stream(size, _LogRows, *_window(0, mode, m, False, size))
 
 
 def stirling1(n: int, k: int) -> int:
@@ -577,6 +577,8 @@ class _InverseRows(_Rows):
     the rule reads T(n, k) = T(p, k-1) + 4 (r Q(k) + k P(k)).
     """
 
+    depth = 1  # row n reads row n-1 alone
+
     def _next(self, n: int) -> list[int]:
         if n == 0:
             return [1]
@@ -608,14 +610,10 @@ def inverse_triangle_rec(n: int, k: int, r: int) -> int:
 
 
 def inverse_triangle_rows(size: int, r: int) -> Iterator[list[int]]:
-    """Rows 0..size-1 of ``inverse_triangle_rec(., ., r)``, kept one back as by ``_stream``."""
+    """Rows 0..size-1 of ``inverse_triangle_rec(., ., r)``, by ``_stream``."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    if size < 0:
-        raise ValueError("size must be >= 0, got %d" % (size,))
-    table = _InverseRows(r)
-    table.rows = deque(maxlen=1)
-    return map(table.advance, range(size))
+    return _stream(size, _InverseRows, r)
 
 
 def tree_terms(count: int) -> list[int]:

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -66,3 +67,16 @@ def cli_peak():
         return int(code), int(rss_kb) / 1024, digest, proc.stderr
 
     return run
+
+
+@pytest.fixture
+def bench_jobs(monkeypatch):
+    """Every job that ``perfbench/workloads.py``'s ``job_list`` makes, for each
+    workload at seeds 1-10."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses looks it up
+    spec.loader.exec_module(workloads)
+    return [job for name in workloads.WORKLOADS for seed in range(1, 11)
+            for job in workloads.job_list(name, seed)]

@@ -1,6 +1,4 @@
 import ast
-import hashlib
-import importlib.util
 import io
 import json
 import os
@@ -65,84 +63,6 @@ def test_table_inverse_family(capsys):
     code, _, err = _run(capsys, ["table", "inverse", "--m", "3", "--rows", "3"])
     assert code == 2
     assert "supports --m 2 only" in err
-
-
-# sha256 of stdout for Riordan-route sizes no other test reaches
-RIORDAN_GOLDEN = {
-    "table inverse --rows 31 --r 3 --format csv":
-        "1ba2667166b369aba33e431650ee6b0f297182c7535c90955ec5eccd814cc04a",
-    "seq tree --terms 30":
-        "7a6cfe9b052d439ff088fd5219dc76d4fc9631b24736e7b0b6b5b127cc7287e7",
-    "seq lattice --terms 400 --r 4 --format csv":
-        "da47e94eae4840d7866cebe54bf86baf12d7146fb924bebe4c4a556e96bfd1a3",
-    "table inverse --rows 40 --r 3 --format csv":
-        "da2615c60aa69bddb0bb802aaa22142d11ecbabf8df9259747fccf9ed5f89ff6",
-    # recorded before reciprocal and revert moved onto integer numerators
-    "table inverse --rows 30 --r 2 --format pretty":
-        "e4e9585a84c81a055e8e3842227ae0897b15c4502c5952c1d54700381e1fe7ff",
-    # the r = 0 and r = 1 json shapes of the bench jobs, recorded before the
-    # array was read from its cycle weights, then with provenance "recurrence"
-    # once the rows were printed from it
-    "table inverse --rows 26 --r 0 --format json":
-        "49fe48f0d7b257127d170acadf2f47822e80949bc49f9c6c7a0984e089145724",
-    "table inverse --rows 30 --r 1 --format json":
-        "a1ab5837bf7eb83d1e7559b136b3d1164e7bca29b11b8bddaa4fca281590fde3",
-}
-
-
-@pytest.mark.parametrize("argv", sorted(RIORDAN_GOLDEN))
-def test_riordan_route_golden(capsys, argv):
-    code, out, err = _run(capsys, argv.split())
-    assert code == 0 and err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == RIORDAN_GOLDEN[argv]
-
-
-# sha256 of stdout for large recurrence tables, one per window m = 2..5, so a
-# change to any column of the row tables shows
-RECURRENCE_GOLDEN = {
-    "table stirling-b --rows 80 --m 2 --r 3 --format csv":
-        "e120d26921d320ef657df61ab5c8f06afe3b8301d83fca396343cac193b0af4f",
-    "table stirling-b --rows 70 --m 3 --r 2 --format csv":
-        "c2908e4bb485c02028aac8bdcd2bd6b83cf3340494d95d316cec372d447b16f8",
-    "table stirling-b --rows 60 --m 4 --r 3 --format csv":
-        "f219451c79230ca86b3b4e914b0c5329659845fcced6707820e390b5b478176a",
-    "table stirling-b --rows 50 --m 5 --r 4 --format csv":
-        "dbef867ce614d7c52e2b1866946f980d65198912cdf90f7b346735417c5b8a27",
-    # the type A tables, recorded before they moved onto the signed rows' rule
-    "table stirling-a --rows 104 --m 4 --mode assoc --format csv":
-        "c99d14027d2df4ae29ed442793fd9add9862725f08dc5d23465645aef69ee213",
-    "table stirling-a --rows 183 --m 3 --mode restr --format json":
-        "46c5c6bf7f3bf593cc020b0eff0533409963683280f9a815c07de1db2c66d1dd",
-    # the pretty and json shapes of the bench jobs, recorded before the
-    # tables were read a whole row at a time
-    "table stirling-b --rows 68 --m 2 --r 2 --format pretty":
-        "e3e52c3080201f5d0ee9e220791f1bcdb9e54c9d7d563317ece87afc07148eb4",
-    "table stirling-b --rows 103 --m 2 --r 0 --format json":
-        "8cdf8ac03ef5fb1741fe6b4c7533f6cb3ed5af601cde6b66c6829cf884c456a9",
-    "table stirling-b --rows 67 --m 3 --r 2 --format pretty":
-        "c8ada13e8e2f11e6af9069f3f5ab6d28af954c2f91cf3bb85449dbe572e3a595",
-    "table stirling-a --rows 100 --m 2 --mode assoc --format pretty":
-        "845e170572e34bb55b85cb5910c47cbf18c14e8333e1be731b68935d293d4223",
-    # recorded before `table` wrote its rows as they were made: the bench's
-    # peak-RSS job, one more bench shape, and the one-row edge of each format
-    "table stirling-a --rows 163 --m 5 --mode restr --format json":
-        "e3c200a6403f2353dc9ac263cadbb30d9df29fa496ac6b5b758b4f1c4bd595f5",
-    "table stirling-b --rows 78 --m 4 --r 1 --format json":
-        "1aeb4f53906cfbe11fef5f0b2c70fc9cb2d919b0934267ea1aa243a46b87e84c",
-    "table stirling-b --rows 1 --format csv":
-        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
-    "table stirling-b --rows 1 --format json":
-        "b11f1596d0abfc409a1c0f05f343f3a256c505119a4e754f331b9b16d89b7c6b",
-    "table stirling-b --rows 1 --format pretty":
-        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
-}
-
-
-@pytest.mark.parametrize("argv", sorted(RECURRENCE_GOLDEN))
-def test_recurrence_table_golden(capsys, argv):
-    code, out, err = _run(capsys, argv.split())
-    assert code == 0 and err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == RECURRENCE_GOLDEN[argv]
 
 
 # sha256 of stdout for a 30 MB table, recorded while `table` kept every row
@@ -236,76 +156,6 @@ def test_a_spawned_cli_writes_what_main_writes(capsys, tmp_path, argv, to_file, 
         stdout = out.read() if to_file else proc.stdout
     assert proc.returncode == code
     assert stdout == out_in.encode() and proc.stderr == err_in.encode()
-
-
-# sha256 of the whole stdout of verify reports, so a check renamed, reordered
-# or recounted shows even when the last line still passes
-VERIFY_GOLDEN = {
-    "verify all":
-        "6dcb2483f7878f14694eebe6bf5ca77d1ffb8c1a0ed143a22661c10ef1e715b0",
-    "verify howard --max-n 10 --max-r 3":
-        "2d3ef7219c5629f9ebe3d761bbaf3ad67bdcb4c9a54be2c3ae1cd278b08f8984",
-    "verify riordan --max-n 12 --max-r 2 --seed 7":
-        "d09a70447183180667f2fd94403e35beda8e0c5c328ed9012e437d3c0ac3e4a2",
-}
-
-
-@pytest.mark.parametrize("argv", sorted(VERIFY_GOLDEN))
-def test_verify_report_golden(capsys, argv):
-    code, out, err = _run(capsys, argv.split())
-    assert code == 0 and err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GOLDEN[argv]
-
-
-# sha256 of stdout for sequence families in each format, a sequence through
-# `table` among them, recorded before sequences and triangles shared one
-# renderer
-SEQUENCE_GOLDEN = {
-    "seq d --terms 300 --r 3 --format json":
-        "155c024848ff5bb9e269f77967250091c6b151b5a996538044298b3503b36d1c",
-    "seq incomplete --terms 80 --m 3 --mode restr --format csv":
-        "f7e744123bf1a79dd1d9be202d8869d8cd8a7251b3e837af5fd18efd316f87df",
-    "seq tree --terms 20 --format json":  # provenance "recurrence"
-        "7f44e04d4d0a65ce359d18b256fc6b23e5260805297bc55cd29d51024e01aea7",
-    "table d --rows 40 --r 2":
-        "90a79fb0d8679ecb41e48227bf82fdd62c43d454c474cbff82048a4a21c2c585",
-    # recorded while these three families read one bulk term function each
-    "seq d --terms 60 --r 2 --format pretty":
-        "e61b4b10f657677de9dc23054ecc7d530485204fe899d98f3a47fbf35c1a51aa",
-    "seq d --terms 60 --r 2 --format csv":
-        "700ea44e83dffa3f420d4874cca43a5686734ba49a08e94f73b815e419a6da4c",
-    "seq d --terms 60 --r 2 --format json":
-        "299112e12484b0310c9283a1fcebd454365eb56be89e9298f33200a202c2c42c",
-    "seq incomplete --terms 60 --m 4 --mode assoc --format pretty":
-        "89f87dd2072fd5d5359d02bfb638d228b618c4c7d09687c1ed52f2a40f25e956",
-    "seq incomplete --terms 60 --m 4 --mode assoc --format csv":
-        "e485e7a6eb1ff4ece3c946366a91cba02542f8e2a15d66a621538b0d17b6f8ac",
-    "seq incomplete --terms 60 --m 4 --mode assoc --format json":
-        "d1be73b564d1175dee7ecf4088e3eec2a6d5a09168ed0f5cd4e0181a5b2e7ee5",
-    "seq typeb-factorial --terms 60 --m 2 --mode restr --format pretty":
-        "43bd23cee010675159fe3711c4d5544e9b207f750d2f4773a209a24c9a8cb5e1",
-    "seq typeb-factorial --terms 60 --m 2 --mode restr --format csv":
-        "c3fb96730464c3dbbb908aae0efcef3a79ba452b701ad16090bc5b45d2885dfd",
-    "seq typeb-factorial --terms 60 --m 2 --mode restr --format json":
-        "2318f18cf5e9f2577ccdee5b0b3c4475820ff240f2bae4c6ee4af48b275e554b",
-}
-
-
-@pytest.mark.parametrize("argv", sorted(SEQUENCE_GOLDEN))
-def test_sequence_golden(capsys, argv):
-    code, out, err = _run(capsys, argv.split())
-    assert code == 0 and err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == SEQUENCE_GOLDEN[argv]
-
-
-def test_typeb_factorial_golden(capsys):
-    # sha256 of stdout recorded before the row sums of stirlingA were kept
-    # with their rows; the 300 terms took about 9 s then
-    code, out, err = _run(capsys, "seq typeb-factorial --terms 300 --m 3".split())
-    assert code == 0 and err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "68a7bc5b41b7a8c58cba282cd1bb155f4544870cb9548fa81342640415228762"
-    )
 
 
 @pytest.mark.parametrize("fmt, tail", [("csv", "\n"), ("json", "]}\n")])
@@ -765,29 +615,22 @@ def test_verify_accepts_the_options_the_scope_reads(capsys, argv):
     assert out.splitlines()[-1].startswith("scope %s: PASS" % argv.split()[1])
 
 
-def test_bench_jobs_give_each_family_and_scope_only_what_it_reads(monkeypatch):
+def test_bench_jobs_give_each_family_and_scope_only_what_it_reads(bench_jobs):
     # the benchmark runs these argv; a CLI change that would make one of them
     # exit 2 fails here.  A family's flags must be in its table entry (this
     # also rejects --mode assoc for stirling-b and inverse, which the CLI
     # accepts, but no job passes it).
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses looks it up
-    spec.loader.exec_module(workloads)
-    for name in workloads.WORKLOADS:
-        for seed in range(1, 11):
-            for job in workloads.job_list(name, seed):
-                args = cli.parse_args(job.argv)
-                if args.command in ("table", "seq"):
-                    reads, names = cli._FAMILIES[args.family][2], ("m", "r", "mode")
-                elif args.command == "verify" and args.scope != "all":
-                    reads = verify.SCOPE_TABLE[args.scope][1]
-                    names = ("max_n", "max_r", "seed", "samples", "bound", "precision")
-                else:
-                    continue
-                given = {name for name in names if getattr(args, name) is not None}
-                assert given <= set(reads), job.argv
+    for job in bench_jobs:
+        args = cli.parse_args(job.argv)
+        if args.command in ("table", "seq"):
+            reads, names = cli._FAMILIES[args.family][2], ("m", "r", "mode")
+        elif args.command == "verify" and args.scope != "all":
+            reads = verify.SCOPE_TABLE[args.scope][1]
+            names = ("max_n", "max_r", "seed", "samples", "bound", "precision")
+        else:
+            continue
+        given = {name for name in names if getattr(args, name) is not None}
+        assert given <= set(reads), job.argv
 
 
 def test_verify_all_defaults_pass(capsys):

@@ -416,7 +416,8 @@ def test_streams_at_the_edge_of_their_rows():
                 for size in range(14):
                     for m in (size, size + 1, size + 2):
                         want = sequences._r_table(sequences._WindowRows, r, mode, m, signed)
-                        rows = list(sequences._stream(size, r, mode, m, signed))
+                        rows = list(sequences._stream(
+                            size, sequences._LogRows, *sequences._window(r, mode, m, signed, size)))
                         assert rows == [want.row(n) for n in range(size)], (
                             signed, mode, r, size, m)
 
@@ -950,7 +951,7 @@ def test_log_rows_match_the_window_recurrence():
             for m in range(7):
                 for r in range(5) if signed else (0,):
                     want = sequences._r_table(sequences._WindowRows, r, mode, m, signed)
-                    for n, row in enumerate(sequences._stream(61, r, mode, m, signed)):
+                    for n, row in enumerate(sequences._stream(61, sequences._LogRows, r, mode, m, signed)):
                         assert row == want.row(n), (signed, mode, m, r, n)
                         cells += n + 1
     assert cells == 158844
@@ -975,7 +976,7 @@ def test_log_rows_match_the_oracle():
     for mode in ("assoc", "restr"):
         for m in range(6):
             for r in range(4):
-                rows = list(sequences._stream(10 - r, r, mode, m, True))
+                rows = list(sequences._stream(10 - r, sequences._LogRows, r, mode, m, True))
                 for n in range(10 - r):
                     for k in range(n + 1):
                         assert rows[n][k] == oracle_triangle(n, r, k, mode, m, bound=9), (
