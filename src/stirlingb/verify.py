@@ -20,7 +20,7 @@ printed or a cell or note of asymptotic, and `decimal` only for the latter.
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from math import factorial, lcm
+from math import factorial
 
 from . import _on_first_read, sequences
 from ._record import Record
@@ -375,10 +375,10 @@ def _check_printed(*, max_n: int, max_r: int) -> list:
 
     @cache
     def trees():
-        # n! [z^n] F', F the sign-flipped reversion of sum_L w_L x^L / L, at m = 2
-        size, d = max_n + 1, lcm(*range(1, max_n + 2))
-        base = fps.FormalPowerSeries([0, d] + [2**L * (d // L) for L in range(2, size + 1)], d)
-        series = (-(base.revert().scale_arg(-1))).derivative()
+        # n! [z^n] F', F the f of the conjugated inverse at m = 2: -fbar(-x)
+        size = max_n + 1
+        array = riordan.make_triangle_B(2, 0, order=size)
+        series = riordan.unsigned_conjugate(array.invert()).f.derivative()
         return sequences.tree_terms(size), [series.egf_coeff(n) for n in range(size)]
 
     return [

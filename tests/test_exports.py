@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -8,6 +9,8 @@ import pytest
 
 import stirlingb
 from stirlingb import permcore
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MODULES = ["stirlingb"] + [
     "stirlingb." + info.name for info in pkgutil.iter_modules(stirlingb.__path__)
@@ -34,7 +37,8 @@ def test_star_import_gives_every_layer_export():
 
 
 def _tree(name):
-    path = importlib.import_module(name).__file__
+    """The syntax tree of module `name`, or of the file at Path `name`."""
+    path = name if isinstance(name, Path) else importlib.import_module(name).__file__
     with open(path, encoding="utf-8") as handle:
         return ast.parse(handle.read(), path)
 
@@ -64,6 +68,35 @@ def _imports_beyond_stdlib(name, top_level=False):
     stdlib = sys.stdlib_module_names
     imported = _imports(name, top_level)
     return {name for name in imported if name.split(".")[0] not in stdlib}
+
+
+# the corpus runner and the script that regenerates the corpus with it
+RUNNERS = [ROOT / "tests" / "corpus.py", ROOT / "tests" / "make_corpus.py"]
+
+
+@pytest.mark.parametrize("source", MODULES + RUNNERS,
+                         ids=lambda source: getattr(source, "name", source))
+def test_the_package_and_the_corpus_runner_import_only_stdlib(source):
+    # the package installs no dependency, and the corpus regenerates without
+    # pytest: every import, anywhere in the file, is of the standard library,
+    # relative, the package, or (for make_corpus.py) the runner beside it
+    allowed = {"stirlingb"} | ({"corpus"} if source == RUNNERS[1] else set())
+    beyond = {name.split(".")[0] for name in _imports_beyond_stdlib(source)
+              if not name.startswith(".")}
+    assert beyond - allowed == set()
+
+
+def test_ci_runs_the_tier1_command_on_the_floor_python():
+    # the floor pyproject promises is one of the Pythons CI runs, and CI runs
+    # the Tier-1 command exactly as ROADMAP.md gives it
+    floor = re.search(r'^requires-python = ">=(\d+\.\d+)',
+                      (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M).group(1)
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    (matrix,) = re.findall(r"^ *python-version: \[(.*)\]$", workflow, re.M)
+    assert floor in re.findall(r'"([^"]*)"', matrix)
+    command = re.search(r"^\*\*Tier-1 verify:\*\* `(.+)`$",
+                        (ROOT / "ROADMAP.md").read_text(encoding="utf-8"), re.M).group(1)
+    assert re.search(r"^ *run: %s$" % re.escape(command), workflow, re.M)
 
 
 def test_oracle_imports_only_stdlib():
@@ -183,7 +216,7 @@ def test_every_series_method_is_read():
     # a public method or property of the series type that no code reads is
     # dead surface: each must be read as an attribute somewhere in the
     # package or the benchmark, outside its own definition
-    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    bench = ROOT / "perfbench"
     trees = [_tree(name) for name in MODULES]
     trees += [ast.parse(path.read_text(encoding="utf-8"), str(path))
               for path in sorted(bench.glob("*.py"))]
